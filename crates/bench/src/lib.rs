@@ -8,6 +8,7 @@
 #![warn(missing_docs)]
 
 use mhe_cache::{Cache, CacheConfig};
+use mhe_spacewalk::cli;
 use mhe_trace::{StreamKind, TraceGenerator};
 use mhe_vliw::compile::Compiled;
 use mhe_vliw::Mdes;
@@ -24,22 +25,22 @@ pub fn events() -> usize {
     mhe_core::env::events_or(200_000)
 }
 
-/// Strips the `--obs` / `--obs-json` flags from a binary's argument list,
-/// selecting the corresponding observability sink. The flags mirror the
-/// `MHE_OBS` environment variable; an explicit flag wins over the
+/// Strips the `--obs` / `--obs-json` flags (the [`cli::OBS`] and
+/// [`cli::OBS_JSON`] rows of the knob table) from a binary's argument
+/// list, selecting the corresponding observability sink. The flags mirror
+/// the `MHE_OBS` environment variable; an explicit flag wins over the
 /// environment.
 pub fn obs_from_args(args: &mut Vec<String>) {
     let mut level = None;
-    args.retain(|a| match a.as_str() {
-        "--obs" => {
+    args.retain(|a| {
+        if *a == cli::OBS.flag {
             level = Some(mhe_obs::ObsLevel::Text);
-            false
-        }
-        "--obs-json" => {
+        } else if *a == cli::OBS_JSON.flag {
             level = Some(mhe_obs::ObsLevel::Json);
-            false
+        } else {
+            return true;
         }
-        _ => true,
+        false
     });
     if let Some(level) = level {
         mhe_obs::set_level(level);

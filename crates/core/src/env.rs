@@ -1,8 +1,10 @@
 //! The workspace's environment knobs, each parsed in exactly one place.
 //!
-//! Three variables steer every binary in the workspace; this module is
-//! their single documented home, with typed accessors that parse each
-//! variable once per process and cache the result:
+//! These variables steer code below the CLI; this module is their single
+//! documented home, with typed accessors that parse each variable once
+//! per process and cache the result. The daemon's and fleet's variables
+//! stand in for CLI flags, so they live next to those flags in the knob
+//! table of `mhe_spacewalk::cli`.
 //!
 //! | Variable         | Accessor            | Meaning |
 //! |------------------|---------------------|---------|
@@ -11,11 +13,6 @@
 //! | `MHE_OBS`        | [`obs`]             | Observability sink: `json`, `text`/`1`/`on`/`true`, anything else off. Parsed by `mhe-obs`, surfaced here for discoverability. |
 //! | `MHE_RETRIES`    | [`retry_policy`]    | Bounded retries for panicked sweep tasks: `N` or `N:backoff_ms` (e.g. `3:10`). Unset → no retries. |
 //! | `MHE_FAULT_PLAN` | [`crate::fault::FaultPlan::from_env`] | Deterministic fault-injection schedule for tests (see [`crate::fault`]). Unset → no injection. |
-//! | `MHE_SERVER_INFLIGHT` | [`server_inflight_or`] | Daemon admission control: evaluation requests allowed to run concurrently (`>= 1`). Each binary supplies its own default. |
-//! | `MHE_SERVER_QUEUE` | [`server_queue_or`] | Daemon backpressure: requests allowed to wait for an in-flight slot before new arrivals are rejected (`0` allowed). |
-//! | `MHE_SESSION_TTL` | [`session_ttl`]   | Daemon warm-session time-to-live in seconds (`0` = evict on next touch). Unset → sessions never expire by age. |
-//! | `MHE_MAX_SESSIONS` | [`max_sessions`] | Daemon warm-session count bound (`>= 1`); least-recently-used sessions beyond it are evicted. Unset → unbounded. |
-//! | `MHE_AUTH_TOKEN` | [`auth_token`]     | Shared secret for daemon/fleet authentication (see `mhe_core::auth`). Unset → ports accept unauthenticated peers. |
 //!
 //! None of these variables affects any measured or estimated miss count —
 //! they steer *how* the work runs (parallelism, workload size, reporting,
@@ -112,69 +109,6 @@ pub fn obs() -> mhe_obs::ObsLevel {
     mhe_obs::level()
 }
 
-/// Daemon admission control from `MHE_SERVER_INFLIGHT` — how many
-/// evaluation requests may run concurrently — or `default` when unset or
-/// not a positive integer. Parsed once per process.
-pub fn server_inflight_or(default: usize) -> usize {
-    static INFLIGHT: OnceLock<Option<usize>> = OnceLock::new();
-    INFLIGHT
-        .get_or_init(|| {
-            std::env::var("MHE_SERVER_INFLIGHT")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-        })
-        .unwrap_or(default)
-}
-
-/// Daemon backpressure from `MHE_SERVER_QUEUE` — how many requests may
-/// wait for an in-flight slot before new arrivals are rejected — or
-/// `default` when unset or not a non-negative integer. Parsed once per
-/// process (`0` is valid: reject as soon as all in-flight slots are
-/// taken).
-pub fn server_queue_or(default: usize) -> usize {
-    static QUEUE: OnceLock<Option<usize>> = OnceLock::new();
-    QUEUE
-        .get_or_init(|| {
-            std::env::var("MHE_SERVER_QUEUE").ok().and_then(|v| v.parse::<usize>().ok())
-        })
-        .unwrap_or(default)
-}
-
-/// Warm-session time-to-live from `MHE_SESSION_TTL` (whole seconds), or
-/// `None` when unset or not a non-negative integer. Parsed once per
-/// process. `0` is valid and means "evict on the next touch".
-pub fn session_ttl() -> Option<Duration> {
-    static TTL: OnceLock<Option<Duration>> = OnceLock::new();
-    *TTL.get_or_init(|| {
-        std::env::var("MHE_SESSION_TTL")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Duration::from_secs)
-    })
-}
-
-/// Warm-session count bound from `MHE_MAX_SESSIONS`, or `None` when unset
-/// or not a positive integer. Parsed once per process.
-pub fn max_sessions() -> Option<usize> {
-    static MAX: OnceLock<Option<usize>> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        std::env::var("MHE_MAX_SESSIONS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
-}
-
-/// The shared authentication token from `MHE_AUTH_TOKEN`, or `None` when
-/// unset or empty. Parsed once per process. When set, daemon and fleet
-/// ports require the HMAC handshake of [`crate::auth`]; flags
-/// (`--auth-token`) override this per process.
-pub fn auth_token() -> Option<&'static str> {
-    static TOKEN: OnceLock<Option<String>> = OnceLock::new();
-    TOKEN.get_or_init(|| std::env::var("MHE_AUTH_TOKEN").ok().filter(|t| !t.is_empty())).as_deref()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,27 +163,5 @@ mod tests {
     fn retry_policy_is_stable_across_calls() {
         assert_eq!(retry_policy(), retry_policy());
         assert!(retry_policy().max_attempts >= 1);
-    }
-
-    #[test]
-    fn server_knobs_fall_back_to_their_defaults() {
-        let inflight = server_inflight_or(4);
-        assert!(inflight >= 1);
-        assert_eq!(server_inflight_or(4), inflight);
-        let queue = server_queue_or(64);
-        assert_eq!(server_queue_or(64), queue);
-    }
-
-    #[test]
-    fn session_and_auth_knobs_are_stable_across_calls() {
-        assert_eq!(session_ttl(), session_ttl());
-        assert_eq!(max_sessions(), max_sessions());
-        if let Some(n) = max_sessions() {
-            assert!(n >= 1);
-        }
-        assert_eq!(auth_token(), auth_token());
-        if let Some(t) = auth_token() {
-            assert!(!t.is_empty());
-        }
     }
 }

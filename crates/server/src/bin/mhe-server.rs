@@ -4,15 +4,10 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = match mhe_server::parse_args(&args) {
-        Ok(Some(cfg)) => cfg,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("mhe-server: {msg}");
-            return ExitCode::from(mhe_server::EXIT_BAD_CONFIG);
-        }
-    };
-    match mhe_server::run(&cfg) {
+    let result = mhe_server::parse_args(&args, |var| std::env::var(var).ok())
+        .map_err(|msg| (mhe_server::EXIT_BAD_CONFIG, msg))
+        .and_then(|cfg| cfg.map_or(Ok(()), |cfg| mhe_server::run(&cfg)));
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err((code, msg)) => {
             eprintln!("mhe-server: {msg}");

@@ -6,149 +6,70 @@
 //! Keeping it a thin shell means the daemon *cannot* diverge from
 //! in-process evaluation — both are the same [`EvalService`] code.
 //!
-//! ```console
-//! $ mhe-server [--addr HOST:PORT] [--port-file PATH]
-//!              [--inflight N] [--queue N]
-//!              [--session-ttl SECS] [--max-sessions N] [--db DIR]
-//!              [--auth-token TOKEN] [--obs|--obs-json]
-//! ```
-//!
-//! `--addr` defaults to `127.0.0.1:0` (loopback, ephemeral port);
-//! `--port-file PATH` writes the actually-bound address to `PATH` once
+//! The flags, their `MHE_*` variables and their checks are the
+//! [`cli::SERVER`] rows of the knob table; `mhe-server --help` lists
+//! them. `--port-file PATH` writes the actually-bound address once
 //! listening, which is how scripts and tests rendezvous with an
-//! ephemeral-port daemon. `--inflight`/`--queue` override the
-//! `MHE_SERVER_INFLIGHT`/`MHE_SERVER_QUEUE` admission knobs;
-//! `--session-ttl`/`--max-sessions` override `MHE_SESSION_TTL`/
-//! `MHE_MAX_SESSIONS` and bound the daemon's warm-session memory;
-//! `--db DIR` persists evicted scope caches so warm state survives
-//! restarts; `--auth-token` (or `MHE_AUTH_TOKEN`) requires every client
-//! to answer a challenge before its first request (bad or missing
-//! tokens exit with code 6).
+//! ephemeral-port daemon (`--addr` defaults to `127.0.0.1:0`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use mhe_spacewalk::{EvalService, Server, ServiceConfig, ServiceLimits};
+use mhe_spacewalk::cli;
+use mhe_spacewalk::{EvalService, Server, ServiceConfig};
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use mhe_core::{
     EXIT_BAD_CONFIG, EXIT_CANCELLED, EXIT_SERVER_UNAVAILABLE, EXIT_UNAUTHORIZED,
     EXIT_WORKER_FAILURE,
 };
 
-/// The daemon's usage line.
-pub const USAGE: &str = "usage: mhe-server [--addr HOST:PORT] [--port-file PATH] \
-     [--inflight N] [--queue N] [--session-ttl SECS] [--max-sessions N] \
-     [--db DIR] [--auth-token TOKEN] [--obs|--obs-json]";
-
-/// Parsed daemon configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Parsed daemon configuration: every knob resolved as flag, then
+/// variable, then default.
+#[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Address to bind (default `127.0.0.1:0`).
     pub addr: String,
     /// Where to publish the actually-bound address, if anywhere.
     pub port_file: Option<String>,
-    /// Admission limits (flags override the environment knobs).
-    pub limits: ServiceLimits,
-    /// Idle-session TTL override (`None` defers to `MHE_SESSION_TTL`).
-    pub session_ttl: Option<Duration>,
-    /// Warm-session cap override (`None` defers to `MHE_MAX_SESSIONS`).
-    pub max_sessions: Option<usize>,
-    /// Persistence directory for evicted scope caches.
-    pub db: Option<String>,
-    /// Shared-token override (`None` defers to `MHE_AUTH_TOKEN`).
+    /// Admission limits, session bounds and the persistence directory.
+    pub service: ServiceConfig,
+    /// The shared token clients must prove, if any.
     pub auth_token: Option<String>,
 }
 
-impl Default for DaemonConfig {
-    fn default() -> Self {
-        DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            port_file: None,
-            limits: ServiceLimits::default(),
-            session_ttl: None,
-            max_sessions: None,
-            db: None,
-            auth_token: None,
-        }
-    }
-}
-
-/// Parses daemon flags. `--help` yields `Ok(None)` after printing usage.
+/// Parses daemon flags, reading absent knobs' variables from `lookup`
+/// (the process environment in the binary). `--help` yields `Ok(None)`
+/// after printing usage.
 ///
 /// # Errors
 ///
-/// A one-line diagnostic for unknown flags, missing values, or
-/// unparseable numbers (exit with [`EXIT_BAD_CONFIG`]).
-pub fn parse_args(args: &[String]) -> Result<Option<DaemonConfig>, String> {
-    let mut cfg = DaemonConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                cfg.addr = args.get(i).cloned().ok_or("--addr needs HOST:PORT")?;
-            }
-            "--port-file" => {
-                i += 1;
-                cfg.port_file = Some(args.get(i).cloned().ok_or("--port-file needs a path")?);
-            }
-            "--inflight" => {
-                i += 1;
-                let v = args.get(i).ok_or("--inflight needs a count")?;
-                cfg.limits.max_inflight = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--inflight {v:?}: need a positive integer"))?;
-            }
-            "--queue" => {
-                i += 1;
-                let v = args.get(i).ok_or("--queue needs a count")?;
-                cfg.limits.max_queued =
-                    v.parse::<usize>().map_err(|e| format!("--queue {v:?}: {e}"))?;
-            }
-            "--session-ttl" => {
-                i += 1;
-                let v = args.get(i).ok_or("--session-ttl needs seconds")?;
-                let secs = v.parse::<u64>().map_err(|e| format!("--session-ttl {v:?}: {e}"))?;
-                cfg.session_ttl = Some(Duration::from_secs(secs));
-            }
-            "--max-sessions" => {
-                i += 1;
-                let v = args.get(i).ok_or("--max-sessions needs a count")?;
-                cfg.max_sessions = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--max-sessions {v:?}: need a positive integer"))?,
-                );
-            }
-            "--db" => {
-                i += 1;
-                cfg.db = Some(args.get(i).cloned().ok_or("--db needs a directory")?);
-            }
-            "--auth-token" => {
-                i += 1;
-                let v = args.get(i).cloned().ok_or("--auth-token needs a token")?;
-                if v.is_empty() {
-                    return Err("--auth-token must not be empty".to_string());
-                }
-                cfg.auth_token = Some(v);
-            }
-            "--obs" => mhe_obs::set_level(mhe_obs::ObsLevel::Text),
-            "--obs-json" => mhe_obs::set_level(mhe_obs::ObsLevel::Json),
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return Ok(None);
-            }
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-        i += 1;
+/// A one-line diagnostic for unknown flags, missing values, or a flag or
+/// variable that fails its check (exit with [`EXIT_BAD_CONFIG`]).
+pub fn parse_args(
+    argv: &[String],
+    lookup: impl Fn(&str) -> Option<String>,
+) -> Result<Option<DaemonConfig>, String> {
+    let args = cli::SERVER.parse(argv, lookup)?;
+    if args.has(&cli::HELP) {
+        eprintln!("usage:\n  {}", cli::SERVER.usage());
+        return Ok(None);
     }
-    Ok(Some(cfg))
+    args.apply_obs();
+    let mut service = ServiceConfig::default();
+    service.limits.max_inflight = args.get(&cli::INFLIGHT).unwrap_or(service.limits.max_inflight);
+    service.limits.max_queued = args.get(&cli::QUEUE).unwrap_or(service.limits.max_queued);
+    service.session_ttl = args.get(&cli::SESSION_TTL).or(service.session_ttl);
+    service.max_sessions = args.get(&cli::MAX_SESSIONS).or(service.max_sessions);
+    service.persist_dir = args.get::<String>(&cli::DB).map(PathBuf::from);
+    Ok(Some(DaemonConfig {
+        addr: args.get(&cli::ADDR).unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        port_file: args.get(&cli::PORT_FILE),
+        service,
+        auth_token: args.get(&cli::AUTH_TOKEN),
+    }))
 }
 
 /// Runs the daemon to completion: bind, publish the port, serve until a
@@ -160,22 +81,11 @@ pub fn parse_args(args: &[String]) -> Result<Option<DaemonConfig>, String> {
 /// cannot be bound, [`EXIT_WORKER_FAILURE`] for serve-loop or port-file
 /// I/O failures.
 pub fn run(cfg: &DaemonConfig) -> Result<(), (u8, String)> {
-    let mut service_cfg = ServiceConfig { limits: cfg.limits, ..ServiceConfig::default() };
-    if let Some(ttl) = cfg.session_ttl {
-        service_cfg.session_ttl = Some(ttl);
-    }
-    if let Some(max) = cfg.max_sessions {
-        service_cfg.max_sessions = Some(max);
-    }
-    if let Some(dir) = &cfg.db {
-        service_cfg.persist_dir = Some(std::path::PathBuf::from(dir));
-    }
-    let service = Arc::new(EvalService::with_config(service_cfg));
-    let mut server = Server::bind(cfg.addr.as_str(), service)
-        .map_err(|e| (EXIT_SERVER_UNAVAILABLE, format!("cannot bind {}: {e}", cfg.addr)))?;
-    if let Some(token) = &cfg.auth_token {
-        server = server.with_auth_token(Some(token.clone()));
-    }
+    let limits = cfg.service.limits;
+    let service = Arc::new(EvalService::with_config(cfg.service.clone()));
+    let server = Server::bind(cfg.addr.as_str(), service)
+        .map_err(|e| (EXIT_SERVER_UNAVAILABLE, format!("cannot bind {}: {e}", cfg.addr)))?
+        .with_auth_token(cfg.auth_token.clone());
     server.install_signal_drain();
     let addr =
         server.local_addr().map_err(|e| (EXIT_WORKER_FAILURE, format!("local addr: {e}")))?;
@@ -185,7 +95,7 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), (u8, String)> {
     }
     eprintln!(
         "mhe-server: listening on {addr} (inflight {}, queue {}; SIGTERM drains)",
-        cfg.limits.max_inflight, cfg.limits.max_queued
+        limits.max_inflight, limits.max_queued
     );
     server.run().map_err(|e| (EXIT_WORKER_FAILURE, format!("serve loop: {e}")))
 }
@@ -193,64 +103,35 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), (u8, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn parse(args: &str, env: &[(&str, &str)]) -> Result<Option<DaemonConfig>, String> {
+        let argv: Vec<String> = args.split_whitespace().map(str::to_string).collect();
+        parse_args(&argv, |var| env.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string()))
     }
 
     #[test]
-    fn parses_defaults_and_overrides() {
-        let cfg = parse_args(&[]).unwrap().unwrap();
+    fn resolves_flags_then_variables_then_defaults() {
+        let cfg = parse("", &[]).unwrap().unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(cfg.port_file, None);
 
-        let cfg = parse_args(&argv(&[
-            "--addr",
-            "127.0.0.1:7199",
-            "--port-file",
-            "/tmp/port",
-            "--inflight",
-            "2",
-            "--queue",
-            "0",
-        ]))
+        let cfg = parse(
+            "--addr 127.0.0.1:7199 --port-file /tmp/port --inflight 2 --queue 0 \
+             --session-ttl 0 --db /tmp/mhe-db --auth-token hunter2",
+            &[("MHE_MAX_SESSIONS", "2"), ("MHE_SERVER_INFLIGHT", "abc")],
+        )
         .unwrap()
         .unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:7199");
         assert_eq!(cfg.port_file.as_deref(), Some("/tmp/port"));
-        assert_eq!(cfg.limits, ServiceLimits { max_inflight: 2, max_queued: 0 });
-    }
-
-    #[test]
-    fn parses_the_survivability_knobs() {
-        let cfg = parse_args(&argv(&[
-            "--session-ttl",
-            "0",
-            "--max-sessions",
-            "2",
-            "--db",
-            "/tmp/mhe-db",
-            "--auth-token",
-            "hunter2",
-        ]))
-        .unwrap()
-        .unwrap();
-        assert_eq!(cfg.session_ttl, Some(Duration::ZERO));
-        assert_eq!(cfg.max_sessions, Some(2));
-        assert_eq!(cfg.db.as_deref(), Some("/tmp/mhe-db"));
+        assert_eq!((cfg.service.limits.max_inflight, cfg.service.limits.max_queued), (2, 0));
+        assert_eq!(cfg.service.session_ttl, Some(Duration::ZERO));
+        assert_eq!(cfg.service.max_sessions, Some(2), "from the variable");
+        assert_eq!(cfg.service.persist_dir, Some(PathBuf::from("/tmp/mhe-db")));
         assert_eq!(cfg.auth_token.as_deref(), Some("hunter2"));
-    }
-
-    #[test]
-    fn rejects_bad_flags() {
-        assert!(parse_args(&argv(&["--inflight", "0"])).is_err());
-        assert!(parse_args(&argv(&["--queue", "many"])).is_err());
-        assert!(parse_args(&argv(&["--addr"])).is_err());
-        assert!(parse_args(&argv(&["--frobnicate"])).is_err());
-        assert!(parse_args(&argv(&["--session-ttl", "soon"])).is_err());
-        assert!(parse_args(&argv(&["--max-sessions", "0"])).is_err());
-        assert!(parse_args(&argv(&["--auth-token", ""])).is_err());
-        assert!(parse_args(&argv(&["--db"])).is_err());
-        assert_eq!(parse_args(&argv(&["--help"])).unwrap(), None);
+        assert!(parse("--help", &[]).unwrap().is_none());
+        let err = parse("", &[("MHE_MAX_SESSIONS", "0")]).unwrap_err();
+        assert!(err.starts_with("MHE_MAX_SESSIONS"), "{err}");
     }
 }

@@ -66,7 +66,7 @@ impl Default for FleetConfig {
             shard_count: 32,
             lease_timeout: Duration::from_secs(15),
             stall_timeout: Duration::from_secs(120),
-            auth_token: mhe_core::env::auth_token().map(str::to_string),
+            auth_token: crate::cli::AUTH_TOKEN.env(),
         }
     }
 }

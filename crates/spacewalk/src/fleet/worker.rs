@@ -54,7 +54,7 @@ pub struct PreparedWorker {
 }
 
 /// Tunables for one worker process.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WorkerOptions {
     /// Evaluation thread count (`None`/0 = auto via `MHE_THREADS`).
     pub threads: Option<usize>,
@@ -78,6 +78,20 @@ pub struct WorkerOptions {
     /// The shared token answering a [`FEATURE_AUTH`] coordinator's
     /// challenge (default: `MHE_AUTH_TOKEN` from the environment).
     pub auth_token: Option<String>,
+}
+
+impl Default for WorkerOptions {
+    fn default() -> Self {
+        Self {
+            threads: None,
+            reply_timeout: None,
+            die_after_points: None,
+            prepared: None,
+            redial_retries: 0,
+            redial_backoff: None,
+            auth_token: crate::cli::AUTH_TOKEN.env(),
+        }
+    }
 }
 
 /// What one worker contributed to a sweep.
@@ -178,9 +192,7 @@ fn attach_once(
         .set_read_timeout(Some(timeout))
         .map_err(|e| ClientError::Unavailable(format!("configure socket: {e}")))?;
     let _ = stream.set_nodelay(true);
-    let auth_token =
-        opts.auth_token.clone().or_else(|| mhe_core::env::auth_token().map(str::to_string));
-    let features = FEATURE_FLEET | if auth_token.is_some() { FEATURE_AUTH } else { 0 };
+    let features = FEATURE_FLEET | if opts.auth_token.is_some() { FEATURE_AUTH } else { 0 };
     let coordinator = client_hello(&mut stream, features).map_err(|e| {
         if e.kind() == io::ErrorKind::InvalidData {
             ClientError::Protocol(e.to_string())
@@ -204,7 +216,7 @@ fn attach_once(
     // heartbeat thread exists — the proof must be the very next frame
     // the coordinator reads, and a stray heartbeat would break that.
     if coordinator.features & FEATURE_AUTH != 0 {
-        let Some(token) = auth_token.as_deref() else {
+        let Some(token) = opts.auth_token.as_deref() else {
             return Err(ClientError::Remote {
                 code: mhe_core::EXIT_UNAUTHORIZED,
                 message: "coordinator requires an auth token (set --auth-token or MHE_AUTH_TOKEN)"

@@ -14,10 +14,12 @@
 //! * [`service`] — the shared `Send + Sync` evaluation service (warm
 //!   sessions, scope-shared caches, admission control) plus the daemon
 //!   wire protocol, server loop, and client used by `mhe-server` and
-//!   `spacewalker serve`/`connect`;
+//!   `spacewalker connect`;
 //! * [`fleet`] — the distributed walk: deterministic shard partition,
 //!   coordinator with work-stealing leases and checkpointed merges, and
-//!   the worker loop behind `spacewalker fleet`/`worker`.
+//!   the worker loop behind `spacewalker fleet`/`worker`;
+//! * [`cli`] — the knob table: every flag of `spacewalker` and
+//!   `mhe-server`, its `MHE_*` variable and its validator, written once.
 //!
 //! # Quick start
 //!
@@ -49,6 +51,7 @@
 
 pub mod cache_db;
 pub mod ckpt;
+pub mod cli;
 pub mod cost;
 pub mod fleet;
 pub mod heuristic;

@@ -19,7 +19,7 @@ use super::proto::{
 use mhe_core::{EXIT_SERVER_UNAVAILABLE, EXIT_UNAUTHORIZED};
 use std::fmt;
 use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Why a daemon query failed, from the client's point of view.
@@ -171,7 +171,7 @@ impl Default for ClientBuilder {
             retries: 0,
             retry_backoff: Duration::from_millis(200),
             retry_deadline: None,
-            auth_token: mhe_core::env::auth_token().map(str::to_string),
+            auth_token: crate::cli::AUTH_TOKEN.env(),
         }
     }
 }
@@ -284,20 +284,6 @@ impl Client {
     /// Starts configuring a session; see [`ClientBuilder`].
     pub fn builder() -> ClientBuilder {
         ClientBuilder::default()
-    }
-
-    /// Connects to a daemon at `addr` and verifies its handshake.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Unavailable`] when the daemon cannot be reached,
-    /// [`ClientError::UnsupportedVersion`]/[`ClientError::Protocol`]
-    /// when whatever answered is not a compatible mhe-server.
-    #[deprecated(since = "0.9.0", note = "use `Client::builder().addr(..).connect()`")]
-    pub fn connect(addr: impl ToSocketAddrs + fmt::Debug) -> Result<Client, ClientError> {
-        // The legacy entry point accepted any resolvable address; render
-        // it through Debug to keep old call sites compiling unchanged.
-        Client::builder().addr(format!("{addr:?}").trim_matches('"')).connect()
     }
 
     /// One dial attempt: TCP connect + two-way handshake + optional auth.
@@ -413,16 +399,6 @@ impl Client {
             Response::Error { code, message } => Err(ClientError::Remote { code, message }),
             other => Err(ClientError::Protocol(format!("expected Frontier, got {other:?}"))),
         }
-    }
-
-    /// Evaluates a frontier on the daemon.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::evaluate`].
-    #[deprecated(since = "0.9.0", note = "renamed to `Client::evaluate`")]
-    pub fn frontier(&mut self, request: FrontierRequest) -> Result<FrontierReport, ClientError> {
-        self.evaluate(request)
     }
 
     /// Fetches service counters.

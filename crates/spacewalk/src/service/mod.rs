@@ -1,7 +1,7 @@
 //! The shared evaluation service: warm sessions behind one `Send + Sync`
 //! core.
 //!
-//! Batch runs, the `mhe-server` daemon, and `spacewalker --connect` all
+//! Batch runs, the `mhe-server` daemon, and `spacewalker connect` all
 //! answer frontier queries through this module, so a served result is the
 //! *same computation* as an in-process run — not a reimplementation that
 //! merely agrees. The service owns what per-run plumbing used to rebuild
@@ -37,6 +37,7 @@ pub mod server;
 
 use crate::cache_db::{EvaluationCache, MetricKey};
 use crate::ckpt::Checkpointer;
+use crate::cli;
 use crate::heuristic::walk_heuristic;
 use crate::pareto::ParetoSet;
 use crate::spec::Spec;
@@ -65,12 +66,12 @@ pub struct ServiceLimits {
 }
 
 impl Default for ServiceLimits {
-    /// Defaults from `MHE_SERVER_INFLIGHT` (4) and `MHE_SERVER_QUEUE`
-    /// (64).
+    /// Defaults from the variables of [`cli::INFLIGHT`] and [`cli::QUEUE`]
+    /// (4 and 64 when unset or invalid).
     fn default() -> Self {
         ServiceLimits {
-            max_inflight: mhe_core::env::server_inflight_or(4).max(1),
-            max_queued: mhe_core::env::server_queue_or(64),
+            max_inflight: cli::INFLIGHT.env().unwrap_or(4),
+            max_queued: cli::QUEUE.env().unwrap_or(64),
         }
     }
 }
@@ -95,13 +96,14 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Defaults from `MHE_SESSION_TTL` and `MHE_MAX_SESSIONS` (both
-    /// unbounded when unset); persistence stays off without `--db`.
+    /// Defaults from the variables of [`cli::SESSION_TTL`] and
+    /// [`cli::MAX_SESSIONS`] (both unbounded when unset or invalid);
+    /// persistence stays off without `--db`.
     fn default() -> Self {
         ServiceConfig {
             limits: ServiceLimits::default(),
-            session_ttl: mhe_core::env::session_ttl(),
-            max_sessions: mhe_core::env::max_sessions(),
+            session_ttl: cli::SESSION_TTL.env(),
+            max_sessions: cli::MAX_SESSIONS.env(),
             persist_dir: None,
         }
     }
@@ -589,7 +591,7 @@ pub fn report_from(
 
 /// Renders a report as the exact `spacewalker` stdout listing —
 /// provenance header, column header, one row per frontier design. Batch
-/// runs and `--connect` clients print this same string, which is what
+/// runs and `spacewalker connect` clients print this same string, which is what
 /// makes "daemon output byte-identical to batch output" a `==` on two
 /// strings.
 pub fn render_frontier(report: &FrontierReport) -> String {

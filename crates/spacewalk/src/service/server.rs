@@ -63,7 +63,7 @@ impl Server {
             listener,
             service,
             drain: Arc::new(AtomicBool::new(false)),
-            auth_token: mhe_core::env::auth_token().map(str::to_string),
+            auth_token: crate::cli::AUTH_TOKEN.env(),
         })
     }
 

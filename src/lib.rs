@@ -16,7 +16,7 @@
 //! | [`core`] | `mhe-core` | **the dilation model** and hierarchical evaluation |
 //! | [`sampling`] | `mhe-sampling` | interval sampling: signatures, clustering, sampled simulation |
 //! | [`spacewalk`] | `mhe-spacewalk` | Pareto sets, cost models, design-space walkers, the shared evaluation service |
-//! | [`server`] | `mhe-server` | the sweep daemon wrapping the service for `spacewalker --connect` |
+//! | [`server`] | `mhe-server` | the sweep daemon wrapping the service for `spacewalker connect` |
 //! | [`obs`] | `mhe-obs` | zero-dependency observability: phase timers, counters, run reports |
 //!
 //! For applications, `use mhe::prelude::*;` imports the common working

@@ -136,7 +136,7 @@ fn chaos_evaluate(
 /// daemon serves the exact batch bytes — chaos never corrupts state.
 #[test]
 fn frame_faults_yield_identity_or_structured_errors_never_corruption() {
-    let _serial = fault::injection_lock().lock().unwrap();
+    let _serial = common::fault_serial();
     let batch = batch("unepic");
     let (addr, drain, handle) = start_daemon();
 
@@ -220,7 +220,7 @@ fn frame_faults_yield_identity_or_structured_errors_never_corruption() {
 /// a failing seed is a pasteable regression test.
 #[test]
 fn seeded_net_chaos_never_hangs_and_never_corrupts() {
-    let _serial = fault::injection_lock().lock().unwrap();
+    let _serial = common::fault_serial();
     let batch = batch("unepic");
     let (addr, drain, handle) = start_daemon();
     chaos_evaluate(addr, batch.request()).expect("warmup walk");
@@ -272,7 +272,7 @@ fn seeded_net_chaos_never_hangs_and_never_corrupts() {
 /// and the merged frontier is byte-identical to batch.
 #[test]
 fn fleet_sweep_absorbs_frame_faults_and_stays_bit_identical() {
-    let _serial = fault::injection_lock().lock().unwrap();
+    let _serial = common::fault_serial();
     let batch = batch("unepic");
 
     for seed in [7u64, 19] {
@@ -325,6 +325,7 @@ fn fleet_sweep_absorbs_frame_faults_and_stays_bit_identical() {
 /// No timers race the sweep: the incompleteness is structural.
 #[test]
 fn coordinator_handoff_resumes_from_checkpoint_and_identity_survives() {
+    let _serial = common::fault_serial();
     let batch = batch("unepic");
     let ckpt_dir = std::env::temp_dir().join(format!("mhe-handoff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ckpt_dir);

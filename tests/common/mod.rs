@@ -82,3 +82,10 @@ pub fn demo_spec_text(benchmark: &str, events: usize) -> String {
          l2_miss = 50\n"
     )
 }
+
+/// Serializes a test against every sibling that arms the process-global
+/// fault plan, which fires inside *any* walk or frame exchange in the
+/// process. The plan disarms on unwind, so a poisoned lock is still good.
+pub fn fault_serial() -> std::sync::MutexGuard<'static, ()> {
+    mhe::core::fault::injection_lock().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -76,6 +76,7 @@ fn frontier_request(heuristic: bool) -> FrontierRequest {
 /// `f64` bits) to the in-process batch run, including a warm repeat.
 #[test]
 fn four_concurrent_clients_match_the_batch_frontier_byte_for_byte() {
+    let _serial = common::fault_serial();
     let (want_text, want_bits) = batch_reference(&spec_text());
     // max_inflight 2 < 4 clients: two requests queue at the gate, which
     // must delay them, not change or reject them.
@@ -124,7 +125,7 @@ fn four_concurrent_clients_match_the_batch_frontier_byte_for_byte() {
 /// warm: the disarmed retry serves the exact batch answer.
 #[test]
 fn injected_panic_is_structured_and_the_session_recovers() {
-    let _serial = fault::injection_lock().lock().unwrap();
+    let _serial = common::fault_serial();
     let (want_text, _) = batch_reference(&spec_text());
     let (addr, drain, handle) = start_daemon(ServiceLimits { max_inflight: 1, max_queued: 4 });
     let mut client = Client::builder().addr(addr).connect().expect("connect");
@@ -170,6 +171,7 @@ fn injected_panic_is_structured_and_the_session_recovers() {
 /// Liveness and counters over the wire.
 #[test]
 fn ping_and_stats_round_trip() {
+    let _serial = common::fault_serial();
     let (addr, drain, handle) = start_daemon(ServiceLimits::default());
     let mut client = Client::builder().addr(addr).connect().expect("connect");
     client.ping().expect("pong");
@@ -204,22 +206,6 @@ fn drain_stops_accepting_and_joins_cleanly() {
         Err(other) => panic!("expected Unavailable, got {other:?}"),
         Ok(_) => panic!("a drained daemon must not accept new connections"),
     }
-}
-
-/// The deprecated thin wrappers (`Client::connect`, `Client::frontier`)
-/// must keep working verbatim until removal — they are the published
-/// pre-subcommand API.
-#[test]
-#[allow(deprecated)]
-fn deprecated_client_wrappers_still_serve_the_same_bytes() {
-    let (want_text, _) = batch_reference(&spec_text());
-    let (addr, drain, handle) = start_daemon(ServiceLimits::default());
-    let mut client = Client::connect(addr).expect("deprecated connect");
-    let report = client.frontier(frontier_request(false)).expect("deprecated frontier");
-    assert_eq!(render_frontier(&report), want_text, "wrapper path changed the answer");
-    drop(client);
-    drain.store(true, std::sync::atomic::Ordering::SeqCst);
-    handle.join().expect("drained serve loop");
 }
 
 /// Version negotiation: a client announcing protocol v1 gets a

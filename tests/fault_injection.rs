@@ -24,6 +24,8 @@ use mhe::workload::Benchmark;
 use std::io::ErrorKind;
 use std::path::PathBuf;
 
+mod common;
+
 /// A small but real `.mtr` byte stream: the reference trace of a tiny
 /// evaluation, captured in memory.
 fn valid_mtr() -> Vec<u8> {
@@ -158,7 +160,7 @@ fn mhe_bench_exit(e: &std::io::Error) -> u8 {
 
 #[test]
 fn worker_panics_are_isolated_structured_and_retryable() {
-    let _serial = fault::injection_lock().lock().unwrap();
+    let _serial = common::fault_serial();
     let items: Vec<u64> = (0..64).collect();
 
     // Without retries: the injected panic is caught, converted to
@@ -196,6 +198,7 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn killed_walk_resumes_bit_identical_at_1_and_8_threads() {
+    let _serial = common::fault_serial();
     let space = small_space();
     for threads in [1usize, 8] {
         let eval = tiny_eval(&space, threads);
@@ -247,7 +250,7 @@ fn killed_walk_resumes_bit_identical_at_1_and_8_threads() {
 
 #[test]
 fn injected_panic_aborts_the_walk_cleanly_and_a_rerun_recovers() {
-    let _serial = fault::injection_lock().lock().unwrap();
+    let _serial = common::fault_serial();
     let space = small_space();
     let eval = tiny_eval(&space, 8);
     let dir = ckpt_dir("abort");

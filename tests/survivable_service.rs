@@ -117,6 +117,7 @@ fn read_response(stream: &mut TcpStream) -> Response {
 /// bound trades memory for recompute, never for wrong answers).
 #[test]
 fn session_count_stays_bounded_under_spec_churn() {
+    let _serial = common::fault_serial();
     let service = EvalService::with_config(ServiceConfig {
         max_sessions: Some(2),
         session_ttl: None,
@@ -155,6 +156,7 @@ fn session_count_stays_bounded_under_spec_churn() {
 /// touches the service; the touched session itself is never evicted.
 #[test]
 fn zero_ttl_expires_idle_sessions() {
+    let _serial = common::fault_serial();
     let service = EvalService::with_config(ServiceConfig {
         session_ttl: Some(Duration::ZERO),
         max_sessions: None,
@@ -178,6 +180,7 @@ fn zero_ttl_expires_idle_sessions() {
 /// directory answers the same spec without a single recompute.
 #[test]
 fn persisted_scope_cache_survives_a_service_restart() {
+    let _serial = common::fault_serial();
     let dir = std::env::temp_dir().join(format!("mhe-survive-db-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let text = common::demo_spec_text("unepic", SOAK_EVENTS);
@@ -205,6 +208,7 @@ fn persisted_scope_cache_survives_a_service_restart() {
 /// with `FEATURE_AUTH` announced.
 #[test]
 fn daemon_auth_rejects_bad_tokens_and_serves_good_ones_identically() {
+    let _serial = common::fault_serial();
     let text = common::demo_spec_text("unepic", SOAK_EVENTS);
     let (want_render, want_bits) = batch_reference(&text);
     let (addr, drain, handle) =
@@ -273,6 +277,7 @@ fn open_daemon_stats_report_version_features_and_build() {
 /// every race on every delay fails the test.
 #[test]
 fn cancel_frame_aborts_the_walk_and_the_rerun_is_bit_identical() {
+    let _serial = common::fault_serial();
     let (addr, drain, handle) =
         start_daemon_with(EvalService::new(ServiceLimits { max_inflight: 1, max_queued: 0 }), None);
 
@@ -319,6 +324,7 @@ fn cancel_frame_aborts_the_walk_and_the_rerun_is_bit_identical() {
 /// abandoned sweep is reaped, then gets the exact batch answer.
 #[test]
 fn client_disconnect_cancels_the_sweep_and_frees_the_slot() {
+    let _serial = common::fault_serial();
     let text = common::demo_spec_text("unepic", EVENTS);
     let (want_render, want_bits) = batch_reference(&text);
     let (addr, drain, handle) =
@@ -375,7 +381,7 @@ fn admission_gate_rejects_a_full_queue_without_blocking() {
 /// the disarmed rerun serves the exact answer.
 #[test]
 fn admission_slot_is_released_on_panic_and_on_cancellation() {
-    let _serial = fault::injection_lock().lock().unwrap();
+    let _serial = common::fault_serial();
     let text = common::demo_spec_text("unepic", SOAK_EVENTS);
     let service = EvalService::new(ServiceLimits { max_inflight: 1, max_queued: 0 });
 
