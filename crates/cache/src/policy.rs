@@ -15,7 +15,7 @@
 //! * [`Policy::Fifo`] — first-in-first-out: hits do not refresh a line;
 //! * [`Policy::PlruTree`] — tree pseudo-LRU, the common hardware
 //!   approximation (one bit per internal tree node);
-//! * [`Policy::Random(seed)`] — uniformly random victim from a seeded
+//! * [`Policy::Random`]`(seed)` — uniformly random victim from a seeded
 //!   per-set generator, deterministic across runs and threads.
 //!
 //! Determinism contract: an engine's behaviour is a pure function of the

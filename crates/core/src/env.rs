@@ -12,7 +12,7 @@
 //! | `MHE_EVENTS`     | [`events_or`]       | Dynamic window (basic-block events) for bench/demo binaries; each binary supplies its own default. |
 //! | `MHE_OBS`        | [`obs`]             | Observability sink: `json`, `text`/`1`/`on`/`true`, anything else off. Parsed by `mhe-obs`, surfaced here for discoverability. |
 //! | `MHE_RETRIES`    | [`retry_policy`]    | Bounded retries for panicked sweep tasks: `N` or `N:backoff_ms` (e.g. `3:10`). Unset → no retries. |
-//! | `MHE_FAULT_PLAN` | [`crate::fault::FaultPlan::from_env`] | Deterministic fault-injection schedule for tests (see [`crate::fault`]). Unset → no injection. |
+//! | `MHE_FAULT_PLAN` | `fault::armed` (private) | Deterministic fault-injection schedule for tests, in [`crate::fault::FaultPlan::parse`] syntax, armed process-wide on first use; [`crate::fault::arm`] replaces it (see [`crate::fault`]). Unset → no injection. |
 //!
 //! None of these variables affects any measured or estimated miss count —
 //! they steer *how* the work runs (parallelism, workload size, reporting,

@@ -36,8 +36,14 @@
 //! assert_eq!(out[3], 0x01);
 //! ```
 
+use mhe_workload::rng::SplitMix64;
 use std::io::{ErrorKind, Read, Result as IoResult, Write};
 use std::sync::{Mutex, OnceLock};
+
+/// Offsets a seed before it seeds the generator of [`FaultPlan::seeded`]
+/// and [`FaultPlan::seeded_net`] (the golden-ratio increment; the plans
+/// each seed yields are pinned by a golden test).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +109,20 @@ pub enum Fault {
     },
 }
 
+impl Fault {
+    /// Whether this fault acts on stream bytes (the [`FaultyReader`] /
+    /// [`FaultyWriter`] kinds) rather than on sweep tasks or frames.
+    fn acts_on_bytes(self) -> bool {
+        matches!(
+            self,
+            Fault::BitFlip { .. }
+                | Fault::Truncate { .. }
+                | Fault::ShortRead { .. }
+                | Fault::Enospc { .. }
+        )
+    }
+}
+
 /// A deterministic schedule of faults.
 ///
 /// The text syntax (used by `MHE_FAULT_PLAN`) is a comma-separated list:
@@ -137,11 +157,7 @@ impl FaultPlan {
     /// plan would silently test less than intended).
     pub fn parse(text: &str) -> Option<FaultPlan> {
         let mut faults = Vec::new();
-        for entry in text.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
+        for entry in text.split(',').map(str::trim).filter(|e| !e.is_empty()) {
             let (kind, arg) = entry.split_once('@')?;
             let fault = match kind.trim() {
                 "flip" => {
@@ -171,11 +187,7 @@ impl FaultPlan {
             };
             faults.push(fault);
         }
-        if faults.is_empty() {
-            None
-        } else {
-            Some(FaultPlan { faults })
-        }
+        (!faults.is_empty()).then_some(FaultPlan { faults })
     }
 
     /// A single-fault plan derived deterministically from `seed`, aimed at
@@ -183,19 +195,11 @@ impl FaultPlan {
     /// seed always yields the same fault, so a failing seed is a
     /// reproducible test case.
     pub fn seeded(seed: u64, domain: u64) -> FaultPlan {
-        // SplitMix64: full-period, dependency-free.
-        let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(seed.wrapping_add(GOLDEN));
         let domain = domain.max(1);
-        let at = next() % domain;
-        let fault = match next() % 5 {
-            0 => Fault::BitFlip { byte: at, mask: (1 << (next() % 8)) as u8 },
+        let at = rng.next_u64() % domain;
+        let fault = match rng.next_u64() % 5 {
+            0 => Fault::BitFlip { byte: at, mask: (1 << (rng.next_u64() % 8)) as u8 },
             1 => Fault::Truncate { at },
             2 => Fault::ShortRead { at },
             3 => Fault::Enospc { at },
@@ -210,20 +214,13 @@ impl FaultPlan {
     /// fault — here a frame drop, duplicate, truncation, or a short
     /// (bounded, ≤ 50 ms) delay.
     pub fn seeded_net(seed: u64, frames: u64) -> FaultPlan {
-        let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let frame = next() % frames.max(1);
-        let fault = match next() % 4 {
+        let mut rng = SplitMix64::new(seed.wrapping_add(GOLDEN));
+        let frame = rng.next_u64() % frames.max(1);
+        let fault = match rng.next_u64() % 4 {
             0 => Fault::DropFrame { frame },
             1 => Fault::DupFrame { frame },
             2 => Fault::TruncFrame { frame },
-            _ => Fault::DelayFrame { frame, millis: 1 + next() % 50 },
+            _ => Fault::DelayFrame { frame, millis: 1 + rng.next_u64() % 50 },
         };
         FaultPlan { faults: vec![fault] }
     }
@@ -258,10 +255,7 @@ fn armed() -> &'static Mutex<Option<ActivePlan>> {
     ARMED.get_or_init(|| {
         // First touch arms the ambient plan from MHE_FAULT_PLAN, if set.
         let plan = std::env::var("MHE_FAULT_PLAN").ok().and_then(|v| FaultPlan::parse(&v));
-        Mutex::new(plan.map(|plan| {
-            let fired = vec![false; plan.faults.len()];
-            ActivePlan { plan, fired, frames_seen: 0 }
-        }))
+        Mutex::new(plan.map(ActivePlan::new))
     })
 }
 
@@ -286,16 +280,10 @@ impl Drop for ArmGuard {
 /// global, so two concurrently armed tests would see each other's faults.
 #[must_use = "the plan disarms when the guard drops"]
 pub fn arm(plan: FaultPlan) -> ArmGuard {
-    let fired = vec![false; plan.faults.len()];
     if let Ok(mut slot) = armed().lock() {
-        *slot = Some(ActivePlan { plan, fired, frames_seen: 0 });
+        *slot = Some(ActivePlan::new(plan));
     }
     ArmGuard { _private: () }
-}
-
-/// True if any plan is currently armed (ambient or via [`arm`]).
-pub fn is_armed() -> bool {
-    armed().lock().map(|slot| slot.is_some()).unwrap_or(false)
 }
 
 /// The lock tests must hold while a plan is armed.
@@ -309,6 +297,27 @@ pub fn injection_lock() -> &'static Mutex<()> {
     LOCK.get_or_init(|| Mutex::new(()))
 }
 
+impl ActivePlan {
+    fn new(plan: FaultPlan) -> Self {
+        let fired = vec![false; plan.faults.len()];
+        Self { plan, fired, frames_seen: 0 }
+    }
+
+    /// Fires the first unfired fault that `pick` maps to an outcome: marks
+    /// it fired and counts it under `fault_injected`.
+    fn fire<T>(&mut self, pick: impl Fn(Fault) -> Option<T>) -> Option<T> {
+        let mut unfired = self.plan.faults.iter().zip(&mut self.fired).filter(|(_, f)| !**f);
+        let (fired, outcome) = unfired.find_map(|(&fault, fired)| Some((fired, pick(fault)?)))?;
+        note_fired(fired);
+        Some(outcome)
+    }
+}
+
+/// Runs `f` on the armed plan; `None` when no plan is armed.
+fn with_armed<T>(f: impl FnOnce(&mut ActivePlan) -> Option<T>) -> Option<T> {
+    armed().lock().ok()?.as_mut().and_then(f)
+}
+
 /// Fires a scheduled [`Fault::PanicTask`] for `task`, at most once.
 ///
 /// Called by `ParallelSweep`'s fallible paths at each task boundary; a
@@ -316,21 +325,9 @@ pub fn injection_lock() -> &'static Mutex<()> {
 /// message names the injection so it can never be mistaken for a real
 /// defect.
 pub fn maybe_panic_task(task: u64) {
-    let should_fire = {
-        let Ok(mut slot) = armed().lock() else { return };
-        let Some(active) = slot.as_mut() else { return };
-        let mut fire = false;
-        for (fault, fired) in active.plan.faults.iter().zip(active.fired.iter_mut()) {
-            if !*fired && *fault == (Fault::PanicTask { task }) {
-                *fired = true;
-                fire = true;
-                break;
-            }
-        }
-        fire
-    };
-    if should_fire {
-        mhe_obs::count(mhe_obs::Counter::FaultInjected, 1);
+    let fired =
+        with_armed(|active| active.fire(|f| (f == Fault::PanicTask { task }).then_some(())));
+    if fired.is_some() {
         panic!("injected fault: worker panic in task {task}");
     }
 }
@@ -344,37 +341,28 @@ pub fn maybe_panic_task(task: u64) {
 /// With no plan armed this is one mutex lock and returns
 /// [`FrameFate::Deliver`].
 pub fn next_frame_fate() -> FrameFate {
-    let fate = {
-        let Ok(mut slot) = armed().lock() else { return FrameFate::Deliver };
-        let Some(active) = slot.as_mut() else { return FrameFate::Deliver };
-        let frame_idx = active.frames_seen;
+    with_armed(|active| {
+        let idx = active.frames_seen;
         active.frames_seen += 1;
-        let mut fate = FrameFate::Deliver;
-        for (fault, fired) in active.plan.faults.iter().zip(active.fired.iter_mut()) {
-            if *fired {
-                continue;
+        active.fire(|fault| match fault {
+            Fault::DropFrame { frame } if frame == idx => Some(FrameFate::Drop),
+            Fault::DupFrame { frame } if frame == idx => Some(FrameFate::Duplicate),
+            Fault::TruncFrame { frame } if frame == idx => Some(FrameFate::Truncate),
+            Fault::DelayFrame { frame, millis } if frame == idx => {
+                Some(FrameFate::Delay(std::time::Duration::from_millis(millis)))
             }
-            let decided = match *fault {
-                Fault::DropFrame { frame } if frame == frame_idx => Some(FrameFate::Drop),
-                Fault::DupFrame { frame } if frame == frame_idx => Some(FrameFate::Duplicate),
-                Fault::TruncFrame { frame } if frame == frame_idx => Some(FrameFate::Truncate),
-                Fault::DelayFrame { frame, millis } if frame == frame_idx => {
-                    Some(FrameFate::Delay(std::time::Duration::from_millis(millis)))
-                }
-                _ => None,
-            };
-            if let Some(f) = decided {
-                *fired = true;
-                fate = f;
-                break;
-            }
-        }
-        fate
-    };
-    if fate != FrameFate::Deliver {
+            _ => None,
+        })
+    })
+    .unwrap_or(FrameFate::Deliver)
+}
+
+/// Marks a byte fault fired, counting its first firing under
+/// `fault_injected`.
+fn note_fired(fired: &mut bool) {
+    if !std::mem::replace(fired, true) {
         mhe_obs::count(mhe_obs::Counter::FaultInjected, 1);
     }
-    fate
 }
 
 /// Per-adapter fault state: the plan's I/O faults with fired flags.
@@ -386,21 +374,8 @@ struct IoFaults {
 
 impl IoFaults {
     fn new(plan: &FaultPlan) -> Self {
-        let faults = plan
-            .faults
-            .iter()
-            .filter(|f| {
-                !matches!(
-                    f,
-                    Fault::PanicTask { .. }
-                        | Fault::DropFrame { .. }
-                        | Fault::DupFrame { .. }
-                        | Fault::TruncFrame { .. }
-                        | Fault::DelayFrame { .. }
-                )
-            })
-            .map(|&f| (f, false))
-            .collect();
+        let faults =
+            plan.faults.iter().filter(|f| f.acts_on_bytes()).map(|&f| (f, false)).collect();
         Self { faults, pos: 0 }
     }
 
@@ -415,16 +390,12 @@ impl IoFaults {
                     let cap = at.saturating_sub(pos);
                     if cap < allowed {
                         allowed = cap;
-                        if !*fired {
-                            *fired = true;
-                            mhe_obs::count(mhe_obs::Counter::FaultInjected, 1);
-                        }
+                        note_fired(fired);
                     }
                 }
                 Fault::ShortRead { at } if !*fired && pos < at && pos + allowed > at => {
                     allowed = at - pos;
-                    *fired = true;
-                    mhe_obs::count(mhe_obs::Counter::FaultInjected, 1);
+                    note_fired(fired);
                 }
                 _ => {}
             }
@@ -440,8 +411,7 @@ impl IoFaults {
             if let Fault::BitFlip { byte, mask } = *fault {
                 if !*fired && byte >= start && byte < start + n as u64 {
                     buf[(byte - start) as usize] ^= mask;
-                    *fired = true;
-                    mhe_obs::count(mhe_obs::Counter::FaultInjected, 1);
+                    note_fired(fired);
                 }
             }
         }
@@ -531,10 +501,7 @@ impl<W: Write> Write for FaultyWriter<W> {
                 let cap = at.saturating_sub(pos);
                 if cap < keep {
                     keep = cap;
-                    if !*fired {
-                        *fired = true;
-                        mhe_obs::count(mhe_obs::Counter::FaultInjected, 1);
-                    }
+                    note_fired(fired);
                 }
             }
         }
@@ -542,10 +509,8 @@ impl<W: Write> Write for FaultyWriter<W> {
             let mut chunk = buf[..keep as usize].to_vec();
             self.state.corrupt_and_advance(&mut chunk, keep as usize);
             self.inner.write_all(&chunk)?;
-            self.state.pos = pos + accept;
-        } else {
-            self.state.pos = pos + accept;
         }
+        self.state.pos = pos + accept;
         Ok(accept as usize)
     }
 
@@ -728,7 +693,7 @@ mod tests {
 
     #[test]
     fn next_frame_fate_fires_each_scheduled_fault_once() {
-        let _lock = injection_lock();
+        let _lock = injection_lock().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let _guard = arm(FaultPlan::new(vec![
             Fault::DropFrame { frame: 1 },
             Fault::DelayFrame { frame: 3, millis: 25 },
@@ -742,7 +707,7 @@ mod tests {
 
     #[test]
     fn next_frame_fate_is_deliver_without_an_armed_plan() {
-        let _lock = injection_lock();
+        let _lock = injection_lock().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         for _ in 0..4 {
             assert_eq!(next_frame_fate(), FrameFate::Deliver);
         }

@@ -20,8 +20,8 @@
 //!   (the cluster's per-access probe-miss rate over the
 //!   representative's, at the capacity-nearest probe of the ladder
 //!   whose line size matches the measured family; the factor stays 1
-//!   below [`MIN_CORRECTION_MISSES`] to avoid amplifying small-count
-//!   noise).
+//!   below `MIN_CORRECTION_MISSES` (16 misses) to avoid amplifying
+//!   small-count noise).
 //! * *Per-point ridge regression* (with ≥ [`MIN_REGRESSION_REPS`]
 //!   representatives and at least one unsimulated interval): a fit
 //!   from each representative's pass-A probe counters (stream length

@@ -468,8 +468,13 @@ fn read_str(r: &mut impl Read) -> io::Result<Arc<str>> {
     if len > 1 << 20 {
         return Err(bad_data(format!("string length {len} implausibly large")));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    // Grow with the bytes actually read: a corrupt length must not
+    // reserve what the input cannot supply.
+    let mut buf = Vec::new();
+    r.take(len).read_to_end(&mut buf)?;
+    if buf.len() as u64 != len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "string cut short"));
+    }
     String::from_utf8(buf).map(Arc::from).map_err(|e| bad_data(format!("bad UTF-8: {e}")))
 }
 

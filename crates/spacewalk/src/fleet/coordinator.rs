@@ -21,14 +21,13 @@ use super::plan::shard_of;
 use crate::cache_db::EvaluationCache;
 use crate::ckpt::Checkpointer;
 use crate::service::proto::{
-    decode_worker_frame, encode_coord_frame, handshake, read_exact_or_stop, write_frame,
-    CoordFrame, FrameReader, Handshake, JobOffer, WorkerFrame, FEATURE_AUTH, FEATURE_FLEET,
-    HANDSHAKE_LEN, MAGIC, VERSION,
+    accept_hello, decode_worker_frame, encode_coord_frame, write_frame, CoordFrame, FrameReader,
+    JobOffer, Refusal, WorkerFrame, FEATURE_AUTH, FEATURE_FLEET, VERSION,
 };
 use mhe_cache::Policy;
 use mhe_core::{MheError, SamplingConfig};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -124,6 +123,21 @@ struct Shared {
     db: Arc<EvaluationCache>,
     state: Mutex<State>,
     halt: Arc<AtomicBool>,
+}
+
+impl State {
+    /// Puts every lease `lost` selects back in the pending pool, counted
+    /// as a steal.
+    fn reclaim(&mut self, lost: impl Fn(&Lease) -> bool) {
+        let shards: Vec<u32> =
+            self.leases.iter().filter(|(_, l)| lost(l)).map(|(&shard, _)| shard).collect();
+        for shard in shards {
+            self.leases.remove(&shard);
+            self.pending.push_back(shard);
+            self.steals += 1;
+            mhe_obs::count(mhe_obs::Counter::ShardSteal, 1);
+        }
+    }
 }
 
 impl Shared {
@@ -246,24 +260,26 @@ impl Coordinator {
     pub fn run(&self, checkpoint: Option<&Checkpointer>) -> Result<FleetSummary, MheError> {
         let _span = mhe_obs::span(mhe_obs::Phase::Fleet);
         let mut handlers = Vec::new();
+        let mut admit = |stream| {
+            let shared = Arc::clone(&self.shared);
+            // Per-worker failures end that worker only.
+            handlers.push(std::thread::spawn(move || {
+                let _ = serve_worker(stream, &shared);
+            }));
+        };
+        let save = || match checkpoint {
+            Some(ckpt) => ckpt
+                .save(&self.shared.db)
+                .map_err(|e| MheError::worker_failed("fleet checkpoint save", e.to_string())),
+            None => Ok(()),
+        };
         let mut saved_done = 0usize;
         let result = loop {
             let (done, stalled) = self.shared.locked(|s| {
                 // Reclaim leases whose worker stopped renewing without
                 // the TCP layer noticing (hung process, half-open link).
                 let cutoff = self.shared.cfg.lease_timeout;
-                let expired: Vec<u32> = s
-                    .leases
-                    .iter()
-                    .filter(|(_, l)| l.renewed.elapsed() > cutoff)
-                    .map(|(&shard, _)| shard)
-                    .collect();
-                for shard in expired {
-                    s.leases.remove(&shard);
-                    s.pending.push_back(shard);
-                    s.steals += 1;
-                    mhe_obs::count(mhe_obs::Counter::ShardSteal, 1);
-                }
+                s.reclaim(|lease| lease.renewed.elapsed() > cutoff);
                 (s.done.len(), s.last_progress.elapsed() > self.shared.cfg.stall_timeout)
             });
             if let Some(message) = self.shared.aborted() {
@@ -295,21 +311,11 @@ impl Coordinator {
                 break Err(MheError::worker_failed("fleet", message));
             }
             if done > saved_done {
-                if let Some(ckpt) = checkpoint {
-                    ckpt.save(&self.shared.db).map_err(|e| {
-                        MheError::worker_failed("fleet checkpoint save", e.to_string())
-                    })?;
-                }
+                save()?;
                 saved_done = done;
             }
             match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    handlers.push(std::thread::spawn(move || {
-                        // Per-worker failures end that worker only.
-                        let _ = serve_worker(stream, &shared);
-                    }));
-                }
+                Ok((stream, _peer)) => admit(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
                 }
@@ -320,21 +326,13 @@ impl Coordinator {
         // Final checkpoint of the fully-merged cache, then let every
         // handler observe the terminal state and unwind.
         if result.is_ok() {
-            if let Some(ckpt) = checkpoint {
-                ckpt.save(&self.shared.db)
-                    .map_err(|e| MheError::worker_failed("fleet checkpoint save", e.to_string()))?;
-            }
+            save()?;
             // Admit stragglers still parked in the accept backlog (a
             // worker that connected as the last shard finished): each
             // gets a handshake and a NoMoreWork instead of a timeout.
             loop {
                 match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let shared = Arc::clone(&self.shared);
-                        handlers.push(std::thread::spawn(move || {
-                            let _ = serve_worker(stream, &shared);
-                        }));
-                    }
+                    Ok((stream, _peer)) => admit(stream),
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => break,
                 }
@@ -347,10 +345,7 @@ impl Coordinator {
         // handler finished merging its in-flight points — so the standby
         // resumes from the most complete frontier this node ever held.
         if self.shared.halted() {
-            if let Some(ckpt) = checkpoint {
-                ckpt.save(&self.shared.db)
-                    .map_err(|e| MheError::worker_failed("fleet checkpoint save", e.to_string()))?;
-            }
+            save()?;
         }
         result?;
         Ok(self.shared.locked(|s| FleetSummary {
@@ -369,9 +364,6 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(HANDLER_POLL))?;
     stream.set_nodelay(true)?;
     let features = FEATURE_FLEET | if shared.cfg.auth_token.is_some() { FEATURE_AUTH } else { 0 };
-    stream.write_all(&handshake(features))?;
-    stream.flush()?;
-    let mut reader_stream = stream.try_clone()?;
     let stop = || shared.all_done() || shared.aborted().is_some() || shared.halted();
 
     // The handshake reply gets its own patience: a worker admitted from
@@ -380,36 +372,34 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // pin the handler — only an abort or the deadline stops the wait.
     let hs_deadline = Instant::now();
     let hs_stop = || shared.aborted().is_some() || hs_deadline.elapsed() > Duration::from_secs(10);
-    let mut hs = [0u8; HANDSHAKE_LEN];
-    if !read_exact_or_stop(&mut reader_stream, &mut hs, &hs_stop)? {
-        return Ok(());
-    }
-    if hs[..4] != MAGIC {
-        return abort_worker(&mut stream, "unsupported protocol: expected a v2 fleet handshake");
-    }
-    let peer = Handshake::decode(&hs)?;
-    if peer.version != VERSION {
-        return abort_worker(
-            &mut stream,
-            &format!(
-                "unsupported protocol version {} (this coordinator speaks {VERSION})",
-                peer.version
-            ),
-        );
-    }
+    let peer = match accept_hello(&mut stream, features, &hs_stop)? {
+        None => return Ok(()),
+        Some(Ok(peer)) => peer,
+        Some(Err(Refusal::NoMagic)) => {
+            return abort_worker(&mut stream, "unsupported protocol: expected a v2 fleet handshake")
+        }
+        Some(Err(Refusal::Version(version))) => {
+            return abort_worker(
+                &mut stream,
+                &format!(
+                    "unsupported protocol version {version} (this coordinator speaks {VERSION})"
+                ),
+            )
+        }
+    };
     if peer.features & FEATURE_FLEET == 0 {
         return abort_worker(&mut stream, "peer did not announce fleet support");
     }
 
     let mut worker_id = None;
-    let mut reader = FrameReader::new(reader_stream);
+    let mut reader = FrameReader::new(stream.try_clone()?);
 
     // Trust gate: a tokened coordinator challenges before offering the
     // job. The proof must be the very next frame; anything else (or a
     // bad proof) earns a structured `Denied` and the connection ends.
     if let Some(token) = shared.cfg.auth_token.as_deref() {
         let nonce = mhe_core::auth::fresh_nonce();
-        write_frame(&mut stream, &encode_coord_frame(&CoordFrame::AuthChallenge { nonce })?)?;
+        send(&mut stream, &CoordFrame::AuthChallenge { nonce })?;
         let Some(payload) = reader.read_frame(&hs_stop)? else {
             return Ok(());
         };
@@ -421,7 +411,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             let frame = CoordFrame::Denied {
                 message: "authentication failed (bad or missing token)".into(),
             };
-            return write_frame(&mut stream, &encode_coord_frame(&frame)?);
+            return send(&mut stream, &frame);
         }
     }
     let outcome = loop {
@@ -436,10 +426,9 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 // that makes the worker redial the standby.
                 if shared.halted() {
                 } else if let Some(message) = shared.aborted() {
-                    let frame = CoordFrame::Abort { message };
-                    let _ = write_frame(&mut stream, &encode_coord_frame(&frame)?);
+                    let _ = send(&mut stream, &CoordFrame::Abort { message });
                 } else if shared.all_done() {
-                    let _ = write_frame(&mut stream, &encode_coord_frame(&CoordFrame::NoMoreWork)?);
+                    let _ = send(&mut stream, &CoordFrame::NoMoreWork);
                 }
                 break Ok(());
             }
@@ -450,7 +439,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     // Attached after the last shard finished: no job to
                     // offer, and no point making the worker build an
                     // evaluation just to hear it.
-                    write_frame(&mut stream, &encode_coord_frame(&CoordFrame::NoMoreWork)?)?;
+                    send(&mut stream, &CoordFrame::NoMoreWork)?;
                     break Ok(());
                 }
                 let id = shared.locked(|s| {
@@ -466,7 +455,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     policies: shared.job.policies.clone(),
                     shard_count: shared.cfg.shard_count,
                 });
-                write_frame(&mut stream, &encode_coord_frame(&job)?)?;
+                send(&mut stream, &job)?;
             }
             WorkerFrame::NeedShard => {
                 let Some(id) = worker_id else {
@@ -529,16 +518,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // Whatever ends this connection, the worker's leases go back in the
     // pool immediately — disconnection is the fast steal path.
     if let Some(id) = worker_id {
-        shared.locked(|s| {
-            let mine: Vec<u32> =
-                s.leases.iter().filter(|(_, l)| l.worker == id).map(|(&shard, _)| shard).collect();
-            for shard in mine {
-                s.leases.remove(&shard);
-                s.pending.push_back(shard);
-                s.steals += 1;
-                mhe_obs::count(mhe_obs::Counter::ShardSteal, 1);
-            }
-        });
+        shared.locked(|s| s.reclaim(|lease| lease.worker == id));
     }
     outcome
 }
@@ -554,7 +534,7 @@ fn offer_shard(stream: &mut TcpStream, shared: &Shared, worker: u32) -> io::Resu
             return Ok(false);
         }
         if let Some(message) = shared.aborted() {
-            write_frame(stream, &encode_coord_frame(&CoordFrame::Abort { message })?)?;
+            send(stream, &CoordFrame::Abort { message })?;
             return Ok(false);
         }
         enum Next {
@@ -583,16 +563,16 @@ fn offer_shard(stream: &mut TcpStream, shared: &Shared, worker: u32) -> io::Resu
                     .into_iter()
                     .filter(|(key, _)| shard_of(key, shared.cfg.shard_count) == shard)
                     .collect();
-                write_frame(stream, &encode_coord_frame(&CoordFrame::Assign { shard, prefill })?)?;
+                send(stream, &CoordFrame::Assign { shard, prefill })?;
                 return Ok(true);
             }
             Next::Finished => {
-                write_frame(stream, &encode_coord_frame(&CoordFrame::NoMoreWork)?)?;
+                send(stream, &CoordFrame::NoMoreWork)?;
                 return Ok(false);
             }
             Next::Park => {
                 if last_wait.elapsed() >= WAIT_PERIOD {
-                    write_frame(stream, &encode_coord_frame(&CoordFrame::Wait)?)?;
+                    send(stream, &CoordFrame::Wait)?;
                     last_wait = Instant::now();
                 }
                 std::thread::sleep(Duration::from_millis(50));
@@ -601,8 +581,12 @@ fn offer_shard(stream: &mut TcpStream, shared: &Shared, worker: u32) -> io::Resu
     }
 }
 
+/// Writes one coordinator frame.
+fn send(stream: &mut TcpStream, frame: &CoordFrame) -> io::Result<()> {
+    write_frame(stream, &encode_coord_frame(frame)?)
+}
+
 /// Sends a final `Abort` and ends the conversation.
 fn abort_worker(stream: &mut TcpStream, message: &str) -> io::Result<()> {
-    let frame = CoordFrame::Abort { message: message.to_string() };
-    write_frame(stream, &encode_coord_frame(&frame)?)
+    send(stream, &CoordFrame::Abort { message: message.to_string() })
 }

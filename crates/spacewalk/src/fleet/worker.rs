@@ -19,10 +19,10 @@
 
 use super::plan::{evaluate_item, shard_of, work_plan, WorkItem};
 use crate::cache_db::MetricKey;
-use crate::service::client::{ClientError, RetrySchedule};
+use crate::service::client::{dial, ClientError, RetrySchedule};
 use crate::service::proto::{
-    client_hello, decode_coord_frame, encode_worker_frame, read_frame, write_frame, CoordFrame,
-    JobOffer, WorkerFrame, FEATURE_AUTH, FEATURE_FLEET, VERSION,
+    decode_coord_frame, encode_worker_frame, read_frame, write_frame, CoordFrame, JobOffer,
+    WorkerFrame, FEATURE_AUTH, FEATURE_FLEET,
 };
 use crate::space::SystemSpace;
 use crate::spec::Spec;
@@ -33,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Points per `Points` frame: small enough that a killed worker loses
@@ -112,14 +112,13 @@ pub struct WorkerOutcome {
 /// shares the socket).
 fn send(writer: &Mutex<TcpStream>, frame: &WorkerFrame) -> Result<(), ClientError> {
     let payload = encode_worker_frame(frame).map_err(|e| ClientError::Protocol(e.to_string()))?;
-    let mut guard = match writer.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut guard = writer.lock().unwrap_or_else(PoisonError::into_inner);
     write_frame(&mut *guard, &payload).map_err(|e| ClientError::Unavailable(format!("send: {e}")))
 }
 
-/// Receives the next coordinator frame on the read half.
+/// Receives the next coordinator frame on the read half. `Abort` and
+/// `Denied` end the conversation wherever they arrive, so they come back
+/// as [`ClientError::Remote`] errors.
 fn recv(reader: &mut TcpStream, timeout: Duration) -> Result<CoordFrame, ClientError> {
     let payload = read_frame(reader).map_err(|e| match e.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ClientError::Unavailable(format!(
@@ -128,7 +127,15 @@ fn recv(reader: &mut TcpStream, timeout: Duration) -> Result<CoordFrame, ClientE
         io::ErrorKind::InvalidData => ClientError::Protocol(e.to_string()),
         _ => ClientError::Unavailable(format!("receive: {e}")),
     })?;
-    decode_coord_frame(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
+    match decode_coord_frame(&payload).map_err(|e| ClientError::Protocol(e.to_string()))? {
+        CoordFrame::Abort { message } => {
+            Err(ClientError::Remote { code: mhe_core::EXIT_WORKER_FAILURE, message })
+        }
+        CoordFrame::Denied { message } => {
+            Err(ClientError::Remote { code: mhe_core::EXIT_UNAUTHORIZED, message })
+        }
+        frame => Ok(frame),
+    }
 }
 
 /// Attaches to a coordinator at `addr` and works shards until the sweep
@@ -152,26 +159,9 @@ pub fn run_worker(addr: &str, opts: WorkerOptions) -> Result<WorkerOutcome, Clie
     let mut outcome =
         WorkerOutcome { worker_id: u32::MAX, shards: 0, points: 0, skipped_prefilled: 0 };
     let backoff = opts.redial_backoff.unwrap_or(Duration::from_millis(200));
-    let seed = addr.bytes().fold(0x5EED_0002u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-    let mut schedule = RetrySchedule::new(backoff, opts.redial_retries, None, seed);
-    let started = std::time::Instant::now();
-    loop {
-        match attach_once(addr, &opts, &mut prepared, &mut outcome) {
-            Ok(()) => return Ok(outcome),
-            Err(e @ ClientError::Unavailable(_)) => match schedule.next_delay(started.elapsed()) {
-                Some(delay) => {
-                    eprintln!(
-                        "spacewalker: {e}; redial {}/{}",
-                        schedule.attempts(),
-                        opts.redial_retries
-                    );
-                    std::thread::sleep(delay);
-                }
-                None => return Err(e),
-            },
-            Err(e) => return Err(e),
-        }
-    }
+    RetrySchedule::for_addr(addr, backoff, opts.redial_retries, None)
+        .drive("redial", || attach_once(addr, &opts, &mut prepared, &mut outcome))?;
+    Ok(outcome)
 }
 
 /// One attach: connect, handshake, auth, then the shard loop until the
@@ -186,35 +176,15 @@ fn attach_once(
     outcome: &mut WorkerOutcome,
 ) -> Result<(), ClientError> {
     let timeout = opts.reply_timeout.unwrap_or(Duration::from_secs(30));
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| ClientError::Unavailable(format!("connect {addr:?}: {e}")))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| ClientError::Unavailable(format!("configure socket: {e}")))?;
-    let _ = stream.set_nodelay(true);
     let features = FEATURE_FLEET | if opts.auth_token.is_some() { FEATURE_AUTH } else { 0 };
-    let coordinator = client_hello(&mut stream, features).map_err(|e| {
-        if e.kind() == io::ErrorKind::InvalidData {
-            ClientError::Protocol(e.to_string())
-        } else {
-            ClientError::Unavailable(format!("handshake: {e}"))
-        }
-    })?;
-    if coordinator.version != VERSION {
-        return Err(ClientError::UnsupportedVersion {
-            server: coordinator.version,
-            client: VERSION,
-        });
-    }
-    if coordinator.features & FEATURE_FLEET == 0 {
-        return Err(ClientError::Protocol(format!(
-            "peer is not a fleet coordinator (features {:#x})",
-            coordinator.features
-        )));
-    }
-    // The auth exchange runs on the undivided socket, before the
-    // heartbeat thread exists — the proof must be the very next frame
-    // the coordinator reads, and a stray heartbeat would break that.
+    let (stream, coordinator) =
+        dial(addr, timeout, features, FEATURE_FLEET, "is not a fleet coordinator")?;
+    let mut reader =
+        stream.try_clone().map_err(|e| ClientError::Unavailable(format!("split socket: {e}")))?;
+    let writer = Arc::new(Mutex::new(stream));
+    // The auth exchange runs before the heartbeat thread exists — the
+    // proof must be the very next frame the coordinator reads, and a
+    // stray heartbeat would break that.
     if coordinator.features & FEATURE_AUTH != 0 {
         let Some(token) = opts.auth_token.as_deref() else {
             return Err(ClientError::Remote {
@@ -223,23 +193,14 @@ fn attach_once(
                     .into(),
             });
         };
-        match recv(&mut stream, timeout)? {
-            CoordFrame::AuthChallenge { nonce } => {
-                let proof = mhe_core::auth::proof(token, &nonce);
-                let payload = encode_worker_frame(&WorkerFrame::Auth { proof })
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                write_frame(&mut stream, &payload)
-                    .map_err(|e| ClientError::Unavailable(format!("send auth: {e}")))?;
-            }
+        let nonce = match recv(&mut reader, timeout)? {
+            CoordFrame::AuthChallenge { nonce } => nonce,
             other => {
                 return Err(ClientError::Protocol(format!("expected AuthChallenge, got {other:?}")))
             }
-        }
+        };
+        send(&writer, &WorkerFrame::Auth { proof: mhe_core::auth::proof(token, &nonce) })?;
     }
-
-    let mut reader =
-        stream.try_clone().map_err(|e| ClientError::Unavailable(format!("split socket: {e}")))?;
-    let writer = Arc::new(Mutex::new(stream));
     let hb_stop = Arc::new(AtomicBool::new(false));
     let hb = {
         let writer = Arc::clone(&writer);
@@ -284,12 +245,6 @@ fn drive(
             // contributing nothing is a clean outcome, not an error.
             return Ok(());
         }
-        CoordFrame::Abort { message } => {
-            return Err(ClientError::Remote { code: mhe_core::EXIT_WORKER_FAILURE, message })
-        }
-        CoordFrame::Denied { message } => {
-            return Err(ClientError::Remote { code: mhe_core::EXIT_UNAUTHORIZED, message })
-        }
         other => return Err(ClientError::Protocol(format!("expected Job, got {other:?}"))),
     };
 
@@ -313,15 +268,6 @@ fn drive(
                 CoordFrame::Wait => continue,
                 CoordFrame::Assign { shard, prefill } => break Some((shard, prefill)),
                 CoordFrame::NoMoreWork => break None,
-                CoordFrame::Abort { message } => {
-                    return Err(ClientError::Remote {
-                        code: mhe_core::EXIT_WORKER_FAILURE,
-                        message,
-                    })
-                }
-                CoordFrame::Denied { message } => {
-                    return Err(ClientError::Remote { code: mhe_core::EXIT_UNAUTHORIZED, message })
-                }
                 other => {
                     return Err(ClientError::Protocol(format!("expected Assign, got {other:?}")))
                 }
@@ -417,10 +363,7 @@ fn work_shard(
             if dying {
                 // Simulated kill: the partial stream is flushed (those
                 // points must survive as prefill), then the socket dies.
-                let guard = match writer.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let guard = writer.lock().unwrap_or_else(PoisonError::into_inner);
                 let _ = guard.shutdown(std::net::Shutdown::Both);
                 return Err(ClientError::Remote {
                     code: mhe_core::EXIT_WORKER_FAILURE,

@@ -13,14 +13,14 @@
 
 use super::proto::{
     client_hello, decode_response, encode_request, read_frame, write_frame, FrontierReport,
-    FrontierRequest, Request, Response, StatsReport, CLIENT_READ_TIMEOUT, FEATURE_AUTH,
+    FrontierRequest, Handshake, Request, Response, StatsReport, CLIENT_READ_TIMEOUT, FEATURE_AUTH,
     FEATURE_FRONTIER, VERSION,
 };
 use mhe_core::{EXIT_SERVER_UNAVAILABLE, EXIT_UNAUTHORIZED};
+use mhe_workload::rng::SplitMix64;
 use std::fmt;
-use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a daemon query failed, from the client's point of view.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +99,7 @@ pub struct RetrySchedule {
     retries: u32,
     deadline: Option<Duration>,
     attempt: u32,
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl RetrySchedule {
@@ -107,7 +107,7 @@ impl RetrySchedule {
     /// `base * 2^attempt` between them, never letting the *next* attempt
     /// start past `deadline` (when given).
     pub fn new(base: Duration, retries: u32, deadline: Option<Duration>, seed: u64) -> Self {
-        Self { base, retries, deadline, attempt: 0, rng: seed }
+        Self { base, retries, deadline, attempt: 0, rng: SplitMix64::new(seed) }
     }
 
     /// Attempts granted so far.
@@ -124,20 +124,88 @@ impl RetrySchedule {
         }
         self.attempt += 1;
         let doubled = self.base.saturating_mul(1u32 << (self.attempt - 1).min(6));
-        // SplitMix64 step; jitter factor in [0.5, 1.5).
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let jitter = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64;
+        // Jitter factor in [0.5, 1.5).
+        let jitter = 0.5 + (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         let delay = doubled.mul_f64(jitter);
-        if let Some(deadline) = self.deadline {
-            if elapsed + delay >= deadline {
-                return None;
+        self.deadline.is_none_or(|deadline| elapsed + delay < deadline).then_some(delay)
+    }
+
+    /// A schedule whose jitter is seeded from the address it dials, so
+    /// callers aimed at different endpoints de-correlate even with
+    /// identical configs.
+    pub(crate) fn for_addr(
+        addr: &str,
+        base: Duration,
+        retries: u32,
+        deadline: Option<Duration>,
+    ) -> Self {
+        let seed =
+            addr.bytes().fold(0xA5A5_0001u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+        Self::new(base, retries, deadline, seed)
+    }
+
+    /// Runs `attempt` until it succeeds or fails with anything but
+    /// [`ClientError::Unavailable`], pausing per this schedule between
+    /// tries and returning the last error once the schedule gives up.
+    /// Each retry is logged to stderr as `{error}; {verb} n/max`.
+    pub(crate) fn drive<T>(
+        mut self,
+        verb: &str,
+        mut attempt: impl FnMut() -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let started = Instant::now();
+        loop {
+            match attempt() {
+                Err(e @ ClientError::Unavailable(_)) => {
+                    let Some(delay) = self.next_delay(started.elapsed()) else {
+                        return Err(e);
+                    };
+                    eprintln!("spacewalker: {e}; {verb} {}/{}", self.attempt, self.retries);
+                    std::thread::sleep(delay);
+                }
+                done => return done,
             }
         }
-        Some(delay)
     }
+}
+
+/// One dial attempt, shared by the daemon client and the fleet worker:
+/// TCP connect, read timeout and nodelay, the two-way handshake
+/// announcing `features`, then the peer's version and its `need`
+/// feature bit (`lacks` says what a peer without it is not).
+///
+/// # Errors
+///
+/// [`ClientError::Unavailable`] for transport trouble (the retryable
+/// kind), [`ClientError::UnsupportedVersion`] on a version skew,
+/// [`ClientError::Protocol`] on a wrong magic or a missing feature.
+pub(crate) fn dial(
+    addr: &str,
+    timeout: Duration,
+    features: u32,
+    need: u32,
+    lacks: &str,
+) -> Result<(TcpStream, Handshake), ClientError> {
+    let mut stream = TcpStream::connect(addr)
+        .map_err(|e| ClientError::Unavailable(format!("connect {addr:?}: {e}")))?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .map_err(|e| ClientError::Unavailable(format!("configure socket: {e}")))?;
+    let _ = stream.set_nodelay(true);
+    let peer = client_hello(&mut stream, features).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            ClientError::Protocol(e.to_string())
+        } else {
+            ClientError::Unavailable(format!("handshake: {e}"))
+        }
+    })?;
+    if peer.version != VERSION {
+        return Err(ClientError::UnsupportedVersion { server: peer.version, client: VERSION });
+    }
+    if peer.features & need == 0 {
+        return Err(ClientError::Protocol(format!("peer {lacks} (features {:#x})", peer.features)));
+    }
+    Ok((stream, peer))
 }
 
 /// Configures and opens a [`Client`] session.
@@ -243,32 +311,18 @@ impl ClientBuilder {
             .addr
             .as_deref()
             .ok_or_else(|| ClientError::Unavailable("no address configured".into()))?;
-        // Seed the jitter from the address so two clients aimed at
-        // different endpoints de-correlate even with identical configs.
-        let seed =
-            addr.bytes().fold(0xA5A5_0001u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-        let mut schedule =
-            RetrySchedule::new(self.retry_backoff, self.retries, self.retry_deadline, seed);
-        let started = std::time::Instant::now();
-        loop {
-            match Client::dial(addr, self.timeout, self.auth_token.as_deref()) {
-                Ok(client) => return Ok(client),
-                Err(e @ ClientError::Unavailable(_)) => {
-                    match schedule.next_delay(started.elapsed()) {
-                        Some(delay) => {
-                            eprintln!(
-                                "spacewalker: {e}; retry {}/{}",
-                                schedule.attempts(),
-                                self.retries
-                            );
-                            std::thread::sleep(delay);
-                        }
-                        None => return Err(e),
-                    }
-                }
-                Err(e) => return Err(e),
+        let schedule =
+            RetrySchedule::for_addr(addr, self.retry_backoff, self.retries, self.retry_deadline);
+        schedule.drive("retry", || {
+            let lacks = "does not serve frontier requests";
+            let (stream, server) =
+                dial(addr, self.timeout, FEATURE_FRONTIER, FEATURE_FRONTIER, lacks)?;
+            let mut client = Client { stream, features: server.features };
+            if server.features & FEATURE_AUTH != 0 {
+                client.authenticate(self.auth_token.as_deref())?;
             }
-        }
+            Ok(client)
+        })
     }
 }
 
@@ -286,44 +340,6 @@ impl Client {
         ClientBuilder::default()
     }
 
-    /// One dial attempt: TCP connect + two-way handshake + optional auth.
-    fn dial(
-        addr: &str,
-        timeout: Duration,
-        auth_token: Option<&str>,
-    ) -> Result<Client, ClientError> {
-        let mut stream = TcpStream::connect(addr)
-            .map_err(|e| ClientError::Unavailable(format!("connect {addr:?}: {e}")))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| ClientError::Unavailable(format!("configure socket: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        let server = client_hello(&mut stream, FEATURE_FRONTIER).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::InvalidData {
-                ClientError::Protocol(e.to_string())
-            } else {
-                ClientError::Unavailable(format!("handshake: {e}"))
-            }
-        })?;
-        if server.version != VERSION {
-            return Err(ClientError::UnsupportedVersion {
-                server: server.version,
-                client: VERSION,
-            });
-        }
-        if server.features & FEATURE_FRONTIER == 0 {
-            return Err(ClientError::Protocol(format!(
-                "peer does not serve frontier requests (features {:#x})",
-                server.features
-            )));
-        }
-        let mut client = Client { stream, features: server.features };
-        if server.features & FEATURE_AUTH != 0 {
-            client.authenticate(auth_token)?;
-        }
-        Ok(client)
-    }
-
     /// Answers the server's post-handshake challenge with an HMAC proof.
     fn authenticate(&mut self, auth_token: Option<&str>) -> Result<(), ClientError> {
         let Some(token) = auth_token else {
@@ -333,27 +349,18 @@ impl Client {
                     .into(),
             });
         };
-        let payload = read_frame(&mut self.stream)
-            .map_err(|e| ClientError::Unavailable(format!("auth challenge: {e}")))?;
-        let nonce = match decode_response(&payload) {
-            Ok(Response::AuthChallenge { nonce }) => nonce,
-            Ok(other) => {
+        let nonce = match self.recv("auth challenge")? {
+            Response::AuthChallenge { nonce } => nonce,
+            other => {
                 return Err(ClientError::Protocol(format!("expected AuthChallenge, got {other:?}")))
             }
-            Err(e) => return Err(ClientError::Protocol(e.to_string())),
         };
         let proof = mhe_core::auth::proof(token, &nonce);
-        write_frame(&mut self.stream, &encode_request(&Request::Auth { proof }))
-            .map_err(|e| ClientError::Unavailable(format!("send auth: {e}")))?;
-        let payload = read_frame(&mut self.stream)
-            .map_err(|e| ClientError::Unavailable(format!("auth verdict: {e}")))?;
-        match decode_response(&payload) {
-            Ok(Response::Pong) => Ok(()),
-            Ok(Response::Error { code, message }) => Err(ClientError::Remote { code, message }),
-            Ok(other) => {
-                Err(ClientError::Protocol(format!("expected auth verdict, got {other:?}")))
-            }
-            Err(e) => Err(ClientError::Protocol(e.to_string())),
+        self.send(&Request::Auth { proof }, "send auth")?;
+        match self.recv("auth verdict")? {
+            Response::Pong => Ok(()),
+            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
+            other => Err(ClientError::Protocol(format!("expected auth verdict, got {other:?}"))),
         }
     }
 
@@ -362,14 +369,23 @@ impl Client {
         self.features
     }
 
+    /// Sends one request; a failure is reported as `{what}: {error}`.
+    fn send(&mut self, request: &Request, what: &str) -> Result<(), ClientError> {
+        write_frame(&mut self.stream, &encode_request(request))
+            .map_err(|e| ClientError::Unavailable(format!("{what}: {e}")))
+    }
+
+    /// Receives one response; a failure is reported as `{what}: {error}`.
+    fn recv(&mut self, what: &str) -> Result<Response, ClientError> {
+        let payload = read_frame(&mut self.stream)
+            .map_err(|e| ClientError::Unavailable(format!("{what}: {e}")))?;
+        decode_response(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
+    }
+
     /// One request/response round trip.
     fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &encode_request(request))
-            .map_err(|e| ClientError::Unavailable(format!("send: {e}")))?;
-        self.stream.flush().map_err(|e| ClientError::Unavailable(format!("send: {e}")))?;
-        let payload = read_frame(&mut self.stream)
-            .map_err(|e| ClientError::Unavailable(format!("receive: {e}")))?;
-        decode_response(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
+        self.send(request, "send")?;
+        self.recv("receive")
     }
 
     /// Liveness probe.

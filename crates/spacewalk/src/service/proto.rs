@@ -202,8 +202,7 @@ impl Handshake {
     pub fn encode(self) -> [u8; HANDSHAKE_LEN] {
         let mut h = [0u8; HANDSHAKE_LEN];
         h[..4].copy_from_slice(&MAGIC);
-        h[4..8].copy_from_slice(&self.version.to_le_bytes());
-        h[8..].copy_from_slice(&self.features.to_le_bytes());
+        h[4..].copy_from_slice(&to_payload(&self));
         h
     }
 
@@ -221,25 +220,7 @@ impl Handshake {
                 format!("bad handshake magic {:02x?} (not an mhe-server?)", &h[..4]),
             ));
         }
-        Ok(Self {
-            version: u32::from_le_bytes([h[4], h[5], h[6], h[7]]),
-            features: u32::from_le_bytes([h[8], h[9], h[10], h[11]]),
-        })
-    }
-
-    /// Checks that the peer speaks this build's protocol version.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` naming both versions on a mismatch.
-    pub fn check_version(self) -> io::Result<()> {
-        if self.version != VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("protocol version {} (this side speaks {VERSION})", self.version),
-            ));
-        }
-        Ok(())
+        from_payload(&h[4..])
     }
 }
 
@@ -265,43 +246,94 @@ pub fn client_hello(stream: &mut (impl Read + Write), features: u32) -> io::Resu
     Ok(server)
 }
 
-/// Fills `buf` from a stream whose read timeout doubles as a stop-poll
-/// point. Returns `Ok(false)` when `stop()` turned true or the peer
-/// closed before sending anything; `Ok(true)` once `buf` is full.
+/// Why the accepting side turned a peer away during the handshake.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The peer's first four bytes are not the magic: a pre-v2 peer that
+    /// opened with a frame (a length prefix can never spell `MHES` — that
+    /// value is far above [`MAX_FRAME`]).
+    NoMagic,
+    /// The peer announced this protocol version instead of [`VERSION`].
+    Version(u32),
+}
+
+/// Accept side of the two-way handshake: writes this side's
+/// announcement, then reads the peer's under a stop poll (the stream's
+/// read timeout is the poll period). The magic is read first, so a
+/// pre-v2 peer is refused without waiting for bytes it will never send.
+///
+/// Returns `Ok(None)` when `stop()` turned true or the peer closed before
+/// sending anything, `Ok(Some(Err(_)))` for a peer the caller must refuse
+/// with its port's own frame, and the peer's announcement otherwise (its
+/// feature bits still unchecked).
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` when the peer closes mid-buffer; other read errors
-/// propagate.
-pub fn read_exact_or_stop(
+/// `UnexpectedEof` when the peer closes mid-handshake; other read and
+/// write errors propagate.
+pub fn accept_hello(
+    stream: &mut (impl Read + Write),
+    features: u32,
+    stop: &dyn Fn() -> bool,
+) -> io::Result<Option<Result<Handshake, Refusal>>> {
+    stream.write_all(&handshake(features))?;
+    stream.flush()?;
+    let mut h = [0u8; HANDSHAKE_LEN];
+    let mut filled = 0;
+    while filled < HANDSHAKE_LEN {
+        let want = if filled < MAGIC.len() { MAGIC.len() } else { HANDSHAKE_LEN };
+        match read_polled(stream, &mut h[filled..want], stop)? {
+            Some(0) if filled > 0 => return Err(eof("peer closed mid-handshake")),
+            None | Some(0) => return Ok(None),
+            Some(n) => filled += n,
+        }
+        if filled == MAGIC.len() && h[..MAGIC.len()] != MAGIC {
+            return Ok(Some(Err(Refusal::NoMagic)));
+        }
+    }
+    let peer = Handshake::decode(&h)?;
+    Ok(Some(if peer.version == VERSION { Ok(peer) } else { Err(Refusal::Version(peer.version)) }))
+}
+
+/// One read from a stream whose read timeout doubles as a stop-poll
+/// point: retries timeouts until data, EOF (`Some(0)`), or `stop()`
+/// (`None`).
+fn read_polled(
     r: &mut impl Read,
     buf: &mut [u8],
     stop: &dyn Fn() -> bool,
-) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-handshake"))
-                };
-            }
-            Ok(n) => filled += n,
+) -> io::Result<Option<usize>> {
+    loop {
+        match r.read(buf) {
+            Ok(n) => return Ok(Some(n)),
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
                 if stop() {
-                    return Ok(false);
+                    return Ok(None);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(true)
+}
+
+fn eof(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, what)
 }
 
 // --- framing -------------------------------------------------------------
+
+/// A frame length off the wire, rejected as corruption over [`MAX_FRAME`].
+fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
+        ));
+    }
+    Ok(len)
+}
 
 /// Writes one length-prefixed frame.
 ///
@@ -329,9 +361,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             write_frame_raw(w, payload)
         }
         FrameFate::Truncate => {
-            let mut whole = Vec::with_capacity(4 + payload.len());
-            whole.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            whole.extend_from_slice(payload);
+            let whole = [&(payload.len() as u32).to_le_bytes()[..], payload].concat();
             w.write_all(&whole[..whole.len() / 2])?;
             w.flush()
         }
@@ -356,14 +386,7 @@ fn write_frame_raw(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(len)?];
     r.read_exact(&mut payload)?;
     Ok(payload)
 }
@@ -396,406 +419,25 @@ impl<R: Read> FrameReader<R> {
     pub fn read_frame(&mut self, stop: &dyn Fn() -> bool) -> io::Result<Option<Vec<u8>>> {
         let mut chunk = [0u8; 4096];
         loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if len > MAX_FRAME {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
-                    ));
-                }
+            if let Some(&prefix) = self.buf.first_chunk::<4>() {
+                let len = frame_len(prefix)?;
                 if self.buf.len() >= 4 + len {
                     let payload = self.buf[4..4 + len].to_vec();
                     self.buf.drain(..4 + len);
                     return Ok(Some(payload));
                 }
             }
-            match self.inner.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        ))
-                    };
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-                {
-                    // Only abandon the wait at a frame boundary: a client
-                    // that already started a frame gets to finish it.
-                    if stop() && self.buf.is_empty() {
-                        return Ok(None);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+            // Only abandon the wait at a frame boundary: a client that
+            // already started a frame gets to finish it.
+            let idle = self.buf.is_empty();
+            match read_polled(&mut self.inner, &mut chunk, &|| idle && stop())? {
+                None => return Ok(None),
+                Some(0) if idle => return Ok(None),
+                Some(0) => return Err(eof("connection closed mid-frame")),
+                Some(n) => self.buf.extend_from_slice(&chunk[..n]),
             }
         }
     }
-}
-
-// --- payload encoding ----------------------------------------------------
-
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-    fn raw(&mut self, bytes: &[u8]) {
-        self.0.extend_from_slice(bytes);
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-}
-
-fn short() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, "truncated protocol payload")
-}
-
-impl<'a> Dec<'a> {
-    fn u8(&mut self) -> io::Result<u8> {
-        let (&v, rest) = self.buf.split_first().ok_or_else(short)?;
-        self.buf = rest;
-        Ok(v)
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        if self.buf.len() < 4 {
-            return Err(short());
-        }
-        let (head, rest) = self.buf.split_at(4);
-        self.buf = rest;
-        Ok(u32::from_le_bytes([head[0], head[1], head[2], head[3]]))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        if self.buf.len() < 8 {
-            return Err(short());
-        }
-        let (head, rest) = self.buf.split_at(8);
-        self.buf = rest;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(head);
-        Ok(u64::from_le_bytes(b))
-    }
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        if self.buf.len() < len {
-            return Err(short());
-        }
-        let (head, rest) = self.buf.split_at(len);
-        self.buf = rest;
-        String::from_utf8(head.to_vec())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad utf-8: {e}")))
-    }
-    fn raw<const N: usize>(&mut self) -> io::Result<[u8; N]> {
-        if self.buf.len() < N {
-            return Err(short());
-        }
-        let (head, rest) = self.buf.split_at(N);
-        self.buf = rest;
-        let mut b = [0u8; N];
-        b.copy_from_slice(head);
-        Ok(b)
-    }
-    fn finish(self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} trailing bytes after payload", self.buf.len()),
-            ))
-        }
-    }
-}
-
-fn bad(what: &str, v: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("bad {what}: {v}"))
-}
-
-fn enc_policy(e: &mut Enc, p: Policy) {
-    let (tag, seed) = match p {
-        Policy::Lru => (0u8, 0u64),
-        Policy::Fifo => (1, 0),
-        Policy::PlruTree => (2, 0),
-        Policy::Random(seed) => (3, seed),
-    };
-    e.u8(tag);
-    e.u64(seed);
-}
-
-fn dec_policy(d: &mut Dec) -> io::Result<Policy> {
-    let tag = d.u8()?;
-    let seed = d.u64()?;
-    match tag {
-        0 => Ok(Policy::Lru),
-        1 => Ok(Policy::Fifo),
-        2 => Ok(Policy::PlruTree),
-        3 => Ok(Policy::Random(seed)),
-        other => Err(bad("policy tag", other)),
-    }
-}
-
-fn enc_design(e: &mut Enc, design: &CacheDesign) {
-    e.u32(design.config.sets);
-    e.u32(design.config.assoc);
-    e.u32(design.config.line_words);
-    enc_policy(e, design.config.policy);
-    e.u32(design.ports);
-}
-
-fn dec_design(d: &mut Dec) -> io::Result<CacheDesign> {
-    let sets = d.u32()?;
-    let assoc = d.u32()?;
-    let line_words = d.u32()?;
-    let policy = dec_policy(d)?;
-    let ports = d.u32()?;
-    Ok(CacheDesign { config: CacheConfig::new(sets, assoc, line_words).with_policy(policy), ports })
-}
-
-fn enc_sampling_config(e: &mut Enc, s: &Option<SamplingConfig>) {
-    match s {
-        None => e.u8(0),
-        Some(s) => {
-            e.u8(1);
-            e.u64(s.interval_accesses as u64);
-            e.u64(s.clusters as u64);
-            e.u64(s.warmup as u64);
-            e.u64(s.seed);
-            e.u32(s.histogram_sets);
-        }
-    }
-}
-
-fn dec_sampling_config(d: &mut Dec) -> io::Result<Option<SamplingConfig>> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(SamplingConfig {
-            interval_accesses: d.u64()? as usize,
-            clusters: d.u64()? as usize,
-            warmup: d.u64()? as usize,
-            seed: d.u64()?,
-            histogram_sets: d.u32()?,
-        })),
-        other => Err(bad("sampling flag", other)),
-    }
-}
-
-fn enc_sampling_metrics(e: &mut Enc, s: &Option<SamplingMetrics>) {
-    match s {
-        None => e.u8(0),
-        Some(s) => {
-            e.u8(1);
-            e.u64(s.intervals);
-            e.u64(s.clusters);
-            e.u64(s.representative_accesses);
-            e.u64(s.total_accesses);
-            e.f64(s.error_bound);
-        }
-    }
-}
-
-fn dec_sampling_metrics(d: &mut Dec) -> io::Result<Option<SamplingMetrics>> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(SamplingMetrics {
-            intervals: d.u64()?,
-            clusters: d.u64()?,
-            representative_accesses: d.u64()?,
-            total_accesses: d.u64()?,
-            error_bound: d.f64()?,
-        })),
-        other => Err(bad("sampling-metrics flag", other)),
-    }
-}
-
-/// Encodes a request payload.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    match req {
-        Request::Ping => e.u8(0),
-        Request::Frontier(f) => {
-            e.u8(1);
-            e.str(&f.spec_text);
-            e.u8(u8::from(f.heuristic));
-            enc_sampling_config(&mut e, &f.sampling);
-            match &f.policies {
-                None => e.u8(0),
-                Some(ps) => {
-                    e.u8(1);
-                    e.u32(ps.len() as u32);
-                    for &p in ps {
-                        enc_policy(&mut e, p);
-                    }
-                }
-            }
-        }
-        Request::Stats => e.u8(2),
-        Request::Cancel => e.u8(3),
-        Request::Auth { proof } => {
-            e.u8(4);
-            e.raw(proof);
-        }
-    }
-    e.0
-}
-
-/// Decodes a request payload.
-///
-/// # Errors
-///
-/// `InvalidData` on any malformed field, truncation, or trailing bytes.
-pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
-    let mut d = Dec { buf: payload };
-    let req = match d.u8()? {
-        0 => Request::Ping,
-        1 => {
-            let spec_text = d.str()?;
-            let heuristic = d.u8()? != 0;
-            let sampling = dec_sampling_config(&mut d)?;
-            let policies = match d.u8()? {
-                0 => None,
-                1 => {
-                    let n = d.u32()? as usize;
-                    if n > 64 {
-                        return Err(bad("policy-list length", n));
-                    }
-                    let mut ps = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        ps.push(dec_policy(&mut d)?);
-                    }
-                    Some(ps)
-                }
-                other => return Err(bad("policies flag", other)),
-            };
-            Request::Frontier(FrontierRequest { spec_text, heuristic, sampling, policies })
-        }
-        2 => Request::Stats,
-        3 => Request::Cancel,
-        4 => Request::Auth { proof: d.raw()? },
-        other => return Err(bad("request tag", other)),
-    };
-    d.finish()?;
-    Ok(req)
-}
-
-/// Encodes a response payload.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    match resp {
-        Response::Pong => e.u8(0),
-        Response::Frontier(r) => {
-            e.u8(1);
-            enc_sampling_metrics(&mut e, &r.sampling);
-            e.u32(r.rows.len() as u32);
-            for row in &r.rows {
-                e.str(&row.processor);
-                enc_design(&mut e, &row.icache);
-                enc_design(&mut e, &row.dcache);
-                enc_design(&mut e, &row.ucache);
-                e.f64(row.cost);
-                e.f64(row.time);
-            }
-            e.u64(r.hits);
-            e.u64(r.computes);
-        }
-        Response::Rejected { reason } => {
-            e.u8(2);
-            e.str(reason);
-        }
-        Response::Error { code, message } => {
-            e.u8(3);
-            e.u8(*code);
-            e.str(message);
-        }
-        Response::Stats(s) => {
-            e.u8(4);
-            e.u64(s.sessions);
-            e.u64(s.entries);
-            e.u64(s.hits);
-            e.u64(s.computes);
-            e.u64(s.evictions);
-            e.u32(s.version);
-            e.u32(s.features);
-            e.str(&s.build);
-        }
-        Response::AuthChallenge { nonce } => {
-            e.u8(5);
-            e.raw(nonce);
-        }
-    }
-    e.0
-}
-
-/// Decodes a response payload.
-///
-/// # Errors
-///
-/// `InvalidData` on any malformed field, truncation, or trailing bytes.
-pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
-    let mut d = Dec { buf: payload };
-    let resp = match d.u8()? {
-        0 => Response::Pong,
-        1 => {
-            let sampling = dec_sampling_metrics(&mut d)?;
-            let n = d.u32()? as usize;
-            if n > 1 << 20 {
-                return Err(bad("row count", n));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let processor = d.str()?;
-                let icache = dec_design(&mut d)?;
-                let dcache = dec_design(&mut d)?;
-                let ucache = dec_design(&mut d)?;
-                let cost = d.f64()?;
-                let time = d.f64()?;
-                rows.push(FrontierRow { processor, icache, dcache, ucache, cost, time });
-            }
-            let hits = d.u64()?;
-            let computes = d.u64()?;
-            Response::Frontier(FrontierReport { sampling, rows, hits, computes })
-        }
-        2 => Response::Rejected { reason: d.str()? },
-        3 => Response::Error { code: d.u8()?, message: d.str()? },
-        4 => Response::Stats(StatsReport {
-            sessions: d.u64()?,
-            entries: d.u64()?,
-            hits: d.u64()?,
-            computes: d.u64()?,
-            evictions: d.u64()?,
-            version: d.u32()?,
-            features: d.u32()?,
-            build: d.str()?,
-        }),
-        5 => Response::AuthChallenge { nonce: d.raw()? },
-        other => return Err(bad("response tag", other)),
-    };
-    d.finish()?;
-    Ok(resp)
 }
 
 // --- fleet frames (protocol v2) ------------------------------------------
@@ -889,36 +531,361 @@ pub enum CoordFrame {
     },
 }
 
-fn enc_key(e: &mut Enc, key: &MetricKey) -> io::Result<()> {
-    cache_db::write_key(&mut e.0, key)
+// --- payload codec -------------------------------------------------------
+//
+// Every payload is a one-byte tag followed by the variant's fields in
+// the order the tables below list them. Each field type has exactly one
+// layout (its `Wire` impl), so an encoder and its decoder cannot drift.
+
+/// A field type with one wire layout: `put` appends it, `take` reads it
+/// off the front of the remaining payload.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(buf: &mut &[u8]) -> io::Result<Self>;
 }
 
-fn enc_points(e: &mut Enc, points: &[(MetricKey, f64)]) -> io::Result<()> {
+/// An element type of a `u32`-counted list.
+trait Listed: Wire {
+    /// The largest count a decoder accepts.
+    const CAP: usize;
+    /// The fewest payload bytes one element encodes in: a decoder never
+    /// reserves room for more elements than the rest of the payload can
+    /// hold, whatever the count field claims.
+    const MIN_LEN: usize;
+}
+
+fn short() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "truncated protocol payload")
+}
+
+fn bad(what: &str, v: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("bad {what}: {v}"))
+}
+
+impl<const N: usize> Wire for [u8; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        let (head, rest) = buf.split_first_chunk::<N>().ok_or_else(short)?;
+        *buf = rest;
+        Ok(*head)
+    }
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(buf: &mut &[u8]) -> io::Result<Self> {
+                Ok(<$t>::from_le_bytes(Wire::take(buf)?))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+/// Types that travel as one of the integers above.
+macro_rules! wire_as {
+    ($($t:ty as $w:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                $to(*self).put(out);
+            }
+            fn take(buf: &mut &[u8]) -> io::Result<Self> {
+                Ok($from(<$w>::take(buf)?))
+            }
+        }
+    )*};
+}
+wire_as! {
+    // Any non-zero byte reads as `true`.
+    bool as u8: u8::from, |b: u8| b != 0;
+    usize as u64: |n: usize| n as u64, |n: u64| n as usize;
+    // Raw IEEE bits, so every value round-trips bit-exactly.
+    f64 as u64: f64::to_bits, f64::from_bits;
+}
+
+/// A `u32` byte length, then UTF-8.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        let len = u32::take(buf)? as usize;
+        let head = buf.get(..len).ok_or_else(short)?;
+        *buf = &buf[len..];
+        String::from_utf8(head.to_vec()).map_err(|e| bad("utf-8", e))
+    }
+}
+
+/// A `0`/`1` presence byte, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => 0u8.put(out),
+            Some(v) => {
+                1u8.put(out);
+                v.put(out);
+            }
+        }
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        match u8::take(buf)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::take(buf)?)),
+            other => Err(bad("presence flag", other)),
+        }
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Listed> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        let n = u32::take(buf)? as usize;
+        if n > T::CAP {
+            return Err(bad("list length", n));
+        }
+        let mut items = Vec::with_capacity(n.min(buf.len() / T::MIN_LEN));
+        for _ in 0..n {
+            items.push(T::take(buf)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        Ok((A::take(buf)?, B::take(buf)?))
+    }
+}
+
+/// A tag byte, then a seed (zero unless [`Policy::Random`]).
+impl Wire for Policy {
+    fn put(&self, out: &mut Vec<u8>) {
+        let (tag, seed) = match *self {
+            Policy::Lru => (0u8, 0u64),
+            Policy::Fifo => (1, 0),
+            Policy::PlruTree => (2, 0),
+            Policy::Random(seed) => (3, seed),
+        };
+        (tag, seed).put(out);
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        match <(u8, u64)>::take(buf)? {
+            (0, _) => Ok(Policy::Lru),
+            (1, _) => Ok(Policy::Fifo),
+            (2, _) => Ok(Policy::PlruTree),
+            (3, seed) => Ok(Policy::Random(seed)),
+            (other, _) => Err(bad("policy tag", other)),
+        }
+    }
+}
+
+impl Listed for Policy {
+    const CAP: usize = 64;
+    const MIN_LEN: usize = 9;
+}
+
+/// Geometry, then policy; an infeasible geometry is `InvalidData`, never
+/// a `CacheConfig::new` panic.
+impl Wire for CacheConfig {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.sets.put(out);
+        self.assoc.put(out);
+        self.line_words.put(out);
+        self.policy.put(out);
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        let (sets, assoc, line_words) = (u32::take(buf)?, u32::take(buf)?, u32::take(buf)?);
+        if !sets.is_power_of_two() || !line_words.is_power_of_two() || assoc == 0 {
+            return Err(bad(
+                "cache geometry",
+                format!("{sets} sets, {assoc} ways, {line_words} words"),
+            ));
+        }
+        Ok(CacheConfig::new(sets, assoc, line_words).with_policy(Policy::take(buf)?))
+    }
+}
+
+/// The cache database's canonical key bytes.
+impl Wire for MetricKey {
+    fn put(&self, out: &mut Vec<u8>) {
+        // Writing into a `Vec` cannot fail.
+        let _ = cache_db::write_key(out, self);
+    }
+    fn take(buf: &mut &[u8]) -> io::Result<Self> {
+        cache_db::read_key(buf)
+    }
+}
+
+impl Listed for (MetricKey, f64) {
+    const CAP: usize = MAX_POINTS;
+    // A `ProcCycles` key with two empty names (3 bytes), then the value.
+    const MIN_LEN: usize = 11;
+}
+
+/// Field order of each struct, written once.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn take(buf: &mut &[u8]) -> io::Result<Self> {
+                Ok($ty { $($field: Wire::take(buf)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    Handshake { version, features }
+    CacheDesign { config, ports }
+    SamplingConfig { interval_accesses, clusters, warmup, seed, histogram_sets }
+    SamplingMetrics { intervals, clusters, representative_accesses, total_accesses, error_bound }
+    FrontierRequest { spec_text, heuristic, sampling, policies }
+    FrontierRow { processor, icache, dcache, ucache, cost, time }
+    FrontierReport { sampling, rows, hits, computes }
+    StatsReport { sessions, entries, hits, computes, evictions, version, features, build }
+    JobOffer { worker_id, spec_text, sampling, policies, shard_count }
+}
+
+impl Listed for FrontierRow {
+    const CAP: usize = 1 << 20;
+    // An empty processor name, three designs, cost and time.
+    const MIN_LEN: usize = 4 + 3 * 25 + 16;
+}
+
+/// Tag byte and field order of each message variant, written once.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $var:ident $(($inner:ident))? $({ $($field:ident),* })?,)*
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$var $(($inner))? $({ $($field),* })? => {
+                        out.push($tag);
+                        $($inner.put(out);)?
+                        $($($field.put(out);)*)?
+                    })*
+                }
+            }
+            fn take(buf: &mut &[u8]) -> io::Result<Self> {
+                Ok(match u8::take(buf)? {
+                    $($tag => {
+                        $(let $inner = Wire::take(buf)?;)?
+                        $($(let $field = Wire::take(buf)?;)*)?
+                        $ty::$var $(($inner))? $({ $($field),* })?
+                    })*
+                    other => return Err(bad($what, other)),
+                })
+            }
+        }
+    };
+}
+
+wire_enum!(Request, "request tag" {
+    0 => Ping,
+    1 => Frontier(request),
+    2 => Stats,
+    3 => Cancel,
+    4 => Auth { proof },
+});
+
+wire_enum!(Response, "response tag" {
+    0 => Pong,
+    1 => Frontier(report),
+    2 => Rejected { reason },
+    3 => Error { code, message },
+    4 => Stats(stats),
+    5 => AuthChallenge { nonce },
+});
+
+wire_enum!(WorkerFrame, "worker frame tag" {
+    0x10 => Hello,
+    0x11 => NeedShard,
+    0x12 => Points { shard, points },
+    0x13 => ShardDone { shard },
+    0x14 => Heartbeat,
+    0x15 => Auth { proof },
+});
+
+wire_enum!(CoordFrame, "coord frame tag" {
+    0x20 => Job(job),
+    0x21 => Assign { shard, prefill },
+    0x22 => NoMoreWork,
+    0x23 => Abort { message },
+    0x24 => Wait,
+    0x25 => AuthChallenge { nonce },
+    0x26 => Denied { message },
+});
+
+fn to_payload<T: Wire>(msg: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    msg.put(&mut out);
+    out
+}
+
+fn from_payload<T: Wire>(mut payload: &[u8]) -> io::Result<T> {
+    let msg = T::take(&mut payload)?;
+    if !payload.is_empty() {
+        return Err(bad("payload", format!("{} trailing bytes", payload.len())));
+    }
+    Ok(msg)
+}
+
+/// Refuses to encode a point batch its decoder would reject.
+fn check_points(points: &[(MetricKey, f64)]) -> io::Result<()> {
     if points.len() > MAX_POINTS {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("{} points exceed the {MAX_POINTS}-point frame cap", points.len()),
         ));
     }
-    e.u32(points.len() as u32);
-    for (key, value) in points {
-        enc_key(e, key)?;
-        e.f64(*value);
-    }
     Ok(())
 }
 
-fn dec_points(d: &mut Dec) -> io::Result<Vec<(MetricKey, f64)>> {
-    let n = d.u32()? as usize;
-    if n > MAX_POINTS {
-        return Err(bad("point count", n));
-    }
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = cache_db::read_key(&mut d.buf)?;
-        points.push((key, d.f64()?));
-    }
-    Ok(points)
+/// Encodes a request payload.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    to_payload(req)
+}
+
+/// Decodes a request payload.
+///
+/// # Errors
+///
+/// `InvalidData` on any malformed field, truncation, or trailing bytes.
+pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
+    from_payload(payload)
+}
+
+/// Encodes a response payload.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    to_payload(resp)
+}
+
+/// Decodes a response payload.
+///
+/// # Errors
+///
+/// `InvalidData` on any malformed field, truncation, or trailing bytes.
+pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
+    from_payload(payload)
 }
 
 /// Encodes a worker→coordinator frame payload.
@@ -927,26 +894,10 @@ fn dec_points(d: &mut Dec) -> io::Result<Vec<(MetricKey, f64)>> {
 ///
 /// `InvalidInput` when a point batch exceeds [`MAX_POINTS`].
 pub fn encode_worker_frame(frame: &WorkerFrame) -> io::Result<Vec<u8>> {
-    let mut e = Enc(Vec::new());
-    match frame {
-        WorkerFrame::Hello => e.u8(0x10),
-        WorkerFrame::NeedShard => e.u8(0x11),
-        WorkerFrame::Points { shard, points } => {
-            e.u8(0x12);
-            e.u32(*shard);
-            enc_points(&mut e, points)?;
-        }
-        WorkerFrame::ShardDone { shard } => {
-            e.u8(0x13);
-            e.u32(*shard);
-        }
-        WorkerFrame::Heartbeat => e.u8(0x14),
-        WorkerFrame::Auth { proof } => {
-            e.u8(0x15);
-            e.raw(proof);
-        }
+    if let WorkerFrame::Points { points, .. } = frame {
+        check_points(points)?;
     }
-    Ok(e.0)
+    Ok(to_payload(frame))
 }
 
 /// Decodes a worker→coordinator frame payload.
@@ -955,22 +906,7 @@ pub fn encode_worker_frame(frame: &WorkerFrame) -> io::Result<Vec<u8>> {
 ///
 /// `InvalidData` on any malformed field, truncation, or trailing bytes.
 pub fn decode_worker_frame(payload: &[u8]) -> io::Result<WorkerFrame> {
-    let mut d = Dec { buf: payload };
-    let frame = match d.u8()? {
-        0x10 => WorkerFrame::Hello,
-        0x11 => WorkerFrame::NeedShard,
-        0x12 => {
-            let shard = d.u32()?;
-            let points = dec_points(&mut d)?;
-            WorkerFrame::Points { shard, points }
-        }
-        0x13 => WorkerFrame::ShardDone { shard: d.u32()? },
-        0x14 => WorkerFrame::Heartbeat,
-        0x15 => WorkerFrame::Auth { proof: d.raw()? },
-        other => return Err(bad("worker frame tag", other)),
-    };
-    d.finish()?;
-    Ok(frame)
+    from_payload(payload)
 }
 
 /// Encodes a coordinator→worker frame payload.
@@ -979,46 +915,10 @@ pub fn decode_worker_frame(payload: &[u8]) -> io::Result<WorkerFrame> {
 ///
 /// `InvalidInput` when a prefill batch exceeds [`MAX_POINTS`].
 pub fn encode_coord_frame(frame: &CoordFrame) -> io::Result<Vec<u8>> {
-    let mut e = Enc(Vec::new());
-    match frame {
-        CoordFrame::Job(job) => {
-            e.u8(0x20);
-            e.u32(job.worker_id);
-            e.str(&job.spec_text);
-            enc_sampling_config(&mut e, &job.sampling);
-            match &job.policies {
-                None => e.u8(0),
-                Some(ps) => {
-                    e.u8(1);
-                    e.u32(ps.len() as u32);
-                    for &p in ps {
-                        enc_policy(&mut e, p);
-                    }
-                }
-            }
-            e.u32(job.shard_count);
-        }
-        CoordFrame::Assign { shard, prefill } => {
-            e.u8(0x21);
-            e.u32(*shard);
-            enc_points(&mut e, prefill)?;
-        }
-        CoordFrame::NoMoreWork => e.u8(0x22),
-        CoordFrame::Abort { message } => {
-            e.u8(0x23);
-            e.str(message);
-        }
-        CoordFrame::Wait => e.u8(0x24),
-        CoordFrame::AuthChallenge { nonce } => {
-            e.u8(0x25);
-            e.raw(nonce);
-        }
-        CoordFrame::Denied { message } => {
-            e.u8(0x26);
-            e.str(message);
-        }
+    if let CoordFrame::Assign { prefill, .. } = frame {
+        check_points(prefill)?;
     }
-    Ok(e.0)
+    Ok(to_payload(frame))
 }
 
 /// Decodes a coordinator→worker frame payload.
@@ -1027,44 +927,7 @@ pub fn encode_coord_frame(frame: &CoordFrame) -> io::Result<Vec<u8>> {
 ///
 /// `InvalidData` on any malformed field, truncation, or trailing bytes.
 pub fn decode_coord_frame(payload: &[u8]) -> io::Result<CoordFrame> {
-    let mut d = Dec { buf: payload };
-    let frame = match d.u8()? {
-        0x20 => {
-            let worker_id = d.u32()?;
-            let spec_text = d.str()?;
-            let sampling = dec_sampling_config(&mut d)?;
-            let policies = match d.u8()? {
-                0 => None,
-                1 => {
-                    let n = d.u32()? as usize;
-                    if n > 64 {
-                        return Err(bad("policy-list length", n));
-                    }
-                    let mut ps = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        ps.push(dec_policy(&mut d)?);
-                    }
-                    Some(ps)
-                }
-                other => return Err(bad("policies flag", other)),
-            };
-            let shard_count = d.u32()?;
-            CoordFrame::Job(JobOffer { worker_id, spec_text, sampling, policies, shard_count })
-        }
-        0x21 => {
-            let shard = d.u32()?;
-            let prefill = dec_points(&mut d)?;
-            CoordFrame::Assign { shard, prefill }
-        }
-        0x22 => CoordFrame::NoMoreWork,
-        0x23 => CoordFrame::Abort { message: d.str()? },
-        0x24 => CoordFrame::Wait,
-        0x25 => CoordFrame::AuthChallenge { nonce: d.raw()? },
-        0x26 => CoordFrame::Denied { message: d.str()? },
-        other => return Err(bad("coord frame tag", other)),
-    };
-    d.finish()?;
-    Ok(frame)
+    from_payload(payload)
 }
 
 /// A generous read timeout for blocking client-side reads — long
@@ -1189,11 +1052,35 @@ mod tests {
         );
         let decoded = Handshake::decode(&h).unwrap();
         assert_eq!(decoded, Handshake { version: 3, features: 7 });
-        assert!(decoded.check_version().is_ok());
+    }
+
+    /// An in-memory peer: reads come from `incoming`, writes are kept.
+    struct Duplex {
+        incoming: std::io::Cursor<Vec<u8>>,
+        outgoing: Vec<u8>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.incoming.read(out)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.outgoing.write(data)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn duplex(incoming: &[u8]) -> Duplex {
+        Duplex { incoming: std::io::Cursor::new(incoming.to_vec()), outgoing: Vec::new() }
     }
 
     #[test]
-    fn handshake_checks_magic_and_version() {
+    fn handshake_decode_checks_only_the_magic() {
         let h = handshake(FEATURE_FRONTIER);
         let mut wrong = h;
         wrong[0] = b'X';
@@ -1202,36 +1089,32 @@ mod tests {
         newer[4] = 99;
         let decoded = Handshake::decode(&newer).unwrap();
         assert_eq!(decoded.version, 99, "magic-valid handshake decodes structurally");
-        let err = decoded.check_version().unwrap_err();
-        assert!(err.to_string().contains("99"), "{err}");
     }
 
     #[test]
     fn client_hello_exchanges_both_announcements() {
-        struct Duplex {
-            incoming: std::io::Cursor<Vec<u8>>,
-            outgoing: Vec<u8>,
-        }
-        impl Read for Duplex {
-            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-                self.incoming.read(out)
-            }
-        }
-        impl Write for Duplex {
-            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-                self.outgoing.write(data)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut stream = Duplex {
-            incoming: std::io::Cursor::new(handshake(FEATURE_FRONTIER | FEATURE_FLEET).to_vec()),
-            outgoing: Vec::new(),
-        };
+        let mut stream = duplex(&handshake(FEATURE_FRONTIER | FEATURE_FLEET));
         let server = client_hello(&mut stream, FEATURE_FLEET).unwrap();
         assert_eq!(server.features, FEATURE_FRONTIER | FEATURE_FLEET);
         assert_eq!(stream.outgoing, handshake(FEATURE_FLEET).to_vec());
+    }
+
+    #[test]
+    fn accept_hello_announces_then_refuses_skewed_and_legacy_peers() {
+        let never = || false;
+        let mut peer = duplex(&handshake(FEATURE_FLEET));
+        let got = accept_hello(&mut peer, FEATURE_FRONTIER, &never).unwrap();
+        assert_eq!(got, Some(Ok(Handshake { version: VERSION, features: FEATURE_FLEET })));
+        assert_eq!(peer.outgoing, handshake(FEATURE_FRONTIER).to_vec());
+
+        let v99 = Handshake { version: 99, features: FEATURE_FLEET }.encode();
+        let got = accept_hello(&mut duplex(&v99), 0, &never).unwrap();
+        assert_eq!(got, Some(Err(Refusal::Version(99))));
+        // A v1 peer opens with a frame length: refused after four bytes.
+        let got = accept_hello(&mut duplex(&[5, 0, 0, 0]), 0, &never).unwrap();
+        assert_eq!(got, Some(Err(Refusal::NoMagic)));
+        assert_eq!(accept_hello(&mut duplex(&[]), 0, &never).unwrap(), None, "closed at once");
+        assert!(accept_hello(&mut duplex(&MAGIC), 0, &never).is_err(), "closed mid-handshake");
     }
 
     fn sample_points() -> Vec<(MetricKey, f64)> {
@@ -1329,7 +1212,7 @@ mod tests {
     #[test]
     fn armed_frame_faults_shape_the_byte_stream() {
         use mhe_core::fault::{arm, injection_lock, Fault, FaultPlan};
-        let _lock = injection_lock();
+        let _lock = injection_lock().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let payload = encode_request(&Request::Ping);
         let mut framed = Vec::new();
         write_frame_raw(&mut framed, &payload).unwrap();

@@ -14,12 +14,12 @@
 //! SIGTERMs the daemon gets exit 0 and no half-written frames.
 
 use super::proto::{
-    decode_request, encode_response, handshake, read_exact_or_stop, write_frame, FrameReader,
-    Handshake, Request, Response, FEATURE_AUTH, FEATURE_FRONTIER, HANDSHAKE_LEN, MAGIC, VERSION,
+    accept_hello, decode_request, encode_response, write_frame, FrameReader, Refusal, Request,
+    Response, FEATURE_AUTH, FEATURE_FRONTIER, VERSION,
 };
 use super::EvalService;
 use mhe_core::CancelToken;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -165,36 +165,16 @@ fn serve_connection(
     stream.set_read_timeout(Some(DRAIN_POLL))?;
     stream.set_nodelay(true)?;
     let features = FEATURE_FRONTIER | if auth_token.is_some() { FEATURE_AUTH } else { 0 };
-    stream.write_all(&handshake(features))?;
-    stream.flush()?;
-    let mut reader_stream = stream.try_clone()?;
     let stop = || drain.load(Ordering::SeqCst) || SIG_DRAIN.load(Ordering::SeqCst);
-
-    // Client's reply: the magic distinguishes a v2 handshake from a
-    // legacy frame (a frame's length prefix can never spell `MHES` —
-    // that value is far above MAX_FRAME).
-    let mut opening = [0u8; 4];
-    if !read_exact_or_stop(&mut reader_stream, &mut opening, &stop)? {
-        return Ok(()); // port-scanner or drain: nothing to answer
-    }
-    if opening == MAGIC {
-        let mut rest = [0u8; HANDSHAKE_LEN - 4];
-        if !read_exact_or_stop(&mut reader_stream, &mut rest, &stop)? {
-            return Ok(());
-        }
-        let mut full = [0u8; HANDSHAKE_LEN];
-        full[..4].copy_from_slice(&opening);
-        full[4..].copy_from_slice(&rest);
-        let client = Handshake::decode(&full)?;
-        if client.version != VERSION {
-            return reject_version(&mut stream, client.version);
-        }
-    } else {
-        // Not a handshake: a pre-v2 client skipped straight to a frame.
-        return reject_version(&mut stream, 1);
+    match accept_hello(&mut stream, features, &stop)? {
+        None => return Ok(()), // port-scanner or drain: nothing to answer
+        Some(Ok(_client)) => {}
+        // A pre-v2 client skipped the handshake and opened with a frame.
+        Some(Err(Refusal::NoMagic)) => return reject_version(&mut stream, 1),
+        Some(Err(Refusal::Version(version))) => return reject_version(&mut stream, version),
     }
 
-    let mut reader = FrameReader::new(reader_stream);
+    let mut reader = FrameReader::new(stream.try_clone()?);
     if let Some(token) = auth_token {
         if !authenticate(&mut stream, &mut reader, token, &stop)? {
             return Ok(());
@@ -247,17 +227,15 @@ fn authenticate(
         decode_request(&payload),
         Ok(Request::Auth { proof }) if mhe_core::auth::verify(token, &nonce, &proof)
     );
-    if verified {
-        write_frame(stream, &encode_response(&Response::Pong))?;
+    let verdict = if verified {
+        Response::Pong
     } else {
-        write_frame(
-            stream,
-            &encode_response(&Response::Error {
-                code: mhe_core::EXIT_UNAUTHORIZED,
-                message: "authentication failed (bad or missing token)".into(),
-            }),
-        )?;
-    }
+        Response::Error {
+            code: mhe_core::EXIT_UNAUTHORIZED,
+            message: "authentication failed (bad or missing token)".into(),
+        }
+    };
+    write_frame(stream, &encode_response(&verdict))?;
     Ok(verified)
 }
 
@@ -324,18 +302,12 @@ fn serve_frontier(
                 }
             }
         }
-        match handle.join() {
-            Ok(response) => response,
-            Err(_) => Response::Error {
-                code: mhe_core::EXIT_WORKER_FAILURE,
-                message: "request thread panicked".into(),
-            },
-        }
+        handle.join().unwrap_or_else(|_| Response::Error {
+            code: mhe_core::EXIT_WORKER_FAILURE,
+            message: "request thread panicked".into(),
+        })
     });
-    if dead {
-        return Ok(None);
-    }
-    Ok(Some(response))
+    Ok((!dead).then_some(response))
 }
 
 /// Answers an incompatible client with a structured version rejection.

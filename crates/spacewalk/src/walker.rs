@@ -104,7 +104,7 @@ std::thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// Runs `f` with `cancel` attached to every [`fan_out`] sweep this thread
+/// Runs `f` with `cancel` attached to every `fan_out` sweep this thread
 /// constructs, restoring the previous token (usually none) afterwards —
 /// panic-safe via an RAII guard, since the service catches request
 /// panics and reuses the thread.

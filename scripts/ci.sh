@@ -15,6 +15,9 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings, broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> spacewalk_speedup smoke (walk throughput + determinism)"
 MHE_EVENTS=20000 cargo run --release -q -p mhe-bench --bin spacewalk_speedup
 

@@ -11,6 +11,8 @@
 // helper here.
 #![allow(dead_code)]
 
+pub mod wire;
+
 use mhe::prelude::*;
 use mhe::trace::{StreamKind, TraceGenerator};
 use mhe::vliw::compile::Compiled;

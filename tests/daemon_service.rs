@@ -244,3 +244,29 @@ fn v1_client_is_rejected_with_a_structured_error() {
     drain.store(true, std::sync::atomic::Ordering::SeqCst);
     handle.join().expect("drained serve loop");
 }
+
+/// A server announcing another protocol version is refused on the
+/// client side with a structured `UnsupportedVersion` (exit code 5),
+/// after the client has still answered with its own announcement.
+#[test]
+fn client_refuses_a_server_speaking_another_version() {
+    use mhe::spacewalk::service::proto;
+    use std::io::{Read, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+    let addr = listener.local_addr().expect("local addr");
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept client");
+        let v99 = proto::Handshake { version: 99, features: proto::FEATURE_FRONTIER };
+        stream.write_all(&v99.encode()).expect("announce v99");
+        let mut reply = [0u8; proto::HANDSHAKE_LEN];
+        stream.read_exact(&mut reply).expect("client announcement");
+        reply
+    });
+
+    let err = Client::builder().addr(addr).connect().expect_err("a version skew must refuse");
+    assert_eq!(err, ClientError::UnsupportedVersion { server: 99, client: 3 });
+    assert_eq!(err.exit_code(), 5);
+    let reply = fake.join().expect("fake server thread");
+    assert_eq!(reply, proto::handshake(proto::FEATURE_FRONTIER));
+}

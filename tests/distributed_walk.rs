@@ -19,7 +19,7 @@ use mhe::spacewalk::spec::Spec;
 use mhe::spacewalk::{
     render_frontier, report_from, walker, ClientError, FleetSummary, WorkerOutcome,
 };
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -237,4 +237,78 @@ fn worker_times_out_on_a_dead_coordinator_with_exit_code_5() {
         other => panic!("expected Unavailable, got {other:?}"),
     }
     fake.join().expect("fake coordinator thread");
+}
+
+/// A coordinator announcing another protocol version is refused on the
+/// worker side with the same structured `UnsupportedVersion` (exit code
+/// 5) a daemon client gets.
+#[test]
+fn worker_refuses_a_coordinator_speaking_another_version() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake coordinator");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept worker");
+        let v99 = proto::Handshake { version: 99, features: proto::FEATURE_FLEET };
+        stream.write_all(&v99.encode()).expect("announce v99");
+        let mut reply = [0u8; proto::HANDSHAKE_LEN];
+        stream.read_exact(&mut reply).expect("worker announcement");
+    });
+
+    let err = run_worker(&addr, WorkerOptions::default()).expect_err("a version skew must refuse");
+    assert_eq!(err, ClientError::UnsupportedVersion { server: 99, client: 3 });
+    assert_eq!(err.exit_code(), 5);
+    fake.join().expect("fake coordinator thread");
+}
+
+/// A worker pointed at a daemon port learns that the peer is not a fleet
+/// coordinator instead of waiting for a job that never comes.
+#[test]
+fn worker_dialing_a_daemon_port_is_told_it_is_not_a_coordinator() {
+    let service = Arc::new(EvalService::new(ServiceLimits::default()));
+    let server = Server::bind("127.0.0.1:0", service).expect("bind daemon").with_auth_token(None);
+    let addr = server.local_addr().expect("local addr").to_string();
+    let drain = server.drain_handle();
+    let daemon = std::thread::spawn(move || server.run().expect("serve loop"));
+
+    match run_worker(&addr, WorkerOptions::default()) {
+        Err(ClientError::Protocol(message)) => {
+            assert!(message.contains("not a fleet coordinator"), "{message}");
+        }
+        other => panic!("expected a protocol refusal, got {other:?}"),
+    }
+    drain.store(true, std::sync::atomic::Ordering::SeqCst);
+    daemon.join().expect("drained daemon");
+}
+
+/// A worker announcing protocol version 1 gets a structured `Abort`
+/// naming both versions from a real coordinator, not a dropped socket.
+#[test]
+fn coordinator_aborts_a_v1_worker_naming_both_versions() {
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { auth_token: None, ..FleetConfig::default() };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+    let halt = coordinator.halt_handle();
+    let run = std::thread::spawn(move || coordinator.run(None));
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("tcp connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut hello = [0u8; proto::HANDSHAKE_LEN];
+    stream.read_exact(&mut hello).expect("coordinator announcement");
+    let coordinator_hello = proto::Handshake::decode(&hello).expect("well-formed announcement");
+    assert_ne!(coordinator_hello.features & proto::FEATURE_FLEET, 0);
+    let v1 = proto::Handshake { version: 1, features: proto::FEATURE_FLEET };
+    stream.write_all(&v1.encode()).expect("v1 announcement");
+
+    let payload = proto::read_frame(&mut stream).expect("structured refusal frame");
+    match proto::decode_coord_frame(&payload).expect("decodable frame") {
+        proto::CoordFrame::Abort { message } => assert_eq!(
+            message, "unsupported protocol version 1 (this coordinator speaks 3)",
+            "the refusal names both versions"
+        ),
+        other => panic!("expected Abort, got {other:?}"),
+    }
+    halt.halt();
+    assert!(run.join().expect("coordinator thread").is_err(), "a halted sweep is unfinished");
 }

@@ -18,7 +18,10 @@
 //! moves them, re-pin and say so in the commit message.
 
 use mhe::core::evaluator::dilated_misses;
+use mhe::core::fault::{Fault, FaultPlan};
 use mhe::prelude::*;
+
+mod common;
 
 const EVENTS: usize = 50_000;
 
@@ -240,4 +243,70 @@ fn unified_extrapolation_is_pinned() {
     // d = 1 must return the measured count unchanged.
     let base = e.estimate_ucache_misses(u1(), 1.0).unwrap();
     assert_eq!(base, e.ucache_misses_measured(u1()).unwrap() as f64);
+}
+
+/// The v3 payload bytes of one value per frame variant of `Request`,
+/// `Response`, `WorkerFrame` and `CoordFrame` (table in
+/// `tests/common/wire.rs`). Changing any of these bytes is a wire break
+/// and must come with a protocol version bump.
+#[test]
+fn wire_v3_payload_bytes_are_pinned() {
+    for (msg, want) in common::wire::goldens() {
+        let bytes = msg.encode();
+        assert_eq!(common::wire::hex(&bytes), want, "payload of {msg:?} drifted");
+        assert_eq!(msg.decode_like(&bytes).expect("golden payload decodes"), msg);
+    }
+}
+
+/// The single-fault plans `FaultPlan::seeded` and `seeded_net` derive
+/// from seeds 0..16: a failing seed in a chaos run is a regression case
+/// only while these stay fixed.
+#[test]
+fn seeded_fault_plans_are_pinned() {
+    use Fault::*;
+    let seeded = [
+        PanicTask { task: 700 },
+        BitFlip { byte: 519, mask: 8 },
+        Truncate { at: 226 },
+        PanicTask { task: 561 },
+        ShortRead { at: 304 },
+        Enospc { at: 344 },
+        Truncate { at: 833 },
+        Truncate { at: 804 },
+        BitFlip { byte: 817, mask: 16 },
+        Enospc { at: 106 },
+        Enospc { at: 814 },
+        PanicTask { task: 545 },
+        Enospc { at: 807 },
+        Truncate { at: 921 },
+        Truncate { at: 194 },
+        Truncate { at: 496 },
+    ];
+    let seeded_net = [
+        DelayFrame { frame: 0, millis: 45 },
+        TruncFrame { frame: 19 },
+        DelayFrame { frame: 26, millis: 37 },
+        DupFrame { frame: 61 },
+        DelayFrame { frame: 4, millis: 33 },
+        DelayFrame { frame: 44, millis: 10 },
+        TruncFrame { frame: 33 },
+        TruncFrame { frame: 4 },
+        DupFrame { frame: 17 },
+        TruncFrame { frame: 6 },
+        DupFrame { frame: 14 },
+        DupFrame { frame: 45 },
+        TruncFrame { frame: 7 },
+        DropFrame { frame: 21 },
+        TruncFrame { frame: 94 },
+        DelayFrame { frame: 96, millis: 22 },
+    ];
+    for seed in 0..16u64 {
+        let i = seed as usize;
+        assert_eq!(FaultPlan::seeded(seed, 1000).faults(), &[seeded[i]], "seeded({seed}, 1000)");
+        assert_eq!(
+            FaultPlan::seeded_net(seed, 100).faults(),
+            &[seeded_net[i]],
+            "seeded_net({seed}, 100)"
+        );
+    }
 }
