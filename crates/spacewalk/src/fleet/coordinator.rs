@@ -24,13 +24,14 @@ use crate::service::proto::{
     accept_hello, decode_worker_frame, encode_coord_frame, write_frame, CoordFrame, FrameReader,
     JobOffer, Refusal, WorkerFrame, FEATURE_AUTH, FEATURE_FLEET, VERSION,
 };
+use crate::service::server::reap_finished;
 use mhe_cache::Policy;
 use mhe_core::{MheError, SamplingConfig};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long the accept loop sleeps when no connection is pending.
@@ -122,25 +123,75 @@ struct Shared {
     cfg: FleetConfig,
     db: Arc<EvaluationCache>,
     state: Mutex<State>,
-    halt: Arc<AtomicBool>,
+    /// Wakes parked `NeedShard` requests whenever a shard is reclaimed,
+    /// completed or aborted, or the coordinator halts.
+    wake: Condvar,
+    halt: AtomicBool,
 }
 
-impl State {
-    /// Puts every lease `lost` selects back in the pending pool, counted
-    /// as a steal.
-    fn reclaim(&mut self, lost: impl Fn(&Lease) -> bool) {
-        let shards: Vec<u32> =
-            self.leases.iter().filter(|(_, l)| lost(l)).map(|(&shard, _)| shard).collect();
-        for shard in shards {
-            self.leases.remove(&shard);
-            self.pending.push_back(shard);
-            self.steals += 1;
-            mhe_obs::count(mhe_obs::Counter::ShardSteal, 1);
-        }
-    }
+/// What a parked `NeedShard` request is answered with.
+enum Offer {
+    Assign(u32),
+    Finished,
+    Abort(String),
+    Halted,
+    /// Nothing to offer for a whole [`WAIT_PERIOD`].
+    Wait,
 }
 
 impl Shared {
+    /// Puts every lease `lost` selects back in the pending pool, counted
+    /// as a steal, and wakes parked requests to take them.
+    fn reclaim(&self, lost: impl Fn(&Lease) -> bool) {
+        self.settle(|s| {
+            let shards: Vec<u32> =
+                s.leases.iter().filter(|(_, l)| lost(l)).map(|(&shard, _)| shard).collect();
+            for &shard in &shards {
+                s.leases.remove(&shard);
+                s.pending.push_back(shard);
+                s.steals += 1;
+                mhe_obs::count(mhe_obs::Counter::ShardSteal, 1);
+            }
+            !shards.is_empty()
+        });
+    }
+
+    /// Leases the next free shard to `worker`, parking until one frees
+    /// up, the sweep ends, or a whole [`WAIT_PERIOD`] passes.
+    fn next_offer(&self, worker: u32) -> Offer {
+        let deadline = Instant::now() + WAIT_PERIOD;
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if self.halted() {
+                return Offer::Halted;
+            }
+            if let Some(message) = s.abort.clone() {
+                return Offer::Abort(message);
+            }
+            if let Some(shard) = s.pending.pop_front() {
+                s.leases.insert(shard, Lease { worker, renewed: Instant::now() });
+                mhe_obs::count(mhe_obs::Counter::ShardLease, 1);
+                return Offer::Assign(shard);
+            }
+            if s.done.len() == self.cfg.shard_count as usize {
+                return Offer::Finished;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Offer::Wait;
+            }
+            s = self.wake.wait_timeout(s, left).unwrap_or_else(PoisonError::into_inner).0;
+        }
+    }
+
+    /// [`Shared::locked`] for an update that may unpark a `NeedShard`:
+    /// wakes every parked request when `f` returns `true`.
+    fn settle(&self, f: impl FnOnce(&mut State) -> bool) {
+        if self.locked(f) {
+            self.wake.notify_all();
+        }
+    }
+
     fn all_done(&self) -> bool {
         self.locked(|s| s.done.len() as u32) == self.cfg.shard_count
     }
@@ -171,18 +222,21 @@ impl Shared {
 /// rebinds the port and resumes from the shared checkpoint).
 #[derive(Debug, Clone)]
 pub struct HaltHandle {
-    halt: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 impl HaltHandle {
     /// Asks the coordinator to stop brokering and return. Idempotent.
     pub fn halt(&self) {
-        self.halt.store(true, Ordering::SeqCst);
+        self.shared.halt.store(true, Ordering::SeqCst);
+        // Taking the lock orders the flag before any parked request's
+        // next check, so none sleeps through it.
+        self.shared.settle(|_| true);
     }
 
     /// Whether a halt was requested.
     pub fn is_halted(&self) -> bool {
-        self.halt.load(Ordering::SeqCst)
+        self.shared.halted()
     }
 }
 
@@ -226,7 +280,8 @@ impl Coordinator {
             cfg,
             db,
             state: Mutex::new(state),
-            halt: Arc::new(AtomicBool::new(false)),
+            wake: Condvar::new(),
+            halt: AtomicBool::new(false),
         });
         Ok(Coordinator { listener, shared })
     }
@@ -243,7 +298,7 @@ impl Coordinator {
     /// A cloneable stop switch for handing this coordinator's role to a
     /// standby; see [`HaltHandle`].
     pub fn halt_handle(&self) -> HaltHandle {
-        HaltHandle { halt: Arc::clone(&self.shared.halt) }
+        HaltHandle { shared: Arc::clone(&self.shared) }
     }
 
     /// Accepts workers and brokers shards until every shard is done (or
@@ -261,6 +316,7 @@ impl Coordinator {
         let _span = mhe_obs::span(mhe_obs::Phase::Fleet);
         let mut handlers = Vec::new();
         let mut admit = |stream| {
+            reap_finished(&mut handlers);
             let shared = Arc::clone(&self.shared);
             // Per-worker failures end that worker only.
             handlers.push(std::thread::spawn(move || {
@@ -275,11 +331,11 @@ impl Coordinator {
         };
         let mut saved_done = 0usize;
         let result = loop {
+            // Reclaim leases whose worker stopped renewing without the
+            // TCP layer noticing (hung process, half-open link).
+            let cutoff = self.shared.cfg.lease_timeout;
+            self.shared.reclaim(|lease| lease.renewed.elapsed() > cutoff);
             let (done, stalled) = self.shared.locked(|s| {
-                // Reclaim leases whose worker stopped renewing without
-                // the TCP layer noticing (hung process, half-open link).
-                let cutoff = self.shared.cfg.lease_timeout;
-                s.reclaim(|lease| lease.renewed.elapsed() > cutoff);
                 (s.done.len(), s.last_progress.elapsed() > self.shared.cfg.stall_timeout)
             });
             if let Some(message) = self.shared.aborted() {
@@ -307,7 +363,10 @@ impl Coordinator {
                     "no progress for {:?} with {} of {} shards done",
                     self.shared.cfg.stall_timeout, done, self.shared.cfg.shard_count
                 );
-                self.shared.locked(|s| s.abort = Some(message.clone()));
+                self.shared.settle(|s| {
+                    s.abort = Some(message.clone());
+                    true
+                });
                 break Err(MheError::worker_failed("fleet", message));
             }
             if done > saved_done {
@@ -488,13 +547,14 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 });
             }
             WorkerFrame::ShardDone { shard } => {
-                shared.locked(|s| {
+                shared.settle(|s| {
                     // Accept completion from any worker: even after a
                     // steal, the slow owner's points were all merged.
                     s.leases.remove(&shard);
                     s.pending.retain(|&p| p != shard);
                     s.done.insert(shard);
                     s.last_progress = Instant::now();
+                    true
                 });
             }
             WorkerFrame::Heartbeat => {
@@ -518,43 +578,19 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // Whatever ends this connection, the worker's leases go back in the
     // pool immediately — disconnection is the fast steal path.
     if let Some(id) = worker_id {
-        shared.locked(|s| s.reclaim(|lease| lease.worker == id));
+        shared.reclaim(|lease| lease.worker == id);
     }
     outcome
 }
 
-/// Parks a `NeedShard` request until a shard frees up (sending periodic
-/// `Wait`s), then leases it with its prefill. Returns `false` when the
-/// conversation is over (`NoMoreWork`/`Abort` sent).
+/// Parks a `NeedShard` request until a shard frees up (sending a `Wait`
+/// every [`WAIT_PERIOD`]), then leases it with its prefill. Returns
+/// `false` when the conversation is over (`NoMoreWork`/`Abort` sent, or
+/// halted).
 fn offer_shard(stream: &mut TcpStream, shared: &Shared, worker: u32) -> io::Result<bool> {
-    let mut last_wait = Instant::now();
     loop {
-        if shared.halted() {
-            // Close without a frame; the worker redials the standby.
-            return Ok(false);
-        }
-        if let Some(message) = shared.aborted() {
-            send(stream, &CoordFrame::Abort { message })?;
-            return Ok(false);
-        }
-        enum Next {
-            Assign(u32),
-            Finished,
-            Park,
-        }
-        let next = shared.locked(|s| {
-            if let Some(shard) = s.pending.pop_front() {
-                s.leases.insert(shard, Lease { worker, renewed: Instant::now() });
-                mhe_obs::count(mhe_obs::Counter::ShardLease, 1);
-                Next::Assign(shard)
-            } else if s.done.len() == shared.cfg.shard_count as usize {
-                Next::Finished
-            } else {
-                Next::Park
-            }
-        });
-        match next {
-            Next::Assign(shard) => {
+        match shared.next_offer(worker) {
+            Offer::Assign(shard) => {
                 // Everything already merged for this shard rides along,
                 // so a stolen shard resumes instead of restarting.
                 let prefill: Vec<_> = shared
@@ -566,17 +602,17 @@ fn offer_shard(stream: &mut TcpStream, shared: &Shared, worker: u32) -> io::Resu
                 send(stream, &CoordFrame::Assign { shard, prefill })?;
                 return Ok(true);
             }
-            Next::Finished => {
+            Offer::Finished => {
                 send(stream, &CoordFrame::NoMoreWork)?;
                 return Ok(false);
             }
-            Next::Park => {
-                if last_wait.elapsed() >= WAIT_PERIOD {
-                    send(stream, &CoordFrame::Wait)?;
-                    last_wait = Instant::now();
-                }
-                std::thread::sleep(Duration::from_millis(50));
+            Offer::Abort(message) => {
+                send(stream, &CoordFrame::Abort { message })?;
+                return Ok(false);
             }
+            // Close without a frame; the worker redials the standby.
+            Offer::Halted => return Ok(false),
+            Offer::Wait => send(stream, &CoordFrame::Wait)?,
         }
     }
 }

@@ -32,7 +32,7 @@ use mhe_vliw::ProcessorKind;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -201,28 +201,21 @@ fn attach_once(
         };
         send(&writer, &WorkerFrame::Auth { proof: mhe_core::auth::proof(token, &nonce) })?;
     }
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // Dropping `hb_stop` ends the heartbeat thread at once: its wait
+    // is the channel, not a fixed tick.
+    let (hb_stop, stopped) = mpsc::channel::<()>();
     let hb = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&hb_stop);
         std::thread::spawn(move || {
-            // Short ticks so stopping the thread is cheap; beats go out
-            // once per HEARTBEAT_PERIOD regardless.
-            let mut since_beat = Duration::ZERO;
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(20));
-                since_beat += Duration::from_millis(20);
-                if since_beat >= HEARTBEAT_PERIOD {
-                    since_beat = Duration::ZERO;
-                    if send(&writer, &WorkerFrame::Heartbeat).is_err() {
-                        break; // socket gone; the main thread will notice
-                    }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(HEARTBEAT_PERIOD) {
+                if send(&writer, &WorkerFrame::Heartbeat).is_err() {
+                    break; // socket gone; the main thread will notice
                 }
             }
         })
     };
     let result = drive(&mut reader, &writer, timeout, opts, prepared, outcome);
-    hb_stop.store(true, Ordering::SeqCst);
+    drop(hb_stop);
     let _ = hb.join();
     result
 }

@@ -5,13 +5,22 @@
 //! than one admission slot, so N clients share the gate's in-flight
 //! budget evenly no matter how fast any one of them queues work.
 //!
+//! Each connection has one reader for its whole life. A frontier request
+//! runs on its own thread, which writes the reply the moment the walk
+//! returns; meanwhile the reader keeps reading, so a `Cancel` frame or a
+//! disconnect cancels the sweep and any other frame gets an "already in
+//! flight" error. Both writers share one per-connection lock, and a
+//! frame read after the reply went out is simply the next request. No
+//! reply waits on a timer.
+//!
 //! Shutdown is a *drain*, not a kill: when the drain flag turns on
 //! (programmatically via [`Server::drain_handle`] or by SIGTERM/SIGINT
 //! after [`Server::install_signal_drain`]), the listener stops accepting,
-//! every connection finishes the request it is serving (reads park on a
-//! short timeout and re-check the flag only at frame boundaries), and
-//! [`Server::run`] joins them all before returning — so a supervisor that
-//! SIGTERMs the daemon gets exit 0 and no half-written frames.
+//! every connection finishes the request it is serving (an idle read
+//! wakes on a short timeout to re-check the flag, only at frame
+//! boundaries), and [`Server::run`] joins them all before returning — so
+//! a supervisor that SIGTERMs the daemon gets exit 0 and no half-written
+//! frames.
 
 use super::proto::{
     accept_hello, decode_request, encode_response, write_frame, FrameReader, Refusal, Request,
@@ -20,12 +29,14 @@ use super::proto::{
 use super::EvalService;
 use mhe_core::CancelToken;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{JoinHandle, ScopedJoinHandle};
 use std::time::Duration;
 
-/// How long a connection read parks before re-checking the drain flag.
+/// How often an idle connection's read wakes to re-check the drain flag.
 const DRAIN_POLL: Duration = Duration::from_millis(100);
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
@@ -122,6 +133,7 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
+                    reap_finished(&mut workers);
                     let service = Arc::clone(&self.service);
                     let drain = Arc::clone(&self.drain);
                     let token = self.auth_token.clone();
@@ -143,6 +155,14 @@ impl Server {
         // Drained: persist every scope cache so a restart answers warm.
         self.service.persist_all();
         Ok(())
+    }
+}
+
+/// Joins every handle whose thread has exited, so an accept loop holds
+/// only its live connections instead of one stack per past one.
+pub(crate) fn reap_finished<T>(handles: &mut Vec<JoinHandle<T>>) {
+    for done in handles.extract_if(.., |h| h.is_finished()) {
+        let _ = done.join();
     }
 }
 
@@ -180,31 +200,120 @@ fn serve_connection(
             return Ok(());
         }
     }
-    while let Some(payload) = reader.read_frame(&stop)? {
-        let response = match decode_request(&payload) {
-            Ok(request @ Request::Frontier(_)) => {
-                match serve_frontier(service, &mut reader, &mut stream, request)? {
-                    Some(response) => response,
-                    None => return Ok(()), // client vanished mid-request
+    let outbox = Mutex::new(Outbox { stream, running: None });
+    let lock = || outbox.lock().unwrap_or_else(PoisonError::into_inner);
+    std::thread::scope(|scope| {
+        // The thread of the latest frontier request, joined once its
+        // reply is out and the next request arrives.
+        let mut flight: Option<ScopedJoinHandle<'_, ()>> = None;
+        loop {
+            // Drain stops only an idle connection: a running request
+            // finishes and replies first.
+            let payload = match reader.read_frame(&|| stop() && lock().running.is_none()) {
+                Ok(Some(payload)) => payload,
+                end => {
+                    // EOF or a dead socket while a request runs: its reply
+                    // is undeliverable, so cancel it (disconnect-cancel).
+                    if let Some(cancel) = lock().running.take() {
+                        cancel.cancel();
+                    }
+                    return end.map(drop);
+                }
+            };
+            let request = decode_request(&payload);
+            {
+                let mut out = lock();
+                let out = &mut *out;
+                if let Some(cancel) = &out.running {
+                    if matches!(request, Ok(Request::Cancel)) {
+                        cancel.cancel();
+                    } else if write_frame(&mut out.stream, &encode_response(&busy())).is_err() {
+                        cancel.cancel();
+                        out.running = None;
+                        return Ok(());
+                    }
+                    continue;
                 }
             }
-            Ok(request) => {
-                let mut response = service.respond(request);
-                if let Response::Stats(stats) = &mut response {
-                    // The service knows its counters; only the connection
-                    // knows what features it announced.
-                    stats.features = features;
-                }
-                response
+            if let Some(done) = flight.take() {
+                let _ = done.join();
             }
-            Err(e) => Response::Error {
-                code: mhe_core::EXIT_BAD_CONFIG,
-                message: format!("malformed request: {e}"),
-            },
-        };
-        write_frame(&mut stream, &encode_response(&response))?;
+            let response = match request {
+                Ok(request @ Request::Frontier(_)) => {
+                    let cancel = CancelToken::new();
+                    lock().running = Some(cancel.clone());
+                    let outbox = &outbox;
+                    flight =
+                        Some(scope.spawn(move || reply_frontier(service, request, cancel, outbox)));
+                    continue;
+                }
+                Ok(request) => {
+                    let mut response = service.respond(request);
+                    if let Response::Stats(stats) = &mut response {
+                        // The service knows its counters; only the
+                        // connection knows what features it announced.
+                        stats.features = features;
+                    }
+                    response
+                }
+                Err(e) => Response::Error {
+                    code: mhe_core::EXIT_BAD_CONFIG,
+                    message: format!("malformed request: {e}"),
+                },
+            };
+            write_frame(&mut lock().stream, &encode_response(&response))?;
+        }
+    })
+}
+
+/// The write half of a connection, shared by its reader and the thread
+/// running its frontier request. Every frame the server sends goes out
+/// under this one lock, so a reply and a busy error never interleave.
+struct Outbox {
+    stream: TcpStream,
+    /// The running frontier request's cancel token; taken — under the
+    /// lock, before the reply is written — the moment the request ends.
+    running: Option<CancelToken>,
+}
+
+/// The refusal for a second request while one is running.
+fn busy() -> Response {
+    Response::Error {
+        code: mhe_core::EXIT_BAD_CONFIG,
+        message: "a request is already in flight on this connection".into(),
     }
-    Ok(())
+}
+
+/// Runs one frontier request on its own thread — so the reader keeps
+/// watching for a [`Request::Cancel`] frame or a disconnect, either of
+/// which cancels the sweep at its next task boundary — and writes the
+/// reply the moment it is ready, unless the reader abandoned it.
+fn reply_frontier(
+    service: &EvalService,
+    request: Request,
+    cancel: CancelToken,
+    outbox: &Mutex<Outbox>,
+) {
+    let response = catch_unwind(AssertUnwindSafe(|| {
+        let before = mhe_obs::Snapshot::now();
+        let response = service.respond_with_cancel(request, Some(cancel));
+        if mhe_obs::enabled() {
+            mhe_obs::RunReport::since("mhe-server", mhe_core::parallel::worker_threads(), &before)
+                .emit();
+        }
+        response
+    }))
+    .unwrap_or_else(|_| Response::Error {
+        code: mhe_core::EXIT_WORKER_FAILURE,
+        message: "request thread panicked".into(),
+    });
+    let mut out = outbox.lock().unwrap_or_else(PoisonError::into_inner);
+    if out.running.take().is_some()
+        && write_frame(&mut out.stream, &encode_response(&response)).is_err()
+    {
+        // Close both halves so the reader ends the connection too.
+        let _ = out.stream.shutdown(Shutdown::Both);
+    }
 }
 
 /// Challenge/response over the shared token: a fresh nonce out, an HMAC
@@ -239,77 +348,6 @@ fn authenticate(
     Ok(verified)
 }
 
-/// Runs one frontier request on a scoped worker thread while this thread
-/// keeps reading the connection, so a [`Request::Cancel`] frame or a
-/// client disconnect cancels the sweep at its next task boundary (the
-/// admission slot frees as soon as the sweep stops). Returns `Ok(None)`
-/// when the connection died — the response is undeliverable.
-fn serve_frontier(
-    service: &EvalService,
-    reader: &mut FrameReader<TcpStream>,
-    stream: &mut TcpStream,
-    request: Request,
-) -> io::Result<Option<Response>> {
-    let cancel = CancelToken::new();
-    let mut dead = false;
-    let response = std::thread::scope(|scope| {
-        let worker_cancel = cancel.clone();
-        let handle = scope.spawn(move || {
-            let before = mhe_obs::Snapshot::now();
-            let response = service.respond_with_cancel(request, Some(worker_cancel));
-            if mhe_obs::enabled() {
-                mhe_obs::RunReport::since(
-                    "mhe-server",
-                    mhe_core::parallel::worker_threads(),
-                    &before,
-                )
-                .emit();
-            }
-            response
-        });
-        while !handle.is_finished() {
-            // The read timeout is the poll point; drain is deliberately
-            // ignored here — a draining server finishes what it serves.
-            let stop_busy = || handle.is_finished();
-            match reader.read_frame(&stop_busy) {
-                Ok(Some(frame)) => match decode_request(&frame) {
-                    Ok(Request::Cancel) => cancel.cancel(),
-                    _ => {
-                        let busy = Response::Error {
-                            code: mhe_core::EXIT_BAD_CONFIG,
-                            message: "a request is already in flight on this connection".into(),
-                        };
-                        if write_frame(stream, &encode_response(&busy)).is_err() {
-                            dead = true;
-                            cancel.cancel();
-                            break;
-                        }
-                    }
-                },
-                Ok(None) => {
-                    if !handle.is_finished() {
-                        // Clean EOF while the sweep runs: the client hung
-                        // up — disconnect-cancellation.
-                        dead = true;
-                        cancel.cancel();
-                    }
-                    break;
-                }
-                Err(_) => {
-                    dead = true;
-                    cancel.cancel();
-                    break;
-                }
-            }
-        }
-        handle.join().unwrap_or_else(|_| Response::Error {
-            code: mhe_core::EXIT_WORKER_FAILURE,
-            message: "request thread panicked".into(),
-        })
-    });
-    Ok((!dead).then_some(response))
-}
-
 /// Answers an incompatible client with a structured version rejection.
 fn reject_version(stream: &mut TcpStream, client_version: u32) -> io::Result<()> {
     let response = Response::Error {
@@ -319,4 +357,32 @@ fn reject_version(stream: &mut TcpStream, client_version: u32) -> io::Result<()>
         ),
     };
     write_frame(stream, &encode_response(&response))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reap_finished_joins_exited_threads_and_keeps_live_ones() {
+        let (release, gate) = mpsc::channel::<()>();
+        let mut handles: Vec<_> = (0..3).map(|_| std::thread::spawn(|| ())).collect();
+        handles.push(std::thread::spawn(move || {
+            let _ = gate.recv();
+        }));
+        while handles.iter().filter(|h| h.is_finished()).count() < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "the three exited threads are joined");
+        assert!(!handles[0].is_finished(), "the live thread is kept");
+
+        drop(release);
+        while !handles[0].is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert!(handles.is_empty());
+    }
 }

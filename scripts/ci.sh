@@ -66,8 +66,9 @@ timeout 300 cargo test -q --release -p mhe --test chaos_net
 echo "==> chaos smoke (auth gate, client SIGKILL mid-request, coordinator SIGKILL + standby resume; budget: 300 s)"
 timeout 300 ./scripts/chaos_smoke.sh
 
-echo "==> mhe-benchmark: tests, clippy -D warnings, smoke run (public API as the benchmark compiles it)"
+echo "==> mhe-benchmark: fmt, tests, clippy -D warnings, smoke run (public API as the benchmark compiles it)"
 BENCH_MANIFEST=src/bin/mhe-benchmark/Cargo.toml
+cargo fmt --manifest-path "$BENCH_MANIFEST" --check
 cargo test --offline --manifest-path "$BENCH_MANIFEST"
 cargo clippy --offline --manifest-path "$BENCH_MANIFEST" --all-targets -- -D warnings
 cargo run --release --offline --manifest-path "$BENCH_MANIFEST" -- run --seed 1 --smoke

@@ -188,6 +188,34 @@ fn ping_and_stats_round_trip() {
     handle.join().expect("drained serve loop");
 }
 
+/// A warm reply leaves when the walk returns, not when the connection's
+/// idle read next wakes to check for a drain: ten warm frontier requests
+/// on one connection take far less than ten drain polls.
+#[test]
+fn warm_replies_do_not_wait_for_the_drain_poll() {
+    let _serial = common::fault_serial();
+    let (want_text, _) = batch_reference(&spec_text());
+    let (addr, drain, handle) = start_daemon(ServiceLimits::default());
+    let mut client = Client::builder().addr(addr).connect().expect("connect");
+    let cold = client.evaluate(frontier_request(false)).expect("cold walk");
+    assert_eq!(render_frontier(&cold), want_text);
+
+    let started = std::time::Instant::now();
+    for i in 0..10 {
+        let warm = client.evaluate(frontier_request(false)).expect("warm walk");
+        assert_eq!(render_frontier(&warm), want_text, "warm request {i} differs from batch");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(500),
+        "10 warm replies took {took:?}: replies are waiting on a timer"
+    );
+
+    drop(client);
+    drain.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().expect("drained serve loop");
+}
+
 /// Graceful drain: the serve loop joins its connections and returns;
 /// fresh connects are refused afterwards.
 #[test]

@@ -312,3 +312,61 @@ fn coordinator_aborts_a_v1_worker_naming_both_versions() {
     halt.halt();
     assert!(run.join().expect("coordinator thread").is_err(), "a halted sweep is unfinished");
 }
+
+/// A raw fleet worker past the handshake and the `Hello`/`Job` exchange,
+/// for driving lease sequences frame by frame.
+fn raw_worker(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let mut stream = std::net::TcpStream::connect(addr).expect("tcp connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    proto::client_hello(&mut stream, proto::FEATURE_FLEET).expect("handshake");
+    send_worker(&mut stream, &proto::WorkerFrame::Hello);
+    match read_coord(&mut stream) {
+        proto::CoordFrame::Job(_) => stream,
+        other => panic!("expected Job, got {other:?}"),
+    }
+}
+
+fn send_worker(stream: &mut std::net::TcpStream, frame: &proto::WorkerFrame) {
+    let payload = proto::encode_worker_frame(frame).expect("encodable frame");
+    proto::write_frame(stream, &payload).expect("send frame");
+}
+
+fn read_coord(stream: &mut std::net::TcpStream) -> proto::CoordFrame {
+    let payload = proto::read_frame(stream).expect("coordinator frame");
+    proto::decode_coord_frame(&payload).expect("decodable frame")
+}
+
+/// A `NeedShard` parked behind a leased shard is woken by the lease's
+/// reclaim (its holder disconnects) and assigned at once. A park that
+/// slept through the reclaim would answer only when its one-second
+/// `Wait` deadline came round.
+#[test]
+fn parked_need_shard_is_assigned_as_soon_as_the_lease_is_reclaimed() {
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { shard_count: 1, auth_token: None, ..FleetConfig::default() };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+    let run = std::thread::spawn(move || coordinator.run(None));
+
+    let mut holder = raw_worker(addr);
+    send_worker(&mut holder, &proto::WorkerFrame::NeedShard);
+    assert!(matches!(read_coord(&mut holder), proto::CoordFrame::Assign { shard: 0, .. }));
+
+    let mut parked = raw_worker(addr);
+    send_worker(&mut parked, &proto::WorkerFrame::NeedShard);
+    // Let the coordinator park the request behind the held lease.
+    std::thread::sleep(Duration::from_millis(150));
+    let reclaimed = std::time::Instant::now();
+    drop(holder);
+    match read_coord(&mut parked) {
+        proto::CoordFrame::Assign { shard: 0, .. } => {}
+        other => panic!("expected the reclaimed shard, got {other:?}"),
+    }
+    let waited = reclaimed.elapsed();
+    assert!(waited < Duration::from_millis(500), "the reclaimed shard took {waited:?} to reassign");
+
+    send_worker(&mut parked, &proto::WorkerFrame::ShardDone { shard: 0 });
+    let summary = run.join().expect("coordinator thread").expect("the sweep completes");
+    assert_eq!((summary.shards, summary.steals), (1, 1), "{summary:?}");
+}

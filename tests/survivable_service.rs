@@ -357,6 +357,49 @@ fn client_disconnect_cancels_the_sweep_and_frees_the_slot() {
     handle.join().expect("drained serve loop");
 }
 
+/// One reader, one writer lock per connection: a second frontier sent
+/// while the first runs is refused as "already in flight" (the running
+/// walk still answers), a request sent the moment a reply lands is the
+/// next request — served, never refused as busy — and every served
+/// frontier is the batch bytes.
+#[test]
+fn requests_during_a_walk_are_busy_and_right_after_its_reply_are_served() {
+    let _serial = common::fault_serial();
+    let text = common::demo_spec_text("unepic", EVENTS);
+    let (want_render, want_bits) = batch_reference(&text);
+    let (addr, drain, handle) = start_daemon_with(EvalService::new(ServiceLimits::default()), None);
+    let mut stream = raw_session(addr, Duration::from_secs(300));
+
+    // The first request is cold (a reference simulation), so the second
+    // frame lands while it runs.
+    let request = Request::Frontier(frontier_request(&text));
+    send_request(&mut stream, &request);
+    send_request(&mut stream, &request);
+    match read_response(&mut stream) {
+        Response::Error { code, message } => {
+            assert_eq!(code, mhe::core::EXIT_BAD_CONFIG, "{message}");
+            assert!(message.contains("already in flight"), "{message}");
+        }
+        other => panic!("expected the busy refusal first, got {other:?}"),
+    }
+    let first = expect_frontier(read_response(&mut stream));
+    assert_eq!(render_frontier(&first), want_render, "the walk behind the busy refusal differs");
+    assert_eq!(report_bits(&first), want_bits, "the walk behind the busy refusal differs");
+
+    for i in 0..5 {
+        send_request(&mut stream, &request);
+        let next = expect_frontier(read_response(&mut stream));
+        assert_eq!(render_frontier(&next), want_render, "request {i} after a reply differs");
+        assert_eq!(report_bits(&next), want_bits, "request {i} after a reply differs");
+    }
+    send_request(&mut stream, &Request::Ping);
+    assert_eq!(read_response(&mut stream), Response::Pong, "a ping right after a reply");
+
+    drop(stream);
+    drain.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().expect("drained serve loop");
+}
+
 /// The gate itself: a full queue turns `try_admit` into an immediate
 /// `None` (never a block), and dropping a permit reopens the gate.
 #[test]
