@@ -464,8 +464,11 @@ struct StreamOutcome {
     umeasured: HashMap<CacheConfig, u64>,
     passes: Vec<PassMetrics>,
     trace_len: u64,
-    din_bytes: u64,
     chunks: u64,
+    /// Chunks the sampled route's pass B decoded and skipped (0 on the
+    /// exact route).
+    pass_b_chunks: u64,
+    pass_b_skipped: u64,
     decode_wall: Duration,
     sim_wall: Duration,
     model_wall: Duration,
@@ -501,7 +504,6 @@ fn measure_streaming(
         .with_retry(crate::env::RetryPolicy::NONE)
         .with_label("streaming measure");
     let mut trace_len = 0u64;
-    let mut din_bytes = 0u64;
     let mut chunks = 0u64;
     let mut decode_wall = Duration::ZERO;
     let mut sim_wall = Duration::ZERO;
@@ -514,7 +516,6 @@ fn measure_streaming(
             continue;
         }
         trace_len += chunk.len() as u64;
-        din_bytes += din_text_bytes(chunk.iter().copied());
         chunks += 1;
         let sim_start = Instant::now();
         sweep
@@ -572,8 +573,9 @@ fn measure_streaming(
         umeasured,
         passes,
         trace_len,
-        din_bytes,
         chunks,
+        pass_b_chunks: 0,
+        pass_b_skipped: 0,
         decode_wall,
         sim_wall,
         model_wall,
@@ -641,26 +643,91 @@ fn sampled_tasks(
         .collect()
 }
 
-/// Interval-sampled measurement: two passes over the trace plus a
-/// fan-out over the representative windows.
+/// A trace the sampled route reads twice: pass A streams all of it,
+/// pass B copies out the representative windows.
+trait TwoPass {
+    /// Pass A: the next chunk of the whole trace, in order; `Ok(None)`
+    /// at its end.
+    fn next_chunk(&mut self) -> io::Result<Option<Vec<Access>>>;
+
+    /// Pass B: feeds `windows` the chunks that hold window accesses;
+    /// returns how many chunks it decoded.
+    fn fill(&mut self, windows: &mut WindowExtractor) -> io::Result<u64>;
+}
+
+/// A source that cannot seek: pass B streams a fresh copy of the trace
+/// from `reopen` and stops once the last window is complete.
+struct Restream<A, R> {
+    pass_a: A,
+    reopen: R,
+}
+
+impl<A, R, B> TwoPass for Restream<A, R>
+where
+    A: FnMut() -> io::Result<Option<Vec<Access>>>,
+    R: FnMut() -> io::Result<B>,
+    B: FnMut() -> io::Result<Option<Vec<Access>>>,
+{
+    fn next_chunk(&mut self) -> io::Result<Option<Vec<Access>>> {
+        (self.pass_a)()
+    }
+
+    fn fill(&mut self, windows: &mut WindowExtractor) -> io::Result<u64> {
+        let mut next = (self.reopen)()?;
+        let mut decoded = 0;
+        while windows.accesses() < windows.end() {
+            let Some(chunk) = next()? else { break };
+            decoded += 1;
+            windows.feed(&chunk);
+        }
+        Ok(decoded)
+    }
+}
+
+/// An `.mtr` file: pass A indexes its frames, pass B seeks to and
+/// decodes only the frames that overlap a window.
+struct MtrTwoPass<'p> {
+    path: &'p Path,
+    reader: TraceReader<BufReader<File>>,
+}
+
+impl TwoPass for MtrTwoPass<'_> {
+    fn next_chunk(&mut self) -> io::Result<Option<Vec<Access>>> {
+        self.reader.next_frame()
+    }
+
+    fn fill(&mut self, windows: &mut WindowExtractor) -> io::Result<u64> {
+        let mut seeker = TraceReader::new(BufReader::new(File::open(self.path)?))?;
+        let mut decoded = 0;
+        for entry in self.reader.index() {
+            if windows.wants(entry.first, entry.end()) {
+                windows.feed_at(entry.first, &seeker.read_frame_at(entry)?);
+                decoded += 1;
+            }
+        }
+        Ok(decoded)
+    }
+}
+
+/// Interval-sampled measurement: a pass over the trace, a pass over the
+/// representative windows, and a fan-out over those windows.
 ///
-/// Pass A (`pass_a`) streams the whole trace once through the *exact*
-/// AHH modelers and the sampling planner (signatures — a few array
-/// lookups per access). Pass B (`pass_b`) streams the trace again and
-/// merely copies out each representative's warm-up and body, bounded by
-/// `clusters × (interval + warmup)` accesses of memory. The simulation
-/// fan-out then runs one [`SampledSim`] per (stream, line size, policy)
-/// family through the worker pool; family results merge in input order,
-/// so the outcome is bit-identical for any thread count, chunking, or
-/// repetition.
+/// Pass A streams the whole trace once through the *exact* AHH modelers
+/// and the sampling planner (signatures — a few array lookups per
+/// access). Pass B ([`TwoPass::fill`]) copies out each representative's
+/// warm-up and body, bounded by `clusters × (interval + warmup)`
+/// accesses of memory, decoding only the chunks that hold them. The
+/// simulation fan-out then runs one [`SampledSim`] per (stream, line
+/// size, policy) family through the worker pool; family results merge
+/// in input order, so the outcome is bit-identical for any thread
+/// count, chunking, or repetition.
 fn measure_sampled(
     config: &EvalConfig,
     sampling: SamplingConfig,
     icaches: &[CacheConfig],
     dcaches: &[CacheConfig],
     ucaches: &[CacheConfig],
-    pass_a: &mut dyn FnMut() -> io::Result<Option<Vec<Access>>>,
-    pass_b: &mut dyn FnMut() -> io::Result<Option<Vec<Access>>>,
+    source: &mut dyn TwoPass,
 ) -> io::Result<(StreamOutcome, SamplingMetrics)> {
     // --- Pass A: exact modelers + interval signatures. ---
     let mut tasks = vec![
@@ -672,20 +739,18 @@ fn measure_sampled(
         .with_retry(crate::env::RetryPolicy::NONE)
         .with_label("sampled measure");
     let mut trace_len = 0u64;
-    let mut din_bytes = 0u64;
     let mut chunks = 0u64;
     let mut decode_wall = Duration::ZERO;
     let mut sim_wall = Duration::ZERO;
     loop {
         let decode_start = Instant::now();
-        let chunk = pass_a()?;
+        let chunk = source.next_chunk()?;
         decode_wall += decode_start.elapsed();
         let Some(chunk) = chunk else { break };
         if chunk.is_empty() {
             continue;
         }
         trace_len += chunk.len() as u64;
-        din_bytes += din_text_bytes(chunk.iter().copied());
         chunks += 1;
         let sim_start = Instant::now();
         sweep
@@ -722,13 +787,12 @@ fn measure_sampled(
     // --- Pass B: copy out the representative windows (single-threaded;
     // it is a pure range intersection + memcpy). ---
     let mut extractor = WindowExtractor::new(&plan);
-    loop {
-        let decode_start = Instant::now();
-        let chunk = pass_b()?;
-        decode_wall += decode_start.elapsed();
-        let Some(chunk) = chunk else { break };
-        extractor.feed(&chunk);
-    }
+    let decode_start = Instant::now();
+    let pass_b_chunks = source.fill(&mut extractor)?;
+    decode_wall += decode_start.elapsed();
+    let pass_b_skipped = chunks.saturating_sub(pass_b_chunks);
+    mhe_obs::count(mhe_obs::Counter::PassBChunks, pass_b_chunks);
+    mhe_obs::count(mhe_obs::Counter::PassBSkipped, pass_b_skipped);
     let windows = Arc::new(extractor.finish());
 
     // --- Fan-out: one sampled estimator per (stream, line, policy). ---
@@ -770,8 +834,9 @@ fn measure_sampled(
             umeasured,
             passes,
             trace_len,
-            din_bytes,
             chunks,
+            pass_b_chunks,
+            pass_b_skipped,
             decode_wall,
             sim_wall,
             model_wall,
@@ -801,8 +866,9 @@ impl ReferenceEvaluation {
         let reference = Compiled::build(&program, reference_mdes, Some(&freq));
 
         // --- Sampled route: never materialise the trace at all. The
-        // deterministic generator is simply run twice (pass A:
-        // signatures + exact modelers; pass B: window extraction). ---
+        // deterministic generator is simply run again for pass B, up to
+        // the end of the last window (pass A: signatures + exact
+        // modelers; pass B: window extraction). ---
         if let Some(sampling) = config.sampling {
             let (outcome, sampling_metrics) = {
                 let chunk_size = config.chunk_accesses.max(1);
@@ -814,18 +880,9 @@ impl ReferenceEvaluation {
                         Ok(if chunk.is_empty() { None } else { Some(chunk) })
                     }
                 };
-                let mut pass_a = make_pass();
-                let mut pass_b = make_pass();
-                measure_sampled(
-                    &config,
-                    sampling,
-                    icaches,
-                    dcaches,
-                    ucaches,
-                    &mut pass_a,
-                    &mut pass_b,
-                )
-                .expect("in-memory trace source cannot fail")
+                let mut source = Restream { pass_a: make_pass(), reopen: || Ok(make_pass()) };
+                measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)
+                    .expect("in-memory trace source cannot fail")
             };
             return Self::from_outcome(
                 program,
@@ -994,20 +1051,13 @@ impl ReferenceEvaluation {
         if let Some(sampling) = config.sampling {
             let all: Vec<Access> = trace.into_iter().collect();
             let (outcome, sampling_metrics) = {
-                let mut chunks_a = all.chunks(chunk_size);
-                let mut pass_a = move || Ok(chunks_a.next().map(<[Access]>::to_vec));
-                let mut chunks_b = all.chunks(chunk_size);
-                let mut pass_b = move || Ok(chunks_b.next().map(<[Access]>::to_vec));
-                measure_sampled(
-                    &config,
-                    sampling,
-                    icaches,
-                    dcaches,
-                    ucaches,
-                    &mut pass_a,
-                    &mut pass_b,
-                )
-                .expect("in-memory trace source cannot fail")
+                let chunked = || {
+                    let mut chunks = all.chunks(chunk_size);
+                    move || Ok(chunks.next().map(<[Access]>::to_vec))
+                };
+                let mut source = Restream { pass_a: chunked(), reopen: || Ok(chunked()) };
+                measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)
+                    .expect("in-memory trace source cannot fail")
             };
             return Self::from_outcome(
                 program,
@@ -1069,75 +1119,63 @@ impl ReferenceEvaluation {
             }
             Ok(if chunk.is_empty() { None } else { Some(chunk) })
         };
-        let (outcome, sampling_metrics, bytes_read) = match (ext, config.sampling) {
+        let open_din = || -> io::Result<_> {
+            Ok(read_din_iter_named(BufReader::new(File::open(path)?), path.display().to_string()))
+        };
+        // Pass A's `din`-text size of what it decoded: the `.mtr` reader
+        // counts it as it decodes; `din` text counts it here.
+        let mut din_bytes = 0u64;
+        let mut din_pass_a = |lines: &mut dyn Iterator<Item = io::Result<Access>>| {
+            let chunk = din_chunk(lines)?;
+            if let Some(chunk) = &chunk {
+                din_bytes += din_text_bytes(chunk.iter().copied());
+            }
+            Ok(chunk)
+        };
+        let (outcome, sampling_metrics, bytes_read, din_bytes) = match (ext, config.sampling) {
             ("mtr", None) => {
                 let mut reader = TraceReader::new(BufReader::new(File::open(path)?))?;
                 let outcome = {
                     let mut next = || reader.next_frame();
                     measure_streaming(&config, icaches, dcaches, ucaches, &mut next)?
                 };
-                let bytes = reader.stats().bytes;
-                (outcome, None, bytes)
+                let stats = reader.stats();
+                (outcome, None, stats.bytes, stats.din_bytes)
             }
             ("mtr", Some(sampling)) => {
-                // Sampling's two passes re-open the file: the trace still
-                // never lives in memory, only the representative windows.
-                let mut reader_a = TraceReader::new(BufReader::new(File::open(path)?))?;
-                let mut reader_b = TraceReader::new(BufReader::new(File::open(path)?))?;
-                let (outcome, sm) = {
-                    let mut pass_a = || reader_a.next_frame();
-                    let mut pass_b = || reader_b.next_frame();
-                    measure_sampled(
-                        &config,
-                        sampling,
-                        icaches,
-                        dcaches,
-                        ucaches,
-                        &mut pass_a,
-                        &mut pass_b,
-                    )?
-                };
-                let bytes = reader_a.stats().bytes;
-                (outcome, Some(sm), bytes)
+                // The trace never lives in memory, only the representative
+                // windows; pass B re-opens the file and seeks to the
+                // frames that hold them.
+                let reader = TraceReader::new(BufReader::new(File::open(path)?))?.with_index();
+                let mut source = MtrTwoPass { path, reader };
+                let (outcome, sm) =
+                    measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)?;
+                let stats = source.reader.stats();
+                (outcome, Some(sm), stats.bytes, stats.din_bytes)
             }
             ("din", None) => {
-                let mut lines = read_din_iter_named(
-                    BufReader::new(File::open(path)?),
-                    path.display().to_string(),
-                );
+                let mut lines = open_din()?;
                 let outcome = {
-                    let mut next = || din_chunk(&mut lines);
+                    let mut next = || din_pass_a(&mut lines);
                     measure_streaming(&config, icaches, dcaches, ucaches, &mut next)?
                 };
                 // din is the uncompressed baseline: what we read is the
                 // text itself.
-                let bytes = outcome.din_bytes;
-                (outcome, None, bytes)
+                (outcome, None, din_bytes, din_bytes)
             }
             ("din", Some(sampling)) => {
-                let mut lines_a = read_din_iter_named(
-                    BufReader::new(File::open(path)?),
-                    path.display().to_string(),
-                );
-                let mut lines_b = read_din_iter_named(
-                    BufReader::new(File::open(path)?),
-                    path.display().to_string(),
-                );
                 let (outcome, sm) = {
-                    let mut pass_a = || din_chunk(&mut lines_a);
-                    let mut pass_b = || din_chunk(&mut lines_b);
-                    measure_sampled(
-                        &config,
-                        sampling,
-                        icaches,
-                        dcaches,
-                        ucaches,
-                        &mut pass_a,
-                        &mut pass_b,
-                    )?
+                    let mut lines = open_din()?;
+                    let mut source = Restream {
+                        pass_a: || din_pass_a(&mut lines),
+                        reopen: || {
+                            let mut lines = open_din()?;
+                            Ok(move || din_chunk(&mut lines))
+                        },
+                    };
+                    measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)?
                 };
-                let bytes = outcome.din_bytes;
-                (outcome, Some(sm), bytes)
+                (outcome, Some(sm), din_bytes, din_bytes)
             }
             (other, _) => {
                 return Err(io::Error::new(
@@ -1149,8 +1187,10 @@ impl ReferenceEvaluation {
         let replay = ReplayMetrics {
             bytes_read,
             accesses: outcome.trace_len,
-            din_bytes: outcome.din_bytes,
+            din_bytes,
             chunks: outcome.chunks,
+            pass_b_chunks: outcome.pass_b_chunks,
+            pass_b_skipped: outcome.pass_b_skipped,
             decode_wall: outcome.decode_wall,
         };
         Ok(Self::from_outcome(

@@ -51,8 +51,15 @@ pub struct ReplayMetrics {
     /// Size of the same access stream as `din` text, for the compression
     /// ratio.
     pub din_bytes: u64,
-    /// Chunks the stream was replayed in.
+    /// Chunks the stream was replayed in (`.mtr` frames, or `din` chunks
+    /// of `EvalConfig::chunk_accesses`).
     pub chunks: u64,
+    /// Chunks a sampled replay's second pass decoded to copy out the
+    /// representative windows; 0 for an exact replay.
+    pub pass_b_chunks: u64,
+    /// Chunks a sampled replay's second pass skipped because no window
+    /// needed them; 0 for an exact replay.
+    pub pass_b_skipped: u64,
     /// Wall time spent reading and decoding (excludes simulation).
     pub decode_wall: Duration,
 }
@@ -100,7 +107,16 @@ impl std::fmt::Display for ReplayMetrics {
             self.compression_ratio(),
             self.decode_accesses_per_second() / 1e6,
             self.decode_mb_per_second(),
-        )
+        )?;
+        if self.pass_b_chunks + self.pass_b_skipped > 0 {
+            write!(
+                f,
+                ", pass B decoded {} of {} chunks",
+                self.pass_b_chunks,
+                self.pass_b_chunks + self.pass_b_skipped
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -271,7 +287,12 @@ impl EvalMetrics {
                 bytes: 0,
             });
         }
-        RunReport { label: label.into(), threads: self.threads, phases, counters: Vec::new() }
+        let mut counters = Vec::new();
+        if let Some(replay) = self.replay.filter(|r| r.pass_b_chunks + r.pass_b_skipped > 0) {
+            counters.push((mhe_obs::Counter::PassBChunks.name(), replay.pass_b_chunks));
+            counters.push((mhe_obs::Counter::PassBSkipped.name(), replay.pass_b_skipped));
+        }
+        RunReport { label: label.into(), threads: self.threads, phases, counters }
     }
 }
 
@@ -368,6 +389,7 @@ mod tests {
             din_bytes: 8_000,
             chunks: 4,
             decode_wall: Duration::from_millis(100),
+            ..Default::default()
         };
         assert!((r.compression_ratio() - 8.0).abs() < 1e-9);
         assert!((r.decode_accesses_per_second() - 5_000.0).abs() < 1e-6);
@@ -412,6 +434,20 @@ mod tests {
         let r = replayed.run_report("replay");
         let names: Vec<&str> = r.phases.iter().map(|p| p.phase).collect();
         assert_eq!(names, vec!["decode", "simulate", "model"]);
+        assert!(r.counters.is_empty(), "an exact replay has no second pass");
+
+        let sampled = EvalMetrics {
+            replay: replayed.replay.map(|r| ReplayMetrics {
+                pass_b_chunks: 3,
+                pass_b_skipped: 9,
+                ..r
+            }),
+            ..replayed
+        };
+        let r = sampled.run_report("sampled");
+        assert_eq!(r.counters, vec![("pass_b_chunks", 3), ("pass_b_skipped", 9)]);
+        assert!(r.to_json_line().contains("\"pass_b_skipped\":9"), "{}", r.to_json_line());
+        assert!(format!("{sampled}").contains("pass B decoded 3 of 12 chunks"), "{sampled}");
     }
 
     #[test]

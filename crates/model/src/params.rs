@@ -77,12 +77,13 @@ pub(crate) struct GranuleStats {
     pub run_len: u64,
 }
 
-/// Analyzes one granule's unique addresses (sorted in place).
-pub(crate) fn analyze_granule(addrs: &mut Vec<u64>) -> GranuleStats {
+/// Run statistics of one granule's unique addresses, which `addrs`
+/// holds exactly once each; sorts them in place. `references` is the
+/// granule's raw reference count, reported to `mhe-obs`.
+fn analyze_unique(addrs: &mut [u64], references: u64) -> GranuleStats {
     let _obs = mhe_obs::span(mhe_obs::Phase::Model);
-    mhe_obs::add_events(mhe_obs::Phase::Model, addrs.len() as u64);
+    mhe_obs::add_events(mhe_obs::Phase::Model, references);
     addrs.sort_unstable();
-    addrs.dedup();
     let mut stats = GranuleStats { unique: addrs.len() as u64, ..Default::default() };
     let mut i = 0;
     while i < addrs.len() {
@@ -100,6 +101,112 @@ pub(crate) fn analyze_granule(addrs: &mut Vec<u64>) -> GranuleStats {
         i = j;
     }
     stats
+}
+
+/// One slot of a [`GranuleSet`]: an address, live while its stamp is the
+/// set's current generation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    addr: u64,
+    stamp: u32,
+}
+
+/// The distinct addresses of one granule, collected as they arrive.
+///
+/// An open-addressing hash set whose slots carry a generation stamp:
+/// starting the next granule bumps the generation, which empties every
+/// slot at once without touching the table. The table grows with the
+/// granule's *unique* count (kept at most half full), not with its
+/// reference count, so a modeler sorts only the unique addresses.
+#[derive(Debug, Clone)]
+struct GranuleSet {
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the hash keeps the top bits.
+    shift: u32,
+    stamp: u32,
+    unique: Vec<u64>,
+    references: u64,
+}
+
+impl GranuleSet {
+    const MIN_SLOTS: usize = 1 << 10;
+
+    fn new() -> Self {
+        Self {
+            slots: vec![Slot::default(); Self::MIN_SLOTS],
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+            stamp: 1,
+            unique: Vec::new(),
+            references: 0,
+        }
+    }
+
+    /// Fibonacci hashing: sequential addresses scatter across the table.
+    fn home(&self, addr: u64) -> usize {
+        (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Records one reference.
+    #[inline]
+    fn insert(&mut self, addr: u64) {
+        self.references += 1;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(addr);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                *slot = Slot { addr, stamp: self.stamp };
+                self.unique.push(addr);
+                if self.unique.len() * 2 > self.slots.len() {
+                    self.grow();
+                }
+                return;
+            }
+            if slot.addr == addr {
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the table and re-inserts this granule's addresses.
+    fn grow(&mut self) {
+        let len = self.slots.len() * 2;
+        self.slots = vec![Slot::default(); len];
+        self.shift = 64 - len.trailing_zeros();
+        self.stamp = 1;
+        let mask = len - 1;
+        for k in 0..self.unique.len() {
+            let addr = self.unique[k];
+            let mut i = self.home(addr);
+            while self.slots[i].stamp == self.stamp {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = Slot { addr, stamp: self.stamp };
+        }
+    }
+
+    /// Analyzes the granule collected so far and starts the next one.
+    fn finish_granule(&mut self) -> GranuleStats {
+        let stats = analyze_unique(&mut self.unique, self.references);
+        self.unique.clear();
+        self.references = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // The generation wrapped: slots stamped long ago would look
+            // live again, so empty the table for real once.
+            self.slots.fill(Slot::default());
+            self.stamp = 1;
+        }
+        stats
+    }
+
+    /// Jumps the generation to `stamp`, so tests can force a wrap.
+    #[cfg(test)]
+    fn with_stamp(mut self, stamp: u32) -> Self {
+        self.stamp = stamp;
+        self
+    }
 }
 
 /// Accumulates per-granule averages.
@@ -144,7 +251,7 @@ impl ParamAccum {
 pub struct ITraceModeler {
     granule: usize,
     seen: usize,
-    addrs: Vec<u64>,
+    addrs: GranuleSet,
     accum: ParamAccum,
 }
 
@@ -156,17 +263,15 @@ impl ITraceModeler {
     /// Panics if `granule == 0`.
     pub fn new(granule: usize) -> Self {
         assert!(granule > 0, "granule size must be positive");
-        Self { granule, seen: 0, addrs: Vec::with_capacity(granule), accum: ParamAccum::default() }
+        Self { granule, seen: 0, addrs: GranuleSet::new(), accum: ParamAccum::default() }
     }
 
     /// Processes one reference.
     pub fn process(&mut self, addr: u64) {
-        self.addrs.push(addr);
+        self.addrs.insert(addr);
         self.seen += 1;
         if self.seen == self.granule {
-            let stats = analyze_granule(&mut self.addrs);
-            self.accum.add(stats);
-            self.addrs.clear();
+            self.accum.add(self.addrs.finish_granule());
             self.seen = 0;
         }
     }
@@ -195,13 +300,13 @@ pub struct UnifiedParams {
 
 /// Streaming modeler for a unified trace (the paper's `UtraceModeler`):
 /// granule boundaries fall every `granule` *total* references, but the
-/// instruction and data addresses are sorted and analyzed separately.
+/// instruction and data addresses are collected and analyzed separately.
 #[derive(Debug, Clone)]
 pub struct UTraceModeler {
     granule: usize,
     seen: usize,
-    iaddrs: Vec<u64>,
-    daddrs: Vec<u64>,
+    iaddrs: GranuleSet,
+    daddrs: GranuleSet,
     iaccum: ParamAccum,
     daccum: ParamAccum,
 }
@@ -217,8 +322,8 @@ impl UTraceModeler {
         Self {
             granule,
             seen: 0,
-            iaddrs: Vec::new(),
-            daddrs: Vec::new(),
+            iaddrs: GranuleSet::new(),
+            daddrs: GranuleSet::new(),
             iaccum: ParamAccum::default(),
             daccum: ParamAccum::default(),
         }
@@ -227,15 +332,13 @@ impl UTraceModeler {
     /// Processes one access.
     pub fn process(&mut self, access: Access) {
         match access.kind {
-            AccessKind::Inst => self.iaddrs.push(access.addr),
-            AccessKind::Load | AccessKind::Store => self.daddrs.push(access.addr),
+            AccessKind::Inst => self.iaddrs.insert(access.addr),
+            AccessKind::Load | AccessKind::Store => self.daddrs.insert(access.addr),
         }
         self.seen += 1;
         if self.seen == self.granule {
-            self.iaccum.add(analyze_granule(&mut self.iaddrs));
-            self.daccum.add(analyze_granule(&mut self.daddrs));
-            self.iaddrs.clear();
-            self.daddrs.clear();
+            self.iaccum.add(self.iaddrs.finish_granule());
+            self.daccum.add(self.daddrs.finish_granule());
             self.seen = 0;
         }
     }
@@ -258,11 +361,165 @@ impl UTraceModeler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sort-everything granule analysis the dedup set replaced: the
+    /// reference the modelers must match bit for bit.
+    fn reference_stats(refs: &[u64]) -> GranuleStats {
+        let mut addrs = refs.to_vec();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let mut stats = GranuleStats { unique: addrs.len() as u64, ..Default::default() };
+        let mut i = 0;
+        while i < addrs.len() {
+            let mut j = i + 1;
+            while j < addrs.len() && addrs[j] == addrs[j - 1] + 1 {
+                j += 1;
+            }
+            let len = (j - i) as u64;
+            if len == 1 {
+                stats.isolated += 1;
+            } else {
+                stats.runs += 1;
+                stats.run_len += len;
+            }
+            i = j;
+        }
+        stats
+    }
+
+    fn dedup_stats(mut set: GranuleSet, refs: &[u64]) -> GranuleStats {
+        for &a in refs {
+            set.insert(a);
+        }
+        assert_eq!(set.references, refs.len() as u64, "Phase::Model counts raw references");
+        set.finish_granule()
+    }
+
+    /// Reference `ITraceModeler`: sort every complete granule.
+    fn reference_iparams(trace: &[u64], granule: usize) -> TraceParams {
+        let mut accum = ParamAccum::default();
+        for g in trace.chunks_exact(granule) {
+            accum.add(reference_stats(g));
+        }
+        accum.finish()
+    }
+
+    /// Reference `UTraceModeler`: sort every complete granule's
+    /// instruction and data components.
+    fn reference_uparams(trace: &[Access], granule: usize) -> UnifiedParams {
+        let (mut iaccum, mut daccum) = (ParamAccum::default(), ParamAccum::default());
+        for g in trace.chunks_exact(granule) {
+            let (i, d): (Vec<Access>, Vec<Access>) =
+                g.iter().partition(|a| a.kind == AccessKind::Inst);
+            iaccum.add(reference_stats(&i.iter().map(|a| a.addr).collect::<Vec<_>>()));
+            daccum.add(reference_stats(&d.iter().map(|a| a.addr).collect::<Vec<_>>()));
+        }
+        UnifiedParams { inst: iaccum.finish(), data: daccum.finish() }
+    }
+
+    fn bits(p: TraceParams) -> [u64; 3] {
+        [p.u1.to_bits(), p.p1.to_bits(), p.lav.to_bits()]
+    }
+
+    /// Addresses with duplicates, runs and both extremes of the space.
+    fn addr() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..48,
+            4000u64..4400,
+            Just(0u64),
+            Just(u64::MAX),
+            Just(u64::MAX - 1),
+            0u64..u64::MAX,
+        ]
+    }
+
+    fn access() -> impl Strategy<Value = Access> {
+        (addr(), 0u8..3).prop_map(|(a, k)| match k {
+            0 => Access::inst(a),
+            1 => Access::load(a),
+            _ => Access::store(a),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dedup_granules_match_sorting_everything(
+            refs in prop::collection::vec(addr(), 0..3000),
+        ) {
+            prop_assert_eq!(dedup_stats(GranuleSet::new(), &refs), reference_stats(&refs));
+        }
+
+        #[test]
+        fn dedup_imodeler_is_bit_identical(
+            trace in prop::collection::vec(addr(), 0..2500),
+            granule in 1usize..700,
+        ) {
+            let mut m = ITraceModeler::new(granule);
+            for &a in &trace {
+                m.process(a);
+            }
+            prop_assert_eq!(bits(m.finish()), bits(reference_iparams(&trace, granule)));
+        }
+
+        #[test]
+        fn dedup_umodeler_is_bit_identical(
+            trace in prop::collection::vec(access(), 0..2500),
+            granule in 1usize..700,
+        ) {
+            let got = UTraceModeler::measure(trace.iter().copied(), granule);
+            let want = reference_uparams(&trace, granule);
+            prop_assert_eq!(bits(got.inst), bits(want.inst));
+            prop_assert_eq!(bits(got.data), bits(want.data));
+        }
+
+        #[test]
+        fn dedup_survives_a_generation_wrap(
+            trace in prop::collection::vec(addr(), 0..400),
+            granule in 1usize..40,
+            before_wrap in 0u32..6,
+        ) {
+            // Stale slots from before the wrap must not read as live.
+            let mut m = ITraceModeler {
+                addrs: GranuleSet::new().with_stamp(u32::MAX - before_wrap),
+                ..ITraceModeler::new(granule)
+            };
+            for &a in &trace {
+                m.process(a);
+            }
+            prop_assert_eq!(bits(m.finish()), bits(reference_iparams(&trace, granule)));
+        }
+    }
+
+    #[test]
+    fn granule_of_one_and_wrap_with_growth() {
+        let trace: Vec<u64> = vec![0, u64::MAX, 0, 7, 7, u64::MAX - 1];
+        let mut m = ITraceModeler::new(1);
+        trace.iter().for_each(|&a| m.process(a));
+        assert_eq!(bits(m.finish()), bits(reference_iparams(&trace, 1)));
+        // Grow the table first (growth restarts the generation), then
+        // wrap the generation with stale slots from the grown table.
+        let granule = |g: u64| -> Vec<u64> { (0..3000).map(|i| (i * 7 + g) % 2500).collect() };
+        let mut set = GranuleSet::new();
+        assert_eq!(dedup_stats(set.clone(), &granule(0)), reference_stats(&granule(0)));
+        granule(0).iter().for_each(|&a| set.insert(a));
+        set.finish_granule();
+        assert!(set.slots.len() > GranuleSet::MIN_SLOTS);
+        let mut set = set.with_stamp(u32::MAX - 1);
+        for g in 1..5 {
+            let refs = granule(g);
+            refs.iter().for_each(|&a| set.insert(a));
+            assert_eq!(set.finish_granule(), reference_stats(&refs), "granule {g}");
+        }
+        assert_eq!(set.stamp, 3, "the generation wrapped once");
+    }
 
     #[test]
     fn granule_analysis_identifies_runs_and_isolates() {
-        let mut addrs = vec![10, 11, 12, 20, 30, 31, 12, 11];
-        let g = analyze_granule(&mut addrs);
+        let g = reference_stats(&[10, 11, 12, 20, 30, 31, 12, 11]);
+        assert_eq!(g, dedup_stats(GranuleSet::new(), &[10, 11, 12, 20, 30, 31, 12, 11]));
         assert_eq!(g.unique, 6);
         assert_eq!(g.isolated, 1); // 20
         assert_eq!(g.runs, 2); // 10-12 and 30-31

@@ -251,11 +251,17 @@ pub enum Counter {
     FleetPoints,
     /// Warm daemon sessions evicted by the TTL/LRU bound.
     SessionEvict,
+    /// Trace chunks (`.mtr` frames) a sampled build's second pass
+    /// decoded to copy out its representative windows.
+    PassBChunks,
+    /// Trace chunks a sampled build's second pass skipped: no window
+    /// needed them.
+    PassBSkipped,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 14] = [
+    pub const ALL: [Counter; 16] = [
         Counter::DbHit,
         Counter::DbMiss,
         Counter::DbPersistBytes,
@@ -270,6 +276,8 @@ impl Counter {
         Counter::ShardSteal,
         Counter::FleetPoints,
         Counter::SessionEvict,
+        Counter::PassBChunks,
+        Counter::PassBSkipped,
     ];
 
     /// The counter's snake_case report name.
@@ -289,6 +297,8 @@ impl Counter {
             Counter::ShardSteal => "shard_steal",
             Counter::FleetPoints => "fleet_points",
             Counter::SessionEvict => "session_evict",
+            Counter::PassBChunks => "pass_b_chunks",
+            Counter::PassBSkipped => "pass_b_skipped",
         }
     }
 }

@@ -29,11 +29,16 @@
 //! # Pipeline
 //!
 //! ```text
-//! pass A (whole trace, cheap):  split -> signatures        [SamplePlanner]
-//! plan   (tiny):                k-means -> representatives  [SamplePlan]
-//! pass B (whole trace, copy):   extract warm-up + body      [WindowExtractor]
-//! simulate (representatives):   exact grid or histogram     [SampledSim]
+//! pass A (whole trace, cheap):   split -> signatures        [SamplePlanner]
+//! plan   (tiny):                 k-means -> representatives  [SamplePlan]
+//! pass B (windows only, copy):   extract warm-up + body      [WindowExtractor]
+//! simulate (representatives):    exact grid or histogram     [SampledSim]
 //! ```
+//!
+//! Pass B reads only what the windows need. A source that can seek
+//! (an `.mtr` file, whose self-contained frames pass A indexed) decodes
+//! just the frames that overlap a window; one that cannot re-streams
+//! from the start and stops after the last window ends.
 //!
 //! # Quick start
 //!

@@ -5,10 +5,14 @@
 //! it into intervals and computing signatures — O(#intervals) memory.
 //! The finished [`SamplePlan`] clusters the signatures and names one
 //! representative interval per cluster. Pass B ([`WindowExtractor`])
-//! runs over the trace again and keeps only each representative's
-//! warm-up prefix and body — O(clusters × (interval + warmup)) memory,
-//! independent of trace length. Both passes accept arbitrary chunking
-//! and produce identical results for identical traces.
+//! keeps only each representative's warm-up prefix and body —
+//! O(clusters × (interval + warmup)) memory, independent of trace
+//! length — and reads only what it keeps: a source that can seek hands
+//! it just the chunks that overlap a window
+//! ([`WindowExtractor::wants`], [`WindowExtractor::feed_at`]); one that
+//! cannot re-streams from the start and stops at
+//! [`WindowExtractor::end`]. Both passes accept arbitrary chunking and
+//! produce identical results for identical traces.
 
 use crate::kmeans::kmeans;
 use crate::signature::{ProbeCounts, Signature, SignatureProbe};
@@ -256,7 +260,7 @@ struct WindowSpec {
     end: u64,
 }
 
-/// Pass B: re-stream the trace and keep only representative windows.
+/// Pass B: keep only the representative windows of the trace.
 #[derive(Debug, Clone)]
 pub struct WindowExtractor {
     specs: Vec<WindowSpec>,
@@ -284,9 +288,18 @@ impl WindowExtractor {
         Self { specs, windows, pos: 0 }
     }
 
-    /// Feeds one chunk; O(clusters) range intersections per chunk.
+    /// Feeds the next chunk of a sequential pass; O(clusters) range
+    /// intersections per chunk.
     pub fn feed(&mut self, chunk: &[Access]) {
-        let lo = self.pos;
+        self.feed_at(self.pos, chunk);
+    }
+
+    /// Feeds a chunk whose first access has global index `first`.
+    /// Chunks must arrive in trace order without overlap; a gap between
+    /// them must hold no access that [`WindowExtractor::wants`].
+    pub fn feed_at(&mut self, first: u64, chunk: &[Access]) {
+        debug_assert!(first >= self.pos, "chunks must arrive in trace order");
+        let lo = first;
         let hi = lo + chunk.len() as u64;
         for (spec, win) in self.specs.iter().zip(self.windows.iter_mut()) {
             let warm_lo = spec.warm_start.max(lo);
@@ -305,7 +318,19 @@ impl WindowExtractor {
         self.pos = hi;
     }
 
-    /// Accesses fed so far.
+    /// Whether any window needs an access with global index in
+    /// `lo..hi`.
+    pub fn wants(&self, lo: u64, hi: u64) -> bool {
+        self.specs.iter().any(|s| s.warm_start < hi && lo < s.end)
+    }
+
+    /// One past the last access any window needs (0 for an empty plan):
+    /// a sequential pass is complete once it has fed this many.
+    pub fn end(&self) -> u64 {
+        self.specs.iter().map(|s| s.end).max().unwrap_or(0)
+    }
+
+    /// One past the global index of the last access fed so far.
     pub fn accesses(&self) -> u64 {
         self.pos
     }
@@ -403,6 +428,34 @@ mod tests {
         let (plan, whole) = plan_trace(&t, cfg(1024, 5, 300));
         let mut ex = WindowExtractor::new(&plan);
         for chunk in t.chunks(97) {
+            ex.feed(chunk);
+        }
+        assert_eq!(ex.finish(), whole);
+    }
+
+    #[test]
+    fn feeding_only_wanted_chunks_extracts_the_same_windows() {
+        let t = phased_trace(30_000);
+        let (plan, whole) = plan_trace(&t, cfg(1024, 4, 700));
+        let mut ex = WindowExtractor::new(&plan);
+        let mut fed = 0;
+        for (i, chunk) in t.chunks(331).enumerate() {
+            let first = (i * 331) as u64;
+            if ex.wants(first, first + chunk.len() as u64) {
+                ex.feed_at(first, chunk);
+                fed += 1;
+            }
+        }
+        assert!(fed < t.len().div_ceil(331), "a 4-cluster plan skips chunks");
+        assert!(ex.accesses() <= ex.end());
+        assert_eq!(ex.finish(), whole);
+
+        // A sequential pass may stop at `end`.
+        let mut ex = WindowExtractor::new(&plan);
+        for chunk in t.chunks(331) {
+            if ex.accesses() >= ex.end() {
+                break;
+            }
             ex.feed(chunk);
         }
         assert_eq!(ex.finish(), whole);

@@ -30,7 +30,17 @@ pub const PROBE_LINE_WORDS: u32 = 8;
 pub const PROBE_LINE_WORDS_WIDE: u32 = 16;
 
 /// Direct-mapped probe sizes, in lines (powers of two; 512 B..128 KiB).
+/// Ascending: [`SignatureProbe::observe`] relies on it to stop a ladder
+/// at its first hit.
 pub const PROBE_LINES: [usize; 5] = [16, 64, 256, 1024, 4096];
+
+const _: () = {
+    let mut i = 1;
+    while i < PROBE_LINES.len() {
+        assert!(PROBE_LINES[i - 1] < PROBE_LINES[i] && PROBE_LINES[i].is_power_of_two());
+        i += 1;
+    }
+};
 
 const EMPTY: u64 = u64::MAX;
 
@@ -191,6 +201,14 @@ impl SignatureProbe {
     }
 
     /// Observes one access of the current interval.
+    ///
+    /// Each ladder's filters share a line size, are indexed by mask and
+    /// are reset together, so a smaller filter's content is always
+    /// contained in every larger one (set-refinement inclusion): a hit
+    /// at one size is a hit at all larger sizes. Each ladder is walked
+    /// from the smallest filter and stops at its first hit; the filters
+    /// it skips already hold the block, so the counts are exactly those
+    /// of probing every filter.
     #[inline]
     pub fn observe(&mut self, access: Access) {
         self.len += 1;
@@ -200,42 +218,19 @@ impl SignatureProbe {
             AccessKind::Store => 2,
         };
         self.counts.kinds[kind] += 1;
+        let side = usize::from(kind != 0);
         let block = access.addr / u64::from(PROBE_LINE_WORDS);
-        for (tags, misses) in self.tags.iter_mut().zip(self.counts.probe_misses_unified.iter_mut())
-        {
-            // Probe sizes are powers of two: index by mask.
-            let slot = (block & (tags.len() as u64 - 1)) as usize;
-            if tags[slot] != block {
-                tags[slot] = block;
-                *misses += 1;
-            }
-        }
-        let split = &mut self.split_tags[usize::from(kind != 0)];
-        for (tags, misses) in split.iter_mut().zip(self.counts.probe_misses.iter_mut()) {
-            let slot = (block & (tags.len() as u64 - 1)) as usize;
-            if tags[slot] != block {
-                tags[slot] = block;
-                misses[kind] += 1;
-            }
-        }
+        probe_ladder(&mut self.tags, block, |size| self.counts.probe_misses_unified[size] += 1);
+        probe_ladder(&mut self.split_tags[side], block, |size| {
+            self.counts.probe_misses[size][kind] += 1
+        });
         let wide = access.addr / u64::from(PROBE_LINE_WORDS_WIDE);
-        for (tags, misses) in
-            self.tags_wide.iter_mut().zip(self.counts.probe_misses_unified_wide.iter_mut())
-        {
-            let slot = (wide & (tags.len() as u64 - 1)) as usize;
-            if tags[slot] != wide {
-                tags[slot] = wide;
-                *misses += 1;
-            }
-        }
-        let split = &mut self.split_tags_wide[usize::from(kind != 0)];
-        for (tags, misses) in split.iter_mut().zip(self.counts.probe_misses_wide.iter_mut()) {
-            let slot = (wide & (tags.len() as u64 - 1)) as usize;
-            if tags[slot] != wide {
-                tags[slot] = wide;
-                misses[kind] += 1;
-            }
-        }
+        probe_ladder(&mut self.tags_wide, wide, |size| {
+            self.counts.probe_misses_unified_wide[size] += 1
+        });
+        probe_ladder(&mut self.split_tags_wide[side], wide, |size| {
+            self.counts.probe_misses_wide[size][kind] += 1
+        });
     }
 
     /// Accesses observed since the last [`SignatureProbe::finish`].
@@ -269,6 +264,22 @@ impl SignatureProbe {
     }
 }
 
+/// Looks `block` up in one ladder of direct-mapped filters, smallest
+/// first, installing it and calling `miss(size)` at each filter that
+/// misses; stops at the first hit (see [`SignatureProbe::observe`]).
+#[inline]
+fn probe_ladder(ladder: &mut [Vec<u64>], block: u64, mut miss: impl FnMut(usize)) {
+    for (size, tags) in ladder.iter_mut().enumerate() {
+        // Probe sizes are powers of two: index by mask.
+        let slot = (block & (tags.len() as u64 - 1)) as usize;
+        if tags[slot] == block {
+            return;
+        }
+        tags[slot] = block;
+        miss(size);
+    }
+}
+
 /// Signature of a whole in-memory interval (convenience for tests).
 pub fn signature_of(interval: &[Access]) -> Signature {
     let mut probe = SignatureProbe::new();
@@ -281,6 +292,97 @@ pub fn signature_of(interval: &[Access]) -> Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-ladder probe `observe` replaced: every filter of every
+    /// ladder looked up on every access. The reference the early exit
+    /// must match.
+    fn full_ladder_counts(interval: &[Access]) -> ProbeCounts {
+        let fresh = || PROBE_LINES.map(|n| vec![EMPTY; n]);
+        let (mut unified, mut unified_wide) = (fresh(), fresh());
+        let (mut split, mut split_wide) = ([fresh(), fresh()], [fresh(), fresh()]);
+        let mut counts = ProbeCounts::default();
+        let lookup = |tags: &mut Vec<u64>, block: u64| {
+            let slot = (block % tags.len() as u64) as usize;
+            let miss = tags[slot] != block;
+            tags[slot] = block;
+            u64::from(miss)
+        };
+        for a in interval {
+            let kind = match a.kind {
+                AccessKind::Inst => 0,
+                AccessKind::Load => 1,
+                AccessKind::Store => 2,
+            };
+            counts.kinds[kind] += 1;
+            let (narrow, wide) = (a.addr / 8, a.addr / 16);
+            for size in 0..PROBE_LINES.len() {
+                counts.probe_misses_unified[size] += lookup(&mut unified[size], narrow);
+                counts.probe_misses[size][kind] +=
+                    lookup(&mut split[usize::from(kind != 0)][size], narrow);
+                counts.probe_misses_unified_wide[size] += lookup(&mut unified_wide[size], wide);
+                counts.probe_misses_wide[size][kind] +=
+                    lookup(&mut split_wide[usize::from(kind != 0)][size], wide);
+            }
+        }
+        counts
+    }
+
+    /// Mixed-kind accesses over a footprint that straddles every probe
+    /// size, plus far jumps and the extremes of the address space.
+    fn access() -> impl Strategy<Value = Access> {
+        let addr =
+            prop_oneof![0u64..512, 0u64..40_000, 0u64..600_000, Just(u64::MAX), 0u64..u64::MAX,];
+        (addr, 0u8..3).prop_map(|(a, k)| match k {
+            0 => Access::inst(a),
+            1 => Access::load(a),
+            _ => Access::store(a),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One recycled probe over ragged intervals counts exactly what a
+        /// fresh full-ladder probe counts for each interval.
+        #[test]
+        fn early_exit_matches_the_full_ladder(
+            trace in prop::collection::vec(access(), 0..4000),
+            cuts in prop::collection::vec(0usize..4000, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(trace.len())).collect();
+            cuts.push(trace.len());
+            cuts.sort_unstable();
+            let mut probe = SignatureProbe::new();
+            let mut lo = 0;
+            for hi in cuts {
+                let interval = &trace[lo..hi];
+                interval.iter().for_each(|&a| probe.observe(a));
+                let (_, counts) = probe.finish();
+                prop_assert_eq!(counts, full_ladder_counts(interval));
+                lo = hi;
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_matches_the_full_ladder_on_loops_and_streams() {
+        for stride in [1u64, 7, 64, 129, 1024, 4097] {
+            let interval: Vec<Access> = (0..20_000u64)
+                .map(|i| {
+                    let a = (i * stride) % 300_000;
+                    if i % 5 == 0 {
+                        Access::store(a)
+                    } else {
+                        Access::inst(a % 70_000)
+                    }
+                })
+                .collect();
+            let mut probe = SignatureProbe::new();
+            interval.iter().for_each(|&a| probe.observe(a));
+            assert_eq!(probe.finish().1, full_ladder_counts(&interval), "stride {stride}");
+        }
+    }
 
     #[test]
     fn kind_mix_sums_to_one_on_nonempty_intervals() {

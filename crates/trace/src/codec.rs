@@ -35,6 +35,13 @@
 //! Every frame is self-contained: the per-kind `last` state resets to 0
 //! at each frame boundary, so frames can be decoded (and replayed)
 //! independently and a truncated file loses at most its final frame.
+//! Sampled replay relies on this to *seek*: a reader built with
+//! [`TraceReader::with_index`] records a [`FrameEntry`] (byte offset,
+//! first access index, header) per frame on its sequential pass, and
+//! [`TraceReader::read_frame_at`] later decodes just the frames it needs.
+//! A seeked frame's header must match its entry before any payload is
+//! read, so a file that changed between the passes is reported as
+//! `InvalidData` rather than decoded.
 //!
 //! Every frame carries a CRC-32 of its header fields and payload (see
 //! [`crate::integrity`]), so any single-bit storage corruption is
@@ -66,8 +73,8 @@
 
 use crate::access::{Access, AccessKind};
 use crate::integrity::Crc32;
-use crate::stats::din_text_bytes;
-use std::io::{Error, ErrorKind, Read, Result, Write};
+use crate::stats::din_line_bytes;
+use std::io::{Error, ErrorKind, Read, Result, Seek, SeekFrom, Write};
 
 /// The four magic bytes opening every `.mtr` file.
 pub const MAGIC: [u8; 4] = *b"MTR!";
@@ -103,7 +110,7 @@ pub struct CodecStats {
     /// Total `.mtr` bytes produced or consumed, including the file header.
     pub bytes: u64,
     /// Size of the same access stream as `din` text (see
-    /// [`din_text_bytes`]).
+    /// [`din_text_bytes`](crate::stats::din_text_bytes)).
     pub din_bytes: u64,
 }
 
@@ -267,7 +274,7 @@ impl<W: Write> TraceWriter<W> {
         encode_access(&mut self.payload, &mut self.last, a);
         self.count += 1;
         self.stats.accesses += 1;
-        self.stats.din_bytes += din_text_bytes([a]);
+        self.stats.din_bytes += din_line_bytes(a);
         if self.count as usize >= self.frame_accesses {
             self.flush_frame()?;
         }
@@ -332,16 +339,55 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
+/// Where one frame lives in an `.mtr` file, as recorded by an indexing
+/// [`TraceReader`] on its sequential pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameEntry {
+    /// Byte offset of the frame header from the start of the stream.
+    pub offset: u64,
+    /// Global index of the frame's first access.
+    pub first: u64,
+    /// Accesses in the frame.
+    pub count: u32,
+    /// Payload bytes after the header.
+    pub payload_len: u32,
+    /// The CRC-32 stored in the frame header.
+    pub crc: u32,
+}
+
+impl FrameEntry {
+    /// One past the global index of the frame's last access.
+    pub fn end(&self) -> u64 {
+        self.first + u64::from(self.count)
+    }
+
+    fn header(&self) -> [u8; FRAME_HEADER] {
+        let mut h = [0u8; FRAME_HEADER];
+        h[..4].copy_from_slice(&self.count.to_le_bytes());
+        h[4..8].copy_from_slice(&self.payload_len.to_le_bytes());
+        h[8..].copy_from_slice(&self.crc.to_le_bytes());
+        h
+    }
+}
+
 /// Streaming `.mtr` decoder with bounded memory (one frame decoded at a
 /// time).
 ///
 /// Use [`TraceReader::next_frame`] to consume whole frames — the natural
 /// replay chunk — or iterate access by access; the iterator yields
-/// `io::Result<Access>` and fuses after the first error.
+/// `io::Result<Access>` and fuses after the first error. Over a seekable
+/// source, [`TraceReader::read_frame_at`] decodes one frame recorded in
+/// an index (see [`TraceReader::with_index`]).
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
     current: std::vec::IntoIter<Access>,
+    /// Reused payload buffer.
+    payload: Vec<u8>,
+    /// Byte offset of the next read from the start of the stream.
+    pos: u64,
+    /// Frame index of the sequential pass, when recording.
+    index: Option<Vec<FrameEntry>>,
     stats: CodecStats,
     poisoned: bool,
     finished: bool,
@@ -376,10 +422,26 @@ impl<R: Read> TraceReader<R> {
         Ok(Self {
             r,
             current: Vec::new().into_iter(),
+            payload: Vec::new(),
+            pos: 5,
+            index: None,
             stats: CodecStats { bytes: 5, ..CodecStats::default() },
             poisoned: false,
             finished: false,
         })
+    }
+
+    /// Makes [`TraceReader::next_frame`] record a [`FrameEntry`] for every
+    /// frame it decodes (O(frames) memory), for a later seeking pass.
+    pub fn with_index(mut self) -> Self {
+        self.index = Some(Vec::new());
+        self
+    }
+
+    /// The frames recorded so far (empty unless built
+    /// [`TraceReader::with_index`]).
+    pub fn index(&self) -> &[FrameEntry] {
+        self.index.as_deref().unwrap_or_default()
     }
 
     /// Reads and decodes the next whole frame; `Ok(None)` at a clean end
@@ -441,6 +503,7 @@ impl<R: Read> TraceReader<R> {
                 }
             }
             self.finished = true;
+            self.pos += FRAME_HEADER as u64;
             self.stats.bytes += FRAME_HEADER as u64;
             return Ok(None);
         }
@@ -450,56 +513,138 @@ impl<R: Read> TraceReader<R> {
         if payload_len > MAX_FRAME_PAYLOAD {
             return self.poison(invalid(format!("mtr frame payload {payload_len} out of range")));
         }
-        let mut payload = vec![0u8; payload_len as usize];
-        if let Err(e) = self.r.read_exact(&mut payload) {
-            return if e.kind() == ErrorKind::UnexpectedEof {
-                self.poison(invalid("mtr frame payload truncated"))
+        let entry = FrameEntry {
+            offset: self.pos,
+            first: self.stats.accesses,
+            count,
+            payload_len,
+            crc: stored_crc,
+        };
+        let frame = self.read_payload(&entry)?;
+        if let Some(index) = &mut self.index {
+            index.push(entry);
+        }
+        Ok(Some(frame))
+    }
+
+    /// Reads the payload of the frame whose (already validated) header
+    /// `entry` describes, checks its CRC and decodes it.
+    fn read_payload(&mut self, entry: &FrameEntry) -> Result<Vec<Access>> {
+        let header = entry.header();
+        self.payload.clear();
+        self.payload.resize(entry.payload_len as usize, 0);
+        if let Err(e) = self.r.read_exact(&mut self.payload) {
+            let e = if e.kind() == ErrorKind::UnexpectedEof {
+                invalid("mtr frame payload truncated")
             } else {
-                self.poison(e)
+                e
             };
+            return Err(self.poisoned(e));
         }
         let mut crc = Crc32::new();
         crc.update(&header[..8]);
-        crc.update(&payload);
+        crc.update(&self.payload);
         let actual_crc = crc.finish();
-        if actual_crc != stored_crc {
-            return self.poison(invalid(format!(
-                "mtr frame CRC mismatch (stored {stored_crc:08x}, computed {actual_crc:08x}): \
-                 the file is corrupt"
-            )));
+        if actual_crc != entry.crc {
+            return Err(self.poisoned(invalid(format!(
+                "mtr frame CRC mismatch (stored {:08x}, computed {actual_crc:08x}): \
+                 the file is corrupt",
+                entry.crc
+            ))));
         }
-        let mut out = Vec::with_capacity(count as usize);
+        let mut out = Vec::with_capacity(entry.count as usize);
         let mut last = [0u64; 3];
         let mut pos = 0usize;
-        for _ in 0..count {
-            match decode_access(&payload, &mut pos, &mut last) {
-                Ok(a) => out.push(a),
-                Err(e) => return self.poison(e),
+        let mut din_bytes = 0u64;
+        for _ in 0..entry.count {
+            match decode_access(&self.payload, &mut pos, &mut last) {
+                Ok(a) => {
+                    din_bytes += din_line_bytes(a);
+                    out.push(a);
+                }
+                Err(e) => return Err(self.poisoned(e)),
             }
         }
-        if pos != payload.len() {
-            return self.poison(invalid(format!(
-                "mtr frame has {} trailing payload bytes",
-                payload.len() - pos
-            )));
+        if pos != self.payload.len() {
+            let trailing = self.payload.len() - pos;
+            return Err(
+                self.poisoned(invalid(format!("mtr frame has {trailing} trailing payload bytes")))
+            );
         }
-        self.stats.bytes += FRAME_HEADER as u64 + u64::from(payload_len);
+        let frame_bytes = FRAME_HEADER as u64 + u64::from(entry.payload_len);
+        self.pos = entry.offset + frame_bytes;
+        self.stats.bytes += frame_bytes;
         self.stats.frames += 1;
-        self.stats.accesses += u64::from(count);
-        self.stats.din_bytes += din_text_bytes(out.iter().copied());
-        mhe_obs::add_events(mhe_obs::Phase::Decode, u64::from(count));
-        mhe_obs::add_bytes(mhe_obs::Phase::Decode, FRAME_HEADER as u64 + u64::from(payload_len));
-        Ok(Some(out))
+        self.stats.accesses += u64::from(entry.count);
+        self.stats.din_bytes += din_bytes;
+        mhe_obs::add_events(mhe_obs::Phase::Decode, u64::from(entry.count));
+        mhe_obs::add_bytes(mhe_obs::Phase::Decode, frame_bytes);
+        Ok(out)
+    }
+
+    fn poisoned(&mut self, e: Error) -> Error {
+        self.poisoned = true;
+        e
     }
 
     fn poison<T>(&mut self, e: Error) -> Result<Option<T>> {
-        self.poisoned = true;
-        Err(e)
+        Err(self.poisoned(e))
     }
 
     /// Accounting of everything decoded so far.
     pub fn stats(&self) -> CodecStats {
         self.stats
+    }
+}
+
+impl<R: Read + Seek> TraceReader<R> {
+    /// Seeks to the frame `entry` names and decodes it.
+    ///
+    /// The frame's header must equal the one `entry` recorded (count,
+    /// payload length and CRC) before any payload is read, so the read
+    /// allocates no more than the indexed frame did; the payload then
+    /// passes the same CRC and decode checks as on the sequential pass.
+    /// [`CodecStats`] count the frame like [`TraceReader::next_frame`]
+    /// does.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidData`] if the frame at `entry.offset`
+    /// differs from `entry` (the file changed since it was indexed), is
+    /// truncated or corrupt, or if an earlier error poisoned the reader;
+    /// otherwise propagates I/O errors. Any error poisons the reader.
+    pub fn read_frame_at(&mut self, entry: &FrameEntry) -> Result<Vec<Access>> {
+        if self.poisoned {
+            return Err(invalid("mtr reader is poisoned by an earlier error"));
+        }
+        let _obs = mhe_obs::span(mhe_obs::Phase::Decode);
+        if entry.offset != self.pos {
+            if let Err(e) = self.r.seek(SeekFrom::Start(entry.offset)) {
+                return Err(self.poisoned(e));
+            }
+            self.pos = entry.offset;
+        }
+        let mut header = [0u8; FRAME_HEADER];
+        if let Err(e) = self.r.read_exact(&mut header) {
+            let e = if e.kind() == ErrorKind::UnexpectedEof {
+                invalid(format!("mtr frame header at offset {} truncated", entry.offset))
+            } else {
+                e
+            };
+            return Err(self.poisoned(e));
+        }
+        if header != entry.header()
+            || entry.count == 0
+            || entry.count > MAX_FRAME_ACCESSES
+            || entry.payload_len > MAX_FRAME_PAYLOAD
+        {
+            return Err(self.poisoned(invalid(format!(
+                "mtr frame at offset {} does not match its index entry: \
+                 the file changed since it was indexed",
+                entry.offset
+            ))));
+        }
+        self.read_payload(entry)
     }
 }
 
@@ -651,6 +796,32 @@ mod tests {
         assert_eq!(back, trace);
         assert_eq!(r.stats().accesses, trace.len() as u64);
         assert_eq!(r.stats().bytes, buf.len() as u64);
+    }
+
+    #[test]
+    fn indexed_frames_decode_alone_by_seeking() {
+        let trace = mixed_trace(1000);
+        let mut buf = Vec::new();
+        let mut w = TraceWriter::with_frame_accesses(&mut buf, 97).unwrap();
+        w.write_all(trace.iter().copied()).unwrap();
+        let written = w.finish().unwrap();
+        let mut r = TraceReader::new(std::io::Cursor::new(&buf)).unwrap().with_index();
+        while r.next_frame().unwrap().is_some() {}
+        let index = r.index().to_vec();
+        assert_eq!(index.len() as u64, written.frames);
+        assert_eq!(index.last().unwrap().end(), trace.len() as u64);
+        // Out of order, one at a time: each frame decodes to its slice.
+        let mut b = TraceReader::new(std::io::Cursor::new(&buf)).unwrap();
+        for entry in index.iter().rev().step_by(3) {
+            let frame = b.read_frame_at(entry).unwrap();
+            assert_eq!(frame.as_slice(), &trace[entry.first as usize..entry.end() as usize]);
+        }
+        assert_eq!(b.stats().frames, index.len().div_ceil(3) as u64);
+        // An unindexed reader records nothing.
+        let mut plain = TraceReader::new(buf.as_slice()).unwrap();
+        while plain.next_frame().unwrap().is_some() {}
+        assert!(plain.index().is_empty());
+        assert_eq!(plain.stats().din_bytes, crate::stats::din_text_bytes(trace));
     }
 
     #[test]

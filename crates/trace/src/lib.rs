@@ -41,7 +41,7 @@ pub mod io;
 pub mod stats;
 
 pub use access::{Access, AccessKind, StreamKind};
-pub use codec::{CodecStats, TraceReader, TraceWriter};
+pub use codec::{CodecStats, FrameEntry, TraceReader, TraceWriter};
 pub use dilate::DilatedTraceGenerator;
 pub use gen::TraceGenerator;
 pub use integrity::{crc32, Crc32, Crc32Reader, Crc32Writer};

@@ -30,6 +30,9 @@ timeout 300 cargo test -q --release -p mhe --test policy_differential
 echo "==> sampling accuracy harness (full matrix, budget: 300 s wall)"
 timeout 300 cargo test -q --release -p mhe --test sampling_accuracy
 
+echo "==> trace replay differential suite (mtr/din replay vs in-memory bytes, sampled frame skipping; budget: 300 s wall)"
+timeout 300 cargo test -q --release -p mhe --test trace_replay
+
 echo "==> daemon differential suite (4 concurrent clients vs batch bytes, budget: 300 s wall)"
 timeout 300 cargo test -q --release -p mhe --test daemon_service
 

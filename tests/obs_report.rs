@@ -106,6 +106,19 @@ fn evaluation_and_walk_record_every_promised_phase() {
     )
     .expect("replay of a just-captured trace");
     assert_eq!(eval.imeasured(), replayed.imeasured());
+    // A sampled replay of the same file counts its second pass.
+    let sampling = SamplingConfig { interval_accesses: 2048, clusters: 2, ..Default::default() };
+    let sampled = ReferenceEvaluation::replay_file(
+        Benchmark::Unepic.generate(),
+        &ProcessorKind::P1111.mdes(),
+        EvalConfig { sampling: Some(sampling), ..cfg },
+        &path,
+        &space.icache.configs(),
+        &space.dcache.configs(),
+        &space.ucache.configs(),
+    )
+    .expect("sampled replay of a just-captured trace");
+    let pass_b = sampled.metrics().replay.expect("file replay records metrics");
     std::fs::remove_file(&path).ok();
 
     let db = EvaluationCache::new();
@@ -135,6 +148,13 @@ fn evaluation_and_walk_record_every_promised_phase() {
         "cache-db counters missing: {:?}",
         report.counters
     );
+    for (counter, n) in
+        [("pass_b_chunks", pass_b.pass_b_chunks), ("pass_b_skipped", pass_b.pass_b_skipped)]
+    {
+        let recorded = report.counters.iter().find(|(name, _)| *name == counter).map_or(0, |c| c.1);
+        assert_eq!(recorded, n, "{counter}: {:?}", report.counters);
+    }
+    assert!(pass_b.pass_b_chunks > 0, "{pass_b}");
 
     // The emitted line is valid for the pinned schema prefix and names
     // every recorded phase.

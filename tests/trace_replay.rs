@@ -8,8 +8,12 @@
 //! bit-identical dilated estimates — and the binary capture must be at
 //! least 4x smaller than the equivalent `din` text. A second test checks
 //! the `din` replay path and that the chunk size is invisible to results.
+//! A third checks the sampled route: its second pass decodes only the
+//! `.mtr` frames that hold representative windows, yet the result equals
+//! the in-memory sampled build and the sampled `din` replay bit for bit.
 
 use mhe::prelude::*;
+use mhe::trace::TraceWriter;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -132,4 +136,79 @@ fn din_replay_matches_and_chunk_size_is_invisible() {
         assert_eq!(replay.accesses, mem.metrics().trace_len);
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn sampled_mtr_replay_skips_frames_and_stays_bit_identical() {
+    let b = Benchmark::Unepic;
+    let (ic, dc, uc) = spaces();
+    let sampling = SamplingConfig {
+        interval_accesses: 4096,
+        clusters: 8,
+        warmup: 4096,
+        ..SamplingConfig::default()
+    };
+    let sampled = |threads: usize| EvalConfig {
+        events: 6 * EVENTS,
+        sampling: Some(sampling),
+        ..config(threads, 1 << 16)
+    };
+    let mem = ReferenceEvaluation::build(
+        b.generate(),
+        &ProcessorKind::P1111.mdes(),
+        sampled(1),
+        &ic,
+        &dc,
+        &uc,
+    );
+    let sm = mem.metrics().sampling.expect("sampled build records metrics");
+    assert!(sm.representative_accesses * 2 < sm.total_accesses, "a plan that can skip: {sm}");
+
+    // Frames of a prime size so windows straddle frame boundaries.
+    let mtr = temp_path("sampled_skip.mtr");
+    let mut w =
+        TraceWriter::with_frame_accesses(BufWriter::new(File::create(&mtr).unwrap()), 977).unwrap();
+    w.write_all(mem.reference_trace()).unwrap();
+    let written = w.finish().unwrap();
+    assert_eq!(written.accesses, sm.total_accesses);
+    let din = temp_path("sampled_skip.din");
+    mem.capture_din(File::create(&din).unwrap()).unwrap();
+
+    for threads in [1, 2] {
+        let replay = |path: &PathBuf| {
+            ReferenceEvaluation::replay_file(
+                b.generate(),
+                &ProcessorKind::P1111.mdes(),
+                sampled(threads),
+                path,
+                &ic,
+                &dc,
+                &uc,
+            )
+            .unwrap()
+        };
+        let from_mtr = replay(&mtr);
+        let from_din = replay(&din);
+        assert_identical(&mem, &from_mtr, &format!("[sampled mtr @ {threads} threads]"));
+        assert_identical(&from_din, &from_mtr, &format!("[sampled din/mtr @ {threads} threads]"));
+        assert_eq!(from_mtr.metrics().sampling, mem.metrics().sampling, "{threads} threads");
+        assert_eq!(from_din.metrics().sampling, mem.metrics().sampling, "{threads} threads");
+
+        let r = from_mtr.metrics().replay.expect("file replay records metrics");
+        assert_eq!(r.chunks, written.frames, "pass A decodes every frame");
+        assert_eq!(r.pass_b_chunks + r.pass_b_skipped, r.chunks);
+        assert!(
+            r.pass_b_chunks > 0 && r.pass_b_chunks < r.chunks,
+            "pass B decoded {} of {} frames",
+            r.pass_b_chunks,
+            r.chunks
+        );
+        assert_eq!(r.bytes_read, written.bytes, "bytes_read counts pass A only");
+        assert_eq!(r.din_bytes, written.din_bytes);
+        let d = from_din.metrics().replay.expect("file replay records metrics");
+        assert_eq!(d.din_bytes, r.din_bytes, "both formats report the same din size");
+        assert!(d.pass_b_chunks <= d.chunks);
+    }
+    std::fs::remove_file(&mtr).ok();
+    std::fs::remove_file(&din).ok();
 }

@@ -1,18 +1,23 @@
-//! The socket-facing decoders are total and bounded.
+//! The socket- and file-facing decoders are total and bounded.
 //!
-//! Every byte these decoders see comes off a socket, and the fleet
+//! Every byte the wire decoders see comes off a socket, and the fleet
 //! coordinator decodes the first frame of a connection before any
 //! authentication. So a payload must never make them panic, and a count
 //! field must never make them reserve more than the payload itself can
-//! hold. A counting global allocator measures what each decode allocates
-//! on the calling thread.
+//! hold. The `.mtr` seek path (a sampled replay's second pass) reads a
+//! file that may have changed since its frames were indexed; a stale
+//! entry, a truncation or a flipped bit must come back as `InvalidData`
+//! and poison the reader. A counting global allocator measures what each
+//! decode allocates on the calling thread.
 
 use mhe::spacewalk::service::proto::{
     decode_coord_frame, decode_request, decode_response, decode_worker_frame, handshake, Handshake,
     FEATURE_FRONTIER, HANDSHAKE_LEN,
 };
+use mhe::trace::{Access, FrameEntry, TraceReader, TraceWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{Cursor, ErrorKind};
 
 mod common;
 
@@ -128,6 +133,88 @@ fn every_prefix_and_bit_flip_of_a_golden_payload_is_ok_or_err() {
             flipped[bit / 8] ^= 1 << (bit % 8);
             let bytes = decode_everything(&flipped);
             assert!(bytes < BUDGET, "bit {bit} of {payload:02x?} allocated {bytes} bytes");
+        }
+    }
+}
+
+/// A small `.mtr` file of several frames and the index its sequential
+/// pass records.
+fn indexed_mtr() -> (Vec<u8>, Vec<FrameEntry>) {
+    let trace: Vec<Access> = (0..200u64)
+        .map(|i| if i % 3 == 0 { Access::load(0x9000 + i * 40) } else { Access::inst(0x40 + i) })
+        .collect();
+    let mut bytes = Vec::new();
+    let mut w = TraceWriter::with_frame_accesses(&mut bytes, 37).unwrap();
+    w.write_all(trace).unwrap();
+    w.finish().unwrap();
+    let mut r = TraceReader::new(bytes.as_slice()).unwrap().with_index();
+    while r.next_frame().unwrap().is_some() {}
+    let index = r.index().to_vec();
+    assert!(index.len() >= 5);
+    (bytes, index)
+}
+
+/// Seeks `bytes` to `entry` and expects a structured `InvalidData` that
+/// poisons the reader, within the allocation budget.
+fn assert_seek_rejected(bytes: &[u8], entry: &FrameEntry, good: &FrameEntry, what: &str) {
+    let Ok(mut r) = TraceReader::new(Cursor::new(bytes)) else {
+        return; // the file header itself is gone: rejected before any seek
+    };
+    let (result, allocated) = allocated_by(|| r.read_frame_at(entry));
+    let err = result.expect_err(what);
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
+    assert!(allocated < BUDGET, "{what}: allocated {allocated} bytes");
+    let after = r.read_frame_at(good).expect_err("a poisoned reader refuses further seeks");
+    assert_eq!(after.kind(), ErrorKind::InvalidData, "{what}: {after}");
+    assert!(r.next_frame().unwrap().is_none(), "{what}: a poisoned reader yields nothing");
+}
+
+#[test]
+fn mtr_seek_rejects_stale_index_entries() {
+    let (bytes, index) = indexed_mtr();
+    let target = index[2];
+    let stale = [
+        ("count", FrameEntry { count: target.count + 1, ..target }),
+        ("crc", FrameEntry { crc: target.crc ^ 1, ..target }),
+        ("payload length", FrameEntry { payload_len: target.payload_len - 1, ..target }),
+        ("huge claims", FrameEntry { count: u32::MAX, payload_len: u32::MAX, ..target }),
+        ("offset into a payload", FrameEntry { offset: target.offset + 5, ..target }),
+        ("offset past the end", FrameEntry { offset: u64::MAX / 2, ..target }),
+        ("another frame's entry", FrameEntry { offset: index[3].offset, ..target }),
+    ];
+    for (what, entry) in stale {
+        assert_seek_rejected(&bytes, &entry, &index[0], what);
+    }
+    // The genuine entry still decodes, to exactly its frame.
+    let mut r = TraceReader::new(Cursor::new(&bytes)).unwrap();
+    assert_eq!(r.read_frame_at(&target).unwrap().len(), target.count as usize);
+}
+
+#[test]
+fn mtr_seek_rejects_a_file_truncated_between_passes() {
+    let (bytes, index) = indexed_mtr();
+    let last = *index.last().unwrap();
+    for cut in 0..bytes.len() {
+        // Every frame that no longer fits whole in the cut file.
+        for entry in index.iter().filter(|e| e.offset + 12 + u64::from(e.payload_len) > cut as u64)
+        {
+            assert_seek_rejected(&bytes[..cut], entry, &index[0], &format!("cut at {cut}"));
+        }
+    }
+    let mut r = TraceReader::new(Cursor::new(&bytes)).unwrap();
+    assert!(r.read_frame_at(&last).is_ok());
+}
+
+#[test]
+fn mtr_seek_rejects_every_bit_flip_of_a_recorded_frame() {
+    let (bytes, index) = indexed_mtr();
+    for entry in [index[0], index[3]] {
+        let start = entry.offset as usize;
+        let end = start + 12 + entry.payload_len as usize;
+        for bit in start * 8..end * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_seek_rejected(&flipped, &entry, &index[1], &format!("bit {bit}"));
         }
     }
 }
