@@ -1,10 +1,10 @@
 //! Replays captured trace files through the evaluator and checks the
-//! results against the in-memory path, bit for bit.
+//! results against the build from the generated trace, bit for bit.
 //!
 //! For each benchmark three evaluations run over the same cache design
-//! space: the normal in-memory build, a `.mtr` replay, and a `.din`
-//! replay (both files captured first from the in-memory evaluation). The
-//! replayed miss maps and dilated estimates must match the in-memory ones
+//! space: the normal build from the generated trace, a `.mtr` replay,
+//! and a `.din` replay (both files captured first from that build). The
+//! replayed miss maps and dilated estimates must match the generated ones
 //! exactly; the report also shows the replay metrics — bytes read, decode
 //! throughput, and how much smaller the binary trace is than `din` text
 //! (the format targets at least a 4x reduction).
@@ -93,7 +93,7 @@ fn run() -> std::io::Result<()> {
     let cfg = EvalConfig { events, seed: mhe_bench::SEED, ..EvalConfig::default() };
     let (ic, dc, uc) = spaces();
 
-    println!("# Trace replay vs in-memory evaluation (events = {events})\n");
+    println!("# Trace replay vs generated evaluation (events = {events})\n");
     let mut all_identical = true;
     let mut worst_ratio = f64::INFINITY;
     for b in benches {
@@ -106,7 +106,7 @@ fn run() -> std::io::Result<()> {
         mem.capture_din(File::create(&din_path)?)?;
 
         println!("## {} ({} accesses)", b.name(), mem.metrics().trace_len);
-        println!("  in-memory: {}", mem.metrics());
+        println!("  generated: {}", mem.metrics());
         for path in [&mtr_path, &din_path] {
             let r = replay(b, &mdes, cfg, path)?;
             let same = identical(&mem, &r);
@@ -120,13 +120,13 @@ fn run() -> std::io::Result<()> {
         mhe_bench::emit_obs_report(&format!("trace_replay/{}", b.name()), &obs_before);
         println!();
     }
-    println!("all replays bit-identical to in-memory evaluation: {all_identical}");
+    println!("all replays bit-identical to generated evaluation: {all_identical}");
     println!(
         "worst mtr size reduction vs din: {worst_ratio:.2}x (target >= 4x: {})",
         if worst_ratio >= 4.0 { "PASS" } else { "MISS" }
     );
     if !all_identical {
-        eprintln!("[trace_replay] WARNING: a replay diverged from the in-memory evaluation!");
+        eprintln!("[trace_replay] WARNING: a replay diverged from the generated evaluation!");
         std::process::exit(1);
     }
     Ok(())

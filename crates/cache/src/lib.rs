@@ -1,12 +1,15 @@
 //! Cache simulation substrate: direct, single-pass, and hierarchical.
 //!
-//! Three simulators reproduce the paper's memory-simulation toolchain:
+//! Four engines reproduce the paper's memory-simulation toolchain:
 //!
 //! * [`sim::Cache`] — a plain set-associative simulator (the oracle),
 //!   generic over the replacement [`Policy`];
 //! * [`single_pass::SinglePassSim`] — the Cheetah role: every configuration
 //!   sharing a line size and policy in one pass over the trace (LRU stack
 //!   distances, a FIFO wavetable, or a direct fallback grid);
+//! * [`histogram::ReuseHistogram`] — Mattson's LRU stack-distance
+//!   histogram: every fully-associative capacity exactly, and
+//!   set-associative grids analytically, from one pass;
 //! * [`hierarchy::Hierarchy`] — an inclusion-respecting L1I/L1D/L2 system
 //!   with a stall-cycle model.
 //!
@@ -29,19 +32,19 @@
 pub mod classify;
 pub mod config;
 pub mod hierarchy;
+pub mod histogram;
 pub mod policy;
 pub mod sim;
 pub mod single_pass;
-pub mod stack;
 pub mod write;
 
 pub use classify::{classify_misses, MissBreakdown};
 pub use config::CacheConfig;
 pub use hierarchy::{Hierarchy, MemoryDesign, Penalties};
+pub use histogram::ReuseHistogram;
 pub use policy::{Policy, ReplacementPolicy, SetEngine};
 pub use sim::{simulate, Cache, MissStats};
 pub use single_pass::SinglePassSim;
-pub use stack::StackSim;
 
 // The parallel evaluation engine (mhe-core) moves simulator state across
 // scoped worker threads; keep that guarantee explicit so a future field

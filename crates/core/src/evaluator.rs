@@ -22,23 +22,20 @@
 //! [`dilated_misses`]) used to validate the model (Tables 2/4, Figures
 //! 6/7).
 //!
-//! The reference trace is materialised once into shared buffers and the
-//! modeler and simulation passes fan out across a scoped-thread worker
-//! pool ([`crate::parallel`]). Every pass is independent, so miss counts
-//! are bit-identical for any worker count; [`EvalConfig::threads`] and the
-//! `MHE_THREADS` environment variable control the pool size, and
-//! [`ReferenceEvaluation::metrics`] reports where the time went.
-//!
-//! The same measurement also runs **streaming**:
-//! [`ReferenceEvaluation::build_from_trace`] consumes any access stream in
-//! fixed-size chunks, and [`ReferenceEvaluation::replay_file`] replays a
-//! captured `.mtr` or `.din` trace file from disk in bounded memory
-//! ([`ReferenceEvaluation::capture_mtr`] and
-//! [`ReferenceEvaluation::capture_din`] write them). Chunks fan out across
-//! the same worker pool into *stateful* modelers and simulators, so the
-//! results are bit-identical to the in-memory path for any chunk size and
-//! worker count; [`crate::metrics::ReplayMetrics`] reports decode
-//! throughput and the on-disk compression ratio.
+//! One measurement serves every trace source. The generated reference
+//! trace ([`ReferenceEvaluation::build`]) and a captured `.mtr` or `.din`
+//! file ([`ReferenceEvaluation::replay_file`]; written by
+//! [`ReferenceEvaluation::capture_mtr`] and
+//! [`ReferenceEvaluation::capture_din`]) both stream chunk by chunk
+//! through the same fan-out of *stateful* modelers and single-pass
+//! simulators on a scoped-thread worker pool ([`crate::parallel`]), so no
+//! route ever holds the whole trace in memory. Every task sees the whole
+//! stream in order, so miss counts are bit-identical for any chunk size,
+//! worker count, or source; [`EvalConfig::threads`] and the `MHE_THREADS`
+//! environment variable control the pool size, and
+//! [`ReferenceEvaluation::metrics`] reports where the time went
+//! ([`crate::metrics::ReplayMetrics`] adds decode throughput and the
+//! on-disk compression ratio for files).
 
 use crate::error::MheError;
 use crate::icache::estimate_icache_misses;
@@ -90,9 +87,9 @@ pub struct EvalConfig {
     /// bit-identical for every value.
     pub threads: usize,
     /// Accesses per chunk when streaming a trace through the measurement
-    /// tasks ([`ReferenceEvaluation::build_from_trace`] and `.din`
-    /// replay; `.mtr` replay uses the file's own frame size). Results are
-    /// bit-identical for every value.
+    /// tasks: the generated trace of [`ReferenceEvaluation::build`] and
+    /// `.din` replay (`.mtr` replay uses the file's own frame size).
+    /// Results are bit-identical for every value.
     pub chunk_accesses: usize,
     /// Default replacement policy. [`ReferenceEvaluation::for_benchmark`]
     /// applies it to every supplied cache configuration that still
@@ -327,76 +324,8 @@ const _: () = {
     assert_send_sync::<ReferenceEvaluation>()
 };
 
-/// One unit of fan-out work: a modeler pass or a single-pass simulation.
-enum MeasureTask {
-    IModel { addrs: Arc<[u64]>, granule: usize },
-    UModel { trace: Arc<[Access]>, granule: usize },
-    Sim { kind: StreamKind, line: u32, configs: Vec<CacheConfig>, addrs: Arc<[u64]> },
-}
-
-enum MeasureResult {
-    IModel(TraceParams, Duration),
-    UModel(UnifiedParams, Duration),
-    Sim { kind: StreamKind, rows: Vec<(CacheConfig, u64)>, pass: PassMetrics },
-}
-
-fn run_measure_task(task: MeasureTask) -> MeasureResult {
-    match task {
-        MeasureTask::IModel { addrs, granule } => {
-            let start = Instant::now();
-            let mut m = ITraceModeler::new(granule);
-            for &a in addrs.iter() {
-                m.process(a);
-            }
-            MeasureResult::IModel(m.finish(), start.elapsed())
-        }
-        MeasureTask::UModel { trace, granule } => {
-            let start = Instant::now();
-            let mut m = UTraceModeler::new(granule);
-            for &a in trace.iter() {
-                m.process(a);
-            }
-            MeasureResult::UModel(m.finish(), start.elapsed())
-        }
-        MeasureTask::Sim { kind, line, configs, addrs } => {
-            let start = Instant::now();
-            let mut sim = SinglePassSim::for_configs(&configs);
-            sim.run(addrs.iter().copied());
-            let rows: Vec<(CacheConfig, u64)> =
-                configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))).collect();
-            let pass = PassMetrics {
-                stream: kind,
-                line_words: line,
-                configs: configs.len(),
-                addresses: addrs.len() as u64,
-                wall: start.elapsed(),
-            };
-            MeasureResult::Sim { kind, rows, pass }
-        }
-    }
-}
-
-/// Groups configurations by (line size, policy) — the unit one
-/// [`SinglePassSim`] can cover — in deterministic `BTreeMap` order, and
-/// emits one simulation task per group.
-fn sim_tasks(kind: StreamKind, configs: &[CacheConfig], addrs: &Arc<[u64]>) -> Vec<MeasureTask> {
-    let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
-    for &c in configs {
-        by_family.entry((c.line_words, c.policy)).or_default().push(c);
-    }
-    by_family
-        .into_iter()
-        .map(|((line, _), group)| MeasureTask::Sim {
-            kind,
-            line,
-            configs: group,
-            addrs: Arc::clone(addrs),
-        })
-        .collect()
-}
-
-/// One stateful unit of the streaming fan-out, fed one trace chunk at a
-/// time across many [`ParallelSweep::for_each_mut`] rounds.
+/// One stateful unit of the measurement fan-out, fed one trace chunk at a
+/// time across many [`ParallelSweep::try_for_each_mut_in`] rounds.
 enum StreamTask {
     IModel { modeler: ITraceModeler, wall: Duration },
     UModel { modeler: UTraceModeler, wall: Duration },
@@ -434,35 +363,66 @@ impl StreamTask {
     }
 }
 
-/// Streaming counterpart of [`sim_tasks`]: one *stateful* single-pass
-/// simulator per distinct (line size, policy) family, ready to be fed
-/// chunks.
-fn stream_sim_tasks(kind: StreamKind, configs: &[CacheConfig]) -> Vec<StreamTask> {
-    let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
-    for &c in configs {
-        by_family.entry((c.line_words, c.policy)).or_default().push(c);
+/// Every (stream, line size, policy) family of configurations — the unit
+/// one simulator covers — in deterministic `BTreeMap` order: the
+/// instruction space (expanded with the line sizes dilation interpolation
+/// needs), then the data space, then the unified space.
+fn families(
+    config: &EvalConfig,
+    icaches: &[CacheConfig],
+    dcaches: &[CacheConfig],
+    ucaches: &[CacheConfig],
+) -> Vec<(StreamKind, Vec<CacheConfig>)> {
+    let expanded = expand_line_sizes(icaches, config.max_dilation);
+    let mut out = Vec::new();
+    for (kind, configs) in [
+        (StreamKind::Instruction, &expanded[..]),
+        (StreamKind::Data, dcaches),
+        (StreamKind::Unified, ucaches),
+    ] {
+        let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
+        for &c in configs {
+            by_family.entry((c.line_words, c.policy)).or_default().push(c);
+        }
+        out.extend(by_family.into_values().map(|group| (kind, group)));
     }
-    by_family
-        .into_values()
-        .map(|group| StreamTask::Sim {
-            kind,
-            sim: SinglePassSim::for_configs(&group),
-            configs: group,
-            wall: Duration::ZERO,
-        })
-        .collect()
+    out
 }
 
-/// Everything the streaming fan-out measures, before assembly into a
+/// The measured miss grids and one [`PassMetrics`] per family, in family
+/// order.
+#[derive(Default)]
+struct Grids {
+    imeasured: HashMap<CacheConfig, u64>,
+    dmeasured: HashMap<CacheConfig, u64>,
+    umeasured: HashMap<CacheConfig, u64>,
+    passes: Vec<PassMetrics>,
+}
+
+impl Grids {
+    fn record(
+        &mut self,
+        kind: StreamKind,
+        rows: impl IntoIterator<Item = (CacheConfig, u64)>,
+        pass: PassMetrics,
+    ) {
+        let map = match kind {
+            StreamKind::Instruction => &mut self.imeasured,
+            StreamKind::Data => &mut self.dmeasured,
+            StreamKind::Unified => &mut self.umeasured,
+        };
+        map.extend(rows);
+        self.passes.push(pass);
+    }
+}
+
+/// Everything the measurement fan-out produces, before assembly into a
 /// [`ReferenceEvaluation`].
 struct StreamOutcome {
     threads: usize,
     iparams: TraceParams,
     uparams: UnifiedParams,
-    imeasured: HashMap<CacheConfig, u64>,
-    dmeasured: HashMap<CacheConfig, u64>,
-    umeasured: HashMap<CacheConfig, u64>,
-    passes: Vec<PassMetrics>,
+    grids: Grids,
     trace_len: u64,
     chunks: u64,
     /// Chunks the sampled route's pass B decoded and skipped (0 on the
@@ -472,179 +432,39 @@ struct StreamOutcome {
     decode_wall: Duration,
     sim_wall: Duration,
     model_wall: Duration,
+    sampling: Option<SamplingMetrics>,
+    replay: Option<ReplayMetrics>,
 }
 
-/// Pulls chunks from `next_chunk` until it yields `Ok(None)`, feeding
-/// every stateful measurement task each chunk through the worker pool.
-///
-/// Each task sees the whole access stream in order regardless of the
-/// chunking, and modelers and simulators are deterministic, so the
-/// outcome is bit-identical to the materialised fan-out in
-/// [`ReferenceEvaluation::build`] for any chunk size and worker count.
-fn measure_streaming(
-    config: &EvalConfig,
-    icaches: &[CacheConfig],
-    dcaches: &[CacheConfig],
-    ucaches: &[CacheConfig],
-    next_chunk: &mut dyn FnMut() -> io::Result<Option<Vec<Access>>>,
-) -> io::Result<StreamOutcome> {
-    let expanded = expand_line_sizes(icaches, config.max_dilation);
-    let mut tasks = vec![
-        StreamTask::IModel { modeler: ITraceModeler::new(config.i_granule), wall: Duration::ZERO },
-        StreamTask::UModel { modeler: UTraceModeler::new(config.u_granule), wall: Duration::ZERO },
-    ];
-    tasks.extend(stream_sim_tasks(StreamKind::Instruction, &expanded));
-    tasks.extend(stream_sim_tasks(StreamKind::Data, dcaches));
-    tasks.extend(stream_sim_tasks(StreamKind::Unified, ucaches));
-
-    // No retries here: stream tasks are stateful, so re-running a task
-    // that panicked mid-chunk could double-feed accesses. A panic in this
-    // sweep surfaces as a structured error instead.
-    let sweep = ParallelSweep::with_threads(config.worker_threads())
-        .with_retry(crate::env::RetryPolicy::NONE)
-        .with_label("streaming measure");
-    let mut trace_len = 0u64;
-    let mut chunks = 0u64;
-    let mut decode_wall = Duration::ZERO;
-    let mut sim_wall = Duration::ZERO;
-    loop {
-        let decode_start = Instant::now();
-        let chunk = next_chunk()?;
-        decode_wall += decode_start.elapsed();
-        let Some(chunk) = chunk else { break };
-        if chunk.is_empty() {
-            continue;
-        }
-        trace_len += chunk.len() as u64;
-        chunks += 1;
-        let sim_start = Instant::now();
-        sweep
-            .try_for_each_mut_in(Some(mhe_obs::Phase::Simulate), &mut tasks, |t| {
-                t.feed(&chunk);
-                Ok(())
-            })
-            .map_err(|e| io::Error::other(e.error.to_string()))?;
-        sim_wall += sim_start.elapsed();
-    }
-
-    let mut iparams = None;
-    let mut uparams = None;
-    let mut model_wall = Duration::ZERO;
-    let mut imeasured = HashMap::new();
-    let mut dmeasured = HashMap::new();
-    let mut umeasured = HashMap::new();
-    let mut passes = Vec::new();
-    for task in tasks {
-        match task {
-            StreamTask::IModel { modeler, wall } => {
-                iparams = Some(modeler.finish());
-                model_wall += wall;
-            }
-            StreamTask::UModel { modeler, wall } => {
-                uparams = Some(modeler.finish());
-                model_wall += wall;
-            }
-            StreamTask::Sim { kind, sim, configs, wall } => {
-                let map = match kind {
-                    StreamKind::Instruction => &mut imeasured,
-                    StreamKind::Data => &mut dmeasured,
-                    StreamKind::Unified => &mut umeasured,
-                };
-                map.extend(configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))));
-                passes.push(PassMetrics {
-                    stream: kind,
-                    line_words: sim.line_words(),
-                    configs: configs.len(),
-                    addresses: sim.accesses(),
-                    wall,
-                });
-            }
-            StreamTask::Plan { .. } => {
-                unreachable!("plan tasks only run inside measure_sampled")
-            }
-        }
-    }
-    Ok(StreamOutcome {
-        threads: sweep.threads(),
-        iparams: iparams.expect("instruction modeler task ran"),
-        uparams: uparams.expect("unified modeler task ran"),
-        imeasured,
-        dmeasured,
-        umeasured,
-        passes,
-        trace_len,
-        chunks,
-        pass_b_chunks: 0,
-        pass_b_skipped: 0,
-        decode_wall,
-        sim_wall,
-        model_wall,
-    })
-}
-
-/// One unit of the sampled fan-out: estimate one (stream, line size,
-/// policy) family of configurations from the shared plan and windows.
-struct SampledTask {
+/// Estimates one family from the sampled route's plan and windows.
+fn run_sampled_task(
     kind: StreamKind,
-    configs: Vec<CacheConfig>,
-    plan: Arc<SamplePlan>,
-    windows: Arc<Vec<RepWindow>>,
-}
-
-fn run_sampled_task(task: SampledTask) -> (StreamKind, Vec<(CacheConfig, u64)>, PassMetrics) {
+    configs: &[CacheConfig],
+    plan: &SamplePlan,
+    windows: &[RepWindow],
+) -> (Vec<(CacheConfig, u64)>, PassMetrics) {
     let start = Instant::now();
-    let line = task.configs[0].line_words;
-    let policy = task.configs[0].policy;
-    let mut set_counts: Vec<u32> = task.configs.iter().map(|c| c.sets).collect();
+    let line = configs[0].line_words;
+    let mut set_counts: Vec<u32> = configs.iter().map(|c| c.sets).collect();
     set_counts.sort_unstable();
     set_counts.dedup();
-    let max_assoc = task.configs.iter().map(|c| c.assoc).max().unwrap_or(1);
-    let sim = SampledSim::measure(
-        policy,
-        line,
-        &set_counts,
-        max_assoc,
-        task.kind,
-        &task.plan,
-        &task.windows,
-    );
-    let rows: Vec<(CacheConfig, u64)> =
-        task.configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))).collect();
+    let max_assoc = configs.iter().map(|c| c.assoc).max().unwrap_or(1);
+    let sim =
+        SampledSim::measure(configs[0].policy, line, &set_counts, max_assoc, kind, plan, windows);
+    let rows = configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))).collect();
     let pass = PassMetrics {
-        stream: task.kind,
+        stream: kind,
         line_words: line,
-        configs: task.configs.len(),
+        configs: configs.len(),
         addresses: sim.sim_accesses(),
         wall: start.elapsed(),
     };
-    (task.kind, rows, pass)
+    (rows, pass)
 }
 
-/// Sampled counterpart of [`sim_tasks`]: one estimator task per (line
-/// size, policy) family, all sharing the plan and windows.
-fn sampled_tasks(
-    kind: StreamKind,
-    configs: &[CacheConfig],
-    plan: &Arc<SamplePlan>,
-    windows: &Arc<Vec<RepWindow>>,
-) -> Vec<SampledTask> {
-    let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
-    for &c in configs {
-        by_family.entry((c.line_words, c.policy)).or_default().push(c);
-    }
-    by_family
-        .into_values()
-        .map(|group| SampledTask {
-            kind,
-            configs: group,
-            plan: Arc::clone(plan),
-            windows: Arc::clone(windows),
-        })
-        .collect()
-}
-
-/// A trace the sampled route reads twice: pass A streams all of it,
-/// pass B copies out the representative windows.
+/// A trace the measurement reads in chunks: pass A streams all of it;
+/// the sampled route's pass B then copies out the representative
+/// windows.
 trait TwoPass {
     /// Pass A: the next chunk of the whole trace, in order; `Ok(None)`
     /// at its end.
@@ -709,35 +529,63 @@ impl TwoPass for MtrTwoPass<'_> {
     }
 }
 
-/// Interval-sampled measurement: a pass over the trace, a pass over the
-/// representative windows, and a fan-out over those windows.
+/// The next `size` accesses parsed from `din` text (fewer at its end);
+/// `Ok(None)` once it is exhausted.
+fn din_chunk(
+    lines: &mut impl Iterator<Item = io::Result<Access>>,
+    size: usize,
+) -> io::Result<Option<Vec<Access>>> {
+    let chunk = lines.take(size).collect::<io::Result<Vec<Access>>>()?;
+    Ok((!chunk.is_empty()).then_some(chunk))
+}
+
+/// Measures the reference trace `source` yields — the one measurement
+/// every route shares.
 ///
-/// Pass A streams the whole trace once through the *exact* AHH modelers
-/// and the sampling planner (signatures — a few array lookups per
-/// access). Pass B ([`TwoPass::fill`]) copies out each representative's
-/// warm-up and body, bounded by `clusters × (interval + warmup)`
-/// accesses of memory, decoding only the chunks that hold them. The
-/// simulation fan-out then runs one [`SampledSim`] per (stream, line
-/// size, policy) family through the worker pool; family results merge
-/// in input order, so the outcome is bit-identical for any thread
-/// count, chunking, or repetition.
-fn measure_sampled(
+/// Pass A streams the whole trace once, chunk by chunk, through stateful
+/// tasks on the worker pool: the exact AHH modelers, plus either one
+/// [`SinglePassSim`] per family (exact route) or the sampling planner
+/// (sampled route, when [`EvalConfig::sampling`] is set). Every task sees
+/// the whole stream in order and is deterministic, so the outcome is
+/// bit-identical for any chunk size and worker count.
+///
+/// The sampled route then runs pass B ([`TwoPass::fill`]): it copies out
+/// each representative's warm-up and body, bounded by `clusters ×
+/// (interval + warmup)` accesses of memory, decoding only the chunks that
+/// hold them. One [`SampledSim`] per family then fans out over those
+/// windows; results merge in family order, so sampled estimates are
+/// bit-identical for any thread count, chunking, or repetition too.
+fn measure(
     config: &EvalConfig,
-    sampling: SamplingConfig,
     icaches: &[CacheConfig],
     dcaches: &[CacheConfig],
     ucaches: &[CacheConfig],
     source: &mut dyn TwoPass,
-) -> io::Result<(StreamOutcome, SamplingMetrics)> {
-    // --- Pass A: exact modelers + interval signatures. ---
+) -> io::Result<StreamOutcome> {
+    let families = families(config, icaches, dcaches, ucaches);
     let mut tasks = vec![
         StreamTask::IModel { modeler: ITraceModeler::new(config.i_granule), wall: Duration::ZERO },
         StreamTask::UModel { modeler: UTraceModeler::new(config.u_granule), wall: Duration::ZERO },
-        StreamTask::Plan { planner: Box::new(SamplePlanner::new(sampling)), wall: Duration::ZERO },
     ];
+    match config.sampling {
+        Some(sampling) => tasks.push(StreamTask::Plan {
+            planner: Box::new(SamplePlanner::new(sampling)),
+            wall: Duration::ZERO,
+        }),
+        None => tasks.extend(families.iter().map(|(kind, group)| StreamTask::Sim {
+            kind: *kind,
+            sim: SinglePassSim::for_configs(group),
+            configs: group.clone(),
+            wall: Duration::ZERO,
+        })),
+    }
+
+    // --- Pass A. No retries here: stream tasks are stateful, so re-running
+    // a task that panicked mid-chunk could double-feed accesses. A panic
+    // in this sweep surfaces as a structured error instead. ---
     let sweep = ParallelSweep::with_threads(config.worker_threads())
         .with_retry(crate::env::RetryPolicy::NONE)
-        .with_label("sampled measure");
+        .with_label("measure");
     let mut trace_len = 0u64;
     let mut chunks = 0u64;
     let mut decode_wall = Duration::ZERO;
@@ -761,10 +609,14 @@ fn measure_sampled(
             .map_err(|e| io::Error::other(e.error.to_string()))?;
         sim_wall += sim_start.elapsed();
     }
+
+    // --- Finish every task, in task order (so metrics are deterministic
+    // too). ---
     let mut iparams = None;
     let mut uparams = None;
     let mut plan = None;
     let mut model_wall = Duration::ZERO;
+    let mut grids = Grids::default();
     for task in tasks {
         match task {
             StreamTask::IModel { modeler, wall } => {
@@ -779,70 +631,66 @@ fn measure_sampled(
                 plan = Some(planner.finish());
                 model_wall += wall;
             }
-            StreamTask::Sim { .. } => unreachable!("sampled pass A runs no simulators"),
+            StreamTask::Sim { kind, sim, configs, wall } => {
+                let pass = PassMetrics {
+                    stream: kind,
+                    line_words: sim.line_words(),
+                    configs: configs.len(),
+                    addresses: sim.accesses(),
+                    wall,
+                };
+                grids.record(kind, configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))), pass);
+            }
         }
     }
-    let plan = Arc::new(plan.expect("planner task ran"));
 
-    // --- Pass B: copy out the representative windows (single-threaded;
-    // it is a pure range intersection + memcpy). ---
-    let mut extractor = WindowExtractor::new(&plan);
-    let decode_start = Instant::now();
-    let pass_b_chunks = source.fill(&mut extractor)?;
-    decode_wall += decode_start.elapsed();
-    let pass_b_skipped = chunks.saturating_sub(pass_b_chunks);
-    mhe_obs::count(mhe_obs::Counter::PassBChunks, pass_b_chunks);
-    mhe_obs::count(mhe_obs::Counter::PassBSkipped, pass_b_skipped);
-    let windows = Arc::new(extractor.finish());
+    let mut pass_b_chunks = 0;
+    let mut pass_b_skipped = 0;
+    let mut sampling = None;
+    if let Some(plan) = plan {
+        // --- Pass B: copy out the representative windows (single-threaded;
+        // it is a pure range intersection + memcpy). ---
+        let mut extractor = WindowExtractor::new(&plan);
+        let decode_start = Instant::now();
+        pass_b_chunks = source.fill(&mut extractor)?;
+        decode_wall += decode_start.elapsed();
+        pass_b_skipped = chunks.saturating_sub(pass_b_chunks);
+        mhe_obs::count(mhe_obs::Counter::PassBChunks, pass_b_chunks);
+        mhe_obs::count(mhe_obs::Counter::PassBSkipped, pass_b_skipped);
+        let windows = extractor.finish();
 
-    // --- Fan-out: one sampled estimator per (stream, line, policy). ---
-    let expanded = expand_line_sizes(icaches, config.max_dilation);
-    let mut tasks = sampled_tasks(StreamKind::Instruction, &expanded, &plan, &windows);
-    tasks.extend(sampled_tasks(StreamKind::Data, dcaches, &plan, &windows));
-    tasks.extend(sampled_tasks(StreamKind::Unified, ucaches, &plan, &windows));
-    let sim_start = Instant::now();
-    let results = sweep.map_in(Some(mhe_obs::Phase::Simulate), tasks, run_sampled_task);
-    sim_wall += sim_start.elapsed();
-
-    let mut imeasured = HashMap::new();
-    let mut dmeasured = HashMap::new();
-    let mut umeasured = HashMap::new();
-    let mut passes = Vec::new();
-    for (kind, rows, pass) in results {
-        let map = match kind {
-            StreamKind::Instruction => &mut imeasured,
-            StreamKind::Data => &mut dmeasured,
-            StreamKind::Unified => &mut umeasured,
-        };
-        map.extend(rows);
-        passes.push(pass);
+        // --- One sampled estimator per family. ---
+        let sim_start = Instant::now();
+        let results = sweep.map_in(Some(mhe_obs::Phase::Simulate), families, |(kind, group)| {
+            (kind, run_sampled_task(kind, &group, &plan, &windows))
+        });
+        sim_wall += sim_start.elapsed();
+        for (kind, (rows, pass)) in results {
+            grids.record(kind, rows, pass);
+        }
+        sampling = Some(SamplingMetrics {
+            intervals: plan.intervals().len() as u64,
+            clusters: plan.clusters().len() as u64,
+            representative_accesses: plan.representative_accesses(),
+            total_accesses: plan.total_accesses(),
+            error_bound: plan.error_bound(),
+        });
     }
-    let sampling_metrics = SamplingMetrics {
-        intervals: plan.intervals().len() as u64,
-        clusters: plan.clusters().len() as u64,
-        representative_accesses: plan.representative_accesses(),
-        total_accesses: plan.total_accesses(),
-        error_bound: plan.error_bound(),
-    };
-    Ok((
-        StreamOutcome {
-            threads: sweep.threads(),
-            iparams: iparams.expect("instruction modeler task ran"),
-            uparams: uparams.expect("unified modeler task ran"),
-            imeasured,
-            dmeasured,
-            umeasured,
-            passes,
-            trace_len,
-            chunks,
-            pass_b_chunks,
-            pass_b_skipped,
-            decode_wall,
-            sim_wall,
-            model_wall,
-        },
-        sampling_metrics,
-    ))
+    Ok(StreamOutcome {
+        threads: sweep.threads(),
+        iparams: iparams.expect("instruction modeler task ran"),
+        uparams: uparams.expect("unified modeler task ran"),
+        grids,
+        trace_len,
+        chunks,
+        pass_b_chunks,
+        pass_b_skipped,
+        decode_wall,
+        sim_wall,
+        model_wall,
+        sampling,
+        replay: None,
+    })
 }
 
 impl ReferenceEvaluation {
@@ -850,9 +698,11 @@ impl ReferenceEvaluation {
     /// parameters, and simulates the given cache design spaces on the
     /// reference trace.
     ///
-    /// Instruction-cache configurations are automatically expanded with the
-    /// smaller power-of-two line sizes required to interpolate up to
-    /// `config.max_dilation`.
+    /// The trace is generated in chunks of [`EvalConfig::chunk_accesses`]
+    /// and streamed through the measurement, so it never lives in memory
+    /// whole. Instruction-cache configurations are automatically expanded
+    /// with the smaller power-of-two line sizes required to interpolate up
+    /// to `config.max_dilation`.
     pub fn build(
         program: Program,
         reference_mdes: &Mdes,
@@ -861,143 +711,38 @@ impl ReferenceEvaluation {
         dcaches: &[CacheConfig],
         ucaches: &[CacheConfig],
     ) -> Self {
+        Self::measure_reference(program, reference_mdes, config, |program, reference| {
+            // The generator is deterministic: the sampled route's pass B
+            // simply runs it again, up to the end of the last window.
+            let chunk_size = config.chunk_accesses.max(1);
+            let pass = || {
+                let mut trace = TraceGenerator::new(program, reference, config.seed)
+                    .with_event_limit(config.events);
+                move || -> io::Result<Option<Vec<Access>>> {
+                    let _obs = mhe_obs::span(mhe_obs::Phase::TraceGen);
+                    let chunk: Vec<Access> = trace.by_ref().take(chunk_size).collect();
+                    Ok((!chunk.is_empty()).then_some(chunk))
+                }
+            };
+            let mut source = Restream { pass_a: pass(), reopen: || Ok(pass()) };
+            measure(&config, icaches, dcaches, ucaches, &mut source)
+        })
+        .unwrap_or_else(|e| panic!("reference measurement failed: {e}"))
+    }
+
+    /// Profiles and compiles `program` for the reference machine, then
+    /// assembles the evaluation from what `measure_trace` measures on
+    /// that compilation's trace.
+    fn measure_reference(
+        program: Program,
+        reference_mdes: &Mdes,
+        config: EvalConfig,
+        measure_trace: impl FnOnce(&Program, &Compiled) -> io::Result<StreamOutcome>,
+    ) -> io::Result<Self> {
         let build_start = Instant::now();
         let freq = BlockFrequencies::profile(&program, config.seed, 200_000);
         let reference = Compiled::build(&program, reference_mdes, Some(&freq));
-
-        // --- Sampled route: never materialise the trace at all. The
-        // deterministic generator is simply run again for pass B, up to
-        // the end of the last window (pass A: signatures + exact
-        // modelers; pass B: window extraction). ---
-        if let Some(sampling) = config.sampling {
-            let (outcome, sampling_metrics) = {
-                let chunk_size = config.chunk_accesses.max(1);
-                let make_pass = || {
-                    let mut it = TraceGenerator::new(&program, &reference, config.seed)
-                        .with_event_limit(config.events);
-                    move || -> io::Result<Option<Vec<Access>>> {
-                        let chunk: Vec<Access> = it.by_ref().take(chunk_size).collect();
-                        Ok(if chunk.is_empty() { None } else { Some(chunk) })
-                    }
-                };
-                let mut source = Restream { pass_a: make_pass(), reopen: || Ok(make_pass()) };
-                measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)
-                    .expect("in-memory trace source cannot fail")
-            };
-            return Self::from_outcome(
-                program,
-                freq,
-                reference,
-                config,
-                outcome,
-                None,
-                Some(sampling_metrics),
-                build_start,
-            );
-        }
-
-        // --- Materialise the reference trace once; every pass below reads
-        // the shared buffers instead of regenerating the trace. ---
-        let trace_start = Instant::now();
-        let trace_obs = mhe_obs::span(mhe_obs::Phase::TraceGen);
-        let unified: Vec<Access> = TraceGenerator::new(&program, &reference, config.seed)
-            .with_event_limit(config.events)
-            .collect();
-        drop(trace_obs);
-        let iaddrs: Arc<[u64]> = unified
-            .iter()
-            .filter(|a| StreamKind::Instruction.admits(a.kind))
-            .map(|a| a.addr)
-            .collect();
-        let daddrs: Arc<[u64]> =
-            unified.iter().filter(|a| StreamKind::Data.admits(a.kind)).map(|a| a.addr).collect();
-        let uaddrs: Arc<[u64]> = unified.iter().map(|a| a.addr).collect();
-        let unified: Arc<[Access]> = unified.into();
-        let trace_wall = trace_start.elapsed();
-
-        // --- Fan out: two modeler passes plus one single-pass simulation
-        // per (stream, line size), all independent. ---
-        let expanded = expand_line_sizes(icaches, config.max_dilation);
-        let mut tasks = vec![
-            MeasureTask::IModel { addrs: Arc::clone(&iaddrs), granule: config.i_granule },
-            MeasureTask::UModel { trace: Arc::clone(&unified), granule: config.u_granule },
-        ];
-        tasks.extend(sim_tasks(StreamKind::Instruction, &expanded, &iaddrs));
-        tasks.extend(sim_tasks(StreamKind::Data, dcaches, &daddrs));
-        tasks.extend(sim_tasks(StreamKind::Unified, ucaches, &uaddrs));
-
-        let sweep = ParallelSweep::with_threads(config.worker_threads());
-        let sim_start = Instant::now();
-        let results = sweep.map_in(Some(mhe_obs::Phase::Simulate), tasks, run_measure_task);
-        let sim_wall = sim_start.elapsed();
-
-        // --- Merge (input order, so metrics are deterministic too). ---
-        let mut iparams = None;
-        let mut uparams = None;
-        let mut model_wall = Duration::ZERO;
-        let mut imeasured = HashMap::new();
-        let mut dmeasured = HashMap::new();
-        let mut umeasured = HashMap::new();
-        let mut passes = Vec::new();
-        for result in results {
-            match result {
-                MeasureResult::IModel(p, wall) => {
-                    iparams = Some(p);
-                    model_wall += wall;
-                }
-                MeasureResult::UModel(p, wall) => {
-                    uparams = Some(p);
-                    model_wall += wall;
-                }
-                MeasureResult::Sim { kind, rows, pass } => {
-                    let map = match kind {
-                        StreamKind::Instruction => &mut imeasured,
-                        StreamKind::Data => &mut dmeasured,
-                        StreamKind::Unified => &mut umeasured,
-                    };
-                    map.extend(rows);
-                    passes.push(pass);
-                }
-            }
-        }
-        let metrics = EvalMetrics {
-            threads: sweep.threads(),
-            trace_len: uaddrs.len() as u64,
-            trace_wall,
-            model_wall,
-            sim_wall,
-            build_wall: build_start.elapsed(),
-            passes,
-            replay: None,
-            sampling: None,
-        };
-
-        Self {
-            config,
-            program: Arc::new(program),
-            freq: Arc::new(freq),
-            reference: Arc::new(reference),
-            iparams: iparams.expect("instruction modeler task ran"),
-            uparams: uparams.expect("unified modeler task ran"),
-            imeasured,
-            dmeasured,
-            umeasured,
-            metrics,
-        }
-    }
-
-    /// Assembles an evaluation from the streaming fan-out's outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn from_outcome(
-        program: Program,
-        freq: BlockFrequencies,
-        reference: Compiled,
-        config: EvalConfig,
-        outcome: StreamOutcome,
-        replay: Option<ReplayMetrics>,
-        sampling: Option<SamplingMetrics>,
-        build_start: Instant,
-    ) -> Self {
+        let outcome = measure_trace(&program, &reference)?;
         let metrics = EvalMetrics {
             threads: outcome.threads,
             trace_len: outcome.trace_len,
@@ -1005,79 +750,22 @@ impl ReferenceEvaluation {
             model_wall: outcome.model_wall,
             sim_wall: outcome.sim_wall,
             build_wall: build_start.elapsed(),
-            passes: outcome.passes,
-            replay,
-            sampling,
+            passes: outcome.grids.passes,
+            replay: outcome.replay,
+            sampling: outcome.sampling,
         };
-        Self {
+        Ok(Self {
             config,
             program: Arc::new(program),
             freq: Arc::new(freq),
             reference: Arc::new(reference),
             iparams: outcome.iparams,
             uparams: outcome.uparams,
-            imeasured: outcome.imeasured,
-            dmeasured: outcome.dmeasured,
-            umeasured: outcome.umeasured,
+            imeasured: outcome.grids.imeasured,
+            dmeasured: outcome.grids.dmeasured,
+            umeasured: outcome.grids.umeasured,
             metrics,
-        }
-    }
-
-    /// Like [`ReferenceEvaluation::build`], but measures an explicitly
-    /// supplied access stream instead of generating the reference trace:
-    /// the stream *is* taken to be the reference trace.
-    ///
-    /// The stream is consumed in chunks of [`EvalConfig::chunk_accesses`]
-    /// fanned out across the worker pool into stateful modelers and
-    /// simulators, so arbitrarily long traces run in bounded memory.
-    /// Whenever the stream equals the generated reference trace, every
-    /// miss count and parameter is bit-identical to `build`'s.
-    pub fn build_from_trace(
-        program: Program,
-        reference_mdes: &Mdes,
-        config: EvalConfig,
-        trace: impl IntoIterator<Item = Access>,
-        icaches: &[CacheConfig],
-        dcaches: &[CacheConfig],
-        ucaches: &[CacheConfig],
-    ) -> Self {
-        let build_start = Instant::now();
-        let freq = BlockFrequencies::profile(&program, config.seed, 200_000);
-        let reference = Compiled::build(&program, reference_mdes, Some(&freq));
-        let chunk_size = config.chunk_accesses.max(1);
-        // Sampling needs two passes over the stream; a one-shot iterator
-        // has to be materialised for that (file-backed traces should use
-        // `replay_file`, which re-opens the file instead).
-        if let Some(sampling) = config.sampling {
-            let all: Vec<Access> = trace.into_iter().collect();
-            let (outcome, sampling_metrics) = {
-                let chunked = || {
-                    let mut chunks = all.chunks(chunk_size);
-                    move || Ok(chunks.next().map(<[Access]>::to_vec))
-                };
-                let mut source = Restream { pass_a: chunked(), reopen: || Ok(chunked()) };
-                measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)
-                    .expect("in-memory trace source cannot fail")
-            };
-            return Self::from_outcome(
-                program,
-                freq,
-                reference,
-                config,
-                outcome,
-                None,
-                Some(sampling_metrics),
-                build_start,
-            );
-        }
-        let mut iter = trace.into_iter();
-        let mut next = move || -> io::Result<Option<Vec<Access>>> {
-            let chunk: Vec<Access> = iter.by_ref().take(chunk_size).collect();
-            Ok(if chunk.is_empty() { None } else { Some(chunk) })
-        };
-        let outcome = measure_streaming(&config, icaches, dcaches, ucaches, &mut next)
-            .expect("in-memory trace source cannot fail");
-        Self::from_outcome(program, freq, reference, config, outcome, None, None, build_start)
+        })
     }
 
     /// Replays a captured trace file as the reference trace.
@@ -1085,10 +773,10 @@ impl ReferenceEvaluation {
     /// `.mtr` files are decoded frame by frame (each frame is one chunk);
     /// `.din` text is parsed in chunks of [`EvalConfig::chunk_accesses`].
     /// Either way the file streams through the measurement in bounded
-    /// memory, and the resulting evaluation is bit-identical to building
-    /// from the same trace in memory. [`EvalMetrics::replay`] records
-    /// bytes read, decode throughput, and the compression ratio relative
-    /// to `din` text.
+    /// memory, and the resulting evaluation is bit-identical to
+    /// [`ReferenceEvaluation::build`] on the same trace.
+    /// [`EvalMetrics::replay`] records bytes read, decode throughput, and
+    /// the compression ratio relative to `din` text.
     ///
     /// # Errors
     ///
@@ -1104,105 +792,68 @@ impl ReferenceEvaluation {
         ucaches: &[CacheConfig],
     ) -> io::Result<Self> {
         let path = path.as_ref();
-        let build_start = Instant::now();
-        let freq = BlockFrequencies::profile(&program, config.seed, 200_000);
-        let reference = Compiled::build(&program, reference_mdes, Some(&freq));
-        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-        let chunk_size = config.chunk_accesses.max(1);
-        let din_chunk = |lines: &mut dyn Iterator<Item = io::Result<Access>>| -> io::Result<Option<Vec<Access>>> {
-            let mut chunk = Vec::new();
-            for item in lines {
-                chunk.push(item?);
-                if chunk.len() >= chunk_size {
-                    break;
+        Self::measure_reference(program, reference_mdes, config, |_, _| {
+            let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+            let chunk_size = config.chunk_accesses.max(1);
+            let open_din = || -> io::Result<_> {
+                Ok(read_din_iter_named(
+                    BufReader::new(File::open(path)?),
+                    path.display().to_string(),
+                ))
+            };
+            let (mut outcome, bytes_read, din_bytes) = match ext {
+                "mtr" => {
+                    // The index lets the sampled route's pass B seek to
+                    // the frames that hold the windows.
+                    let reader = TraceReader::new(BufReader::new(File::open(path)?))?.with_index();
+                    let mut source = MtrTwoPass { path, reader };
+                    let outcome = measure(&config, icaches, dcaches, ucaches, &mut source)?;
+                    let stats = source.reader.stats();
+                    (outcome, stats.bytes, stats.din_bytes)
                 }
-            }
-            Ok(if chunk.is_empty() { None } else { Some(chunk) })
-        };
-        let open_din = || -> io::Result<_> {
-            Ok(read_din_iter_named(BufReader::new(File::open(path)?), path.display().to_string()))
-        };
-        // Pass A's `din`-text size of what it decoded: the `.mtr` reader
-        // counts it as it decodes; `din` text counts it here.
-        let mut din_bytes = 0u64;
-        let mut din_pass_a = |lines: &mut dyn Iterator<Item = io::Result<Access>>| {
-            let chunk = din_chunk(lines)?;
-            if let Some(chunk) = &chunk {
-                din_bytes += din_text_bytes(chunk.iter().copied());
-            }
-            Ok(chunk)
-        };
-        let (outcome, sampling_metrics, bytes_read, din_bytes) = match (ext, config.sampling) {
-            ("mtr", None) => {
-                let mut reader = TraceReader::new(BufReader::new(File::open(path)?))?;
-                let outcome = {
-                    let mut next = || reader.next_frame();
-                    measure_streaming(&config, icaches, dcaches, ucaches, &mut next)?
-                };
-                let stats = reader.stats();
-                (outcome, None, stats.bytes, stats.din_bytes)
-            }
-            ("mtr", Some(sampling)) => {
-                // The trace never lives in memory, only the representative
-                // windows; pass B re-opens the file and seeks to the
-                // frames that hold them.
-                let reader = TraceReader::new(BufReader::new(File::open(path)?))?.with_index();
-                let mut source = MtrTwoPass { path, reader };
-                let (outcome, sm) =
-                    measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)?;
-                let stats = source.reader.stats();
-                (outcome, Some(sm), stats.bytes, stats.din_bytes)
-            }
-            ("din", None) => {
-                let mut lines = open_din()?;
-                let outcome = {
-                    let mut next = || din_pass_a(&mut lines);
-                    measure_streaming(&config, icaches, dcaches, ucaches, &mut next)?
-                };
-                // din is the uncompressed baseline: what we read is the
-                // text itself.
-                (outcome, None, din_bytes, din_bytes)
-            }
-            ("din", Some(sampling)) => {
-                let (outcome, sm) = {
-                    let mut lines = open_din()?;
-                    let mut source = Restream {
-                        pass_a: || din_pass_a(&mut lines),
-                        reopen: || {
-                            let mut lines = open_din()?;
-                            Ok(move || din_chunk(&mut lines))
-                        },
+                "din" => {
+                    // Pass A's `din`-text size of what it parsed (the
+                    // `.mtr` reader counts its own).
+                    let mut din_bytes = 0u64;
+                    let outcome = {
+                        let mut lines = open_din()?;
+                        let mut source = Restream {
+                            pass_a: || {
+                                let chunk = din_chunk(&mut lines, chunk_size)?;
+                                if let Some(chunk) = &chunk {
+                                    din_bytes += din_text_bytes(chunk.iter().copied());
+                                }
+                                Ok(chunk)
+                            },
+                            reopen: || {
+                                let mut lines = open_din()?;
+                                Ok(move || din_chunk(&mut lines, chunk_size))
+                            },
+                        };
+                        measure(&config, icaches, dcaches, ucaches, &mut source)?
                     };
-                    measure_sampled(&config, sampling, icaches, dcaches, ucaches, &mut source)?
-                };
-                (outcome, Some(sm), din_bytes, din_bytes)
-            }
-            (other, _) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("unknown trace extension {other:?} (expected mtr or din)"),
-                ));
-            }
-        };
-        let replay = ReplayMetrics {
-            bytes_read,
-            accesses: outcome.trace_len,
-            din_bytes,
-            chunks: outcome.chunks,
-            pass_b_chunks: outcome.pass_b_chunks,
-            pass_b_skipped: outcome.pass_b_skipped,
-            decode_wall: outcome.decode_wall,
-        };
-        Ok(Self::from_outcome(
-            program,
-            freq,
-            reference,
-            config,
-            outcome,
-            Some(replay),
-            sampling_metrics,
-            build_start,
-        ))
+                    // din is the uncompressed baseline: what we read is
+                    // the text itself.
+                    (outcome, din_bytes, din_bytes)
+                }
+                other => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!("unknown trace extension {other:?} (expected mtr or din)"),
+                    ));
+                }
+            };
+            outcome.replay = Some(ReplayMetrics {
+                bytes_read,
+                accesses: outcome.trace_len,
+                din_bytes,
+                chunks: outcome.chunks,
+                pass_b_chunks: outcome.pass_b_chunks,
+                pass_b_skipped: outcome.pass_b_skipped,
+                decode_wall: outcome.decode_wall,
+            });
+            Ok(outcome)
+        })
     }
 
     /// Convenience: build for a benchmark with the paper's cache spaces.
@@ -1578,35 +1229,6 @@ mod tests {
         let unknown = CacheConfig::from_bytes(4096, 4, 16);
         assert!(e.estimate_ucache_misses(unknown, 1.5).is_err());
         assert!(e.dcache_misses(unknown).is_err());
-    }
-
-    #[test]
-    fn build_from_trace_matches_build() {
-        let e = small_eval();
-        let trace: Vec<Access> = e.reference_trace().collect();
-        let ic = [CacheConfig::from_bytes(1024, 1, 32)];
-        let dc = [CacheConfig::from_bytes(1024, 1, 32)];
-        let uc = [CacheConfig::from_bytes(16 * 1024, 2, 64)];
-        for chunk_accesses in [999, 1 << 16] {
-            let cfg = EvalConfig { events: 60_000, chunk_accesses, ..EvalConfig::default() };
-            let s = ReferenceEvaluation::build_from_trace(
-                e.program().clone(),
-                &ProcessorKind::P1111.mdes(),
-                cfg,
-                trace.iter().copied(),
-                &ic,
-                &dc,
-                &uc,
-            );
-            assert_eq!(s.imeasured(), e.imeasured(), "chunk {chunk_accesses}");
-            assert_eq!(s.dmeasured(), e.dmeasured(), "chunk {chunk_accesses}");
-            assert_eq!(s.umeasured(), e.umeasured(), "chunk {chunk_accesses}");
-            let est =
-                |ev: &ReferenceEvaluation| ev.estimate_icache_misses(ic[0], 2.0).unwrap().to_bits();
-            assert_eq!(est(&s), est(&e));
-            assert_eq!(s.metrics().trace_len, e.metrics().trace_len);
-            assert!(s.metrics().replay.is_none());
-        }
     }
 
     #[test]

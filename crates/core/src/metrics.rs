@@ -176,9 +176,10 @@ impl std::fmt::Display for SamplingMetrics {
 pub struct EvalMetrics {
     /// Worker threads the measurement fan-out used.
     pub threads: usize,
-    /// Length of the materialised unified reference trace.
+    /// Length of the unified reference trace, in accesses.
     pub trace_len: u64,
-    /// Wall time to generate and materialise the reference trace.
+    /// Wall time spent producing the reference trace's chunks: generating
+    /// them, or decoding them from a captured file.
     pub trace_wall: Duration,
     /// Wall time of the two trace-parameter modeler passes.
     pub model_wall: Duration,
@@ -189,7 +190,7 @@ pub struct EvalMetrics {
     /// One entry per single-pass simulation.
     pub passes: Vec<PassMetrics>,
     /// Present when the trace was replayed from a captured file instead
-    /// of generated in memory.
+    /// of generated.
     pub replay: Option<ReplayMetrics>,
     /// Present when the measurement ran through interval sampling.
     pub sampling: Option<SamplingMetrics>,

@@ -22,22 +22,25 @@
 //! poisoned task can never deadlock or abort a sweep mid-join:
 //!
 //! * the fallible entry points ([`ParallelSweep::try_map`],
-//!   [`ParallelSweep::try_for_each_mut`]) convert the panic into
+//!   [`ParallelSweep::try_for_each_mut_in`]) convert the panic into
 //!   [`MheError::WorkerFailed`] carrying the task label and panic
 //!   message, cancel remaining queued work, and surface the partial
 //!   [`SweepMetrics`] in a [`SweepError`];
-//! * the infallible entry points ([`ParallelSweep::map`],
-//!   [`ParallelSweep::for_each_mut`]) cancel remaining work, join every
-//!   worker cleanly, and then re-raise the first panicking task's payload
-//!   (lowest index wins) — deterministic, but still a panic, because the
-//!   signature cannot express failure;
+//! * the infallible entry point ([`ParallelSweep::map`]) cancels
+//!   remaining work, joins every worker cleanly, and then re-raises the
+//!   first panicking task's payload (lowest index wins) — deterministic,
+//!   but still a panic, because the signature cannot express failure;
 //! * a [`RetryPolicy`] (default: [`crate::env::retry_policy`], i.e.
 //!   `MHE_RETRIES`) re-runs *panicked* tasks a bounded number of times in
 //!   the fallible paths. Typed `MheError` returns are never retried —
 //!   they are deterministic domain failures.
 //!
-//! The fallible paths also consult [`crate::fault::maybe_panic_task`], so
-//! a [`crate::fault::FaultPlan`] can kill chosen tasks on demand.
+//! [`ParallelSweep::try_map`] also consults
+//! [`crate::fault::maybe_panic_task`], so a [`crate::fault::FaultPlan`]
+//! can kill chosen tasks on demand. Injected panics are one-shot, built
+//! for a retry to recover from; the in-place sweep feeds stateful tasks
+//! that are never retried (the reference measurement), so it is no fault
+//! site.
 
 use crate::cancel::CancelToken;
 use crate::env::RetryPolicy;
@@ -311,90 +314,6 @@ impl ParallelSweep {
             .collect()
     }
 
-    /// Applies `f` to every item **in place**, concurrently.
-    ///
-    /// The streaming-replay counterpart of [`ParallelSweep::map`]: the
-    /// items stay owned by the caller, so stateful workers (simulators,
-    /// modelers) can be fed one trace chunk per call across many calls
-    /// without moving in and out of the pool. Work is claimed dynamically;
-    /// each item is visited exactly once per call.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        self.for_each_mut_in(None, items, f)
-    }
-
-    /// Like [`ParallelSweep::for_each_mut`], attributing the round to an
-    /// observability phase (wall time + per-worker busy time), as
-    /// [`ParallelSweep::map_in`] does for `map`.
-    pub fn for_each_mut_in<T, F>(&self, phase: Option<mhe_obs::Phase>, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let probe = phase.filter(|_| mhe_obs::enabled());
-        let _wall = probe.map(mhe_obs::wall_span);
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            let busy_start = probe.map(|_| Instant::now());
-            for item in items {
-                f(item);
-            }
-            if let (Some(p), Some(start)) = (probe, busy_start) {
-                mhe_obs::add_busy(p, start.elapsed());
-            }
-            return;
-        }
-        let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-        let cursor = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let first_panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        if cancelled.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut guard = slots[i].lock().unwrap();
-                        let item_start = probe.map(|_| Instant::now());
-                        // catch_unwind stops the unwind before the slot
-                        // guard drops, so the lock is never poisoned.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut **guard)));
-                        drop(guard);
-                        if let Err(payload) = outcome {
-                            mhe_obs::count(mhe_obs::Counter::WorkerPanic, 1);
-                            cancelled.store(true, Ordering::Relaxed);
-                            let mut slot = first_panic.lock().unwrap();
-                            match &*slot {
-                                Some((j, _)) if *j <= i => {}
-                                _ => *slot = Some((i, payload)),
-                            }
-                            break;
-                        }
-                        if let Some(start) = item_start {
-                            busy += start.elapsed();
-                        }
-                    }
-                    if let Some(p) = probe {
-                        mhe_obs::add_busy(p, busy);
-                    }
-                });
-            }
-        });
-        if let Some((_, payload)) = first_panic.into_inner().unwrap() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
     /// Like [`ParallelSweep::map`], also reporting the fan-out's wall time.
     pub fn map_timed<T, R, F>(&self, items: Vec<T>, f: F) -> (Vec<R>, SweepMetrics)
     where
@@ -585,21 +504,18 @@ impl ParallelSweep {
             .collect())
     }
 
-    /// The fallible, panic-isolated counterpart of
-    /// [`ParallelSweep::for_each_mut`]: applies `f` to every item in
-    /// place; `Err` and caught panics behave as in
-    /// [`ParallelSweep::try_map`]. A retried task re-runs `f` on the same
-    /// item, so `f` must either be restartable or panic before mutating.
-    pub fn try_for_each_mut<T, F>(&self, items: &mut [T], f: F) -> Result<(), SweepError>
-    where
-        T: Send,
-        F: Fn(&mut T) -> Result<(), MheError> + Sync,
-    {
-        self.try_for_each_mut_in(None, items, f)
-    }
-
-    /// Like [`ParallelSweep::try_for_each_mut`], attributing the round to
-    /// an observability phase.
+    /// Applies `f` to every item **in place**, concurrently, attributing
+    /// the round to an observability phase (wall time + per-worker busy
+    /// time, as [`ParallelSweep::map_in`] does for `map`).
+    ///
+    /// The streaming counterpart of [`ParallelSweep::try_map`]: the items
+    /// stay owned by the caller, so stateful workers (simulators,
+    /// modelers) can be fed one trace chunk per call across many calls
+    /// without moving in and out of the pool. Work is claimed dynamically;
+    /// each item is visited exactly once per call. `Err` and caught panics
+    /// behave as in [`ParallelSweep::try_map`]. A retried task re-runs `f`
+    /// on the same item, so `f` must either be restartable or panic before
+    /// mutating.
     pub fn try_for_each_mut_in<T, F>(
         &self,
         phase: Option<mhe_obs::Phase>,
@@ -625,10 +541,7 @@ impl ParallelSweep {
                     return Err(MheError::Cancelled);
                 }
                 attempt += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    crate::fault::maybe_panic_task(i as u64);
-                    f(item)
-                }));
+                let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
                 match outcome {
                     Ok(result) => return result,
                     Err(payload) => {
@@ -776,7 +689,12 @@ mod tests {
     fn for_each_mut_visits_every_item_once() {
         for threads in [1, 2, 3, 8] {
             let mut items: Vec<u64> = (0..97).collect();
-            ParallelSweep::with_threads(threads).for_each_mut(&mut items, |x| *x += 1000);
+            ParallelSweep::with_threads(threads)
+                .try_for_each_mut_in(None, &mut items, |x| {
+                    *x += 1000;
+                    Ok(())
+                })
+                .unwrap();
             assert_eq!(items, (1000..1097).collect::<Vec<u64>>(), "{threads} threads");
         }
     }
@@ -787,10 +705,19 @@ mod tests {
         let mut sums = vec![0u64; 16];
         let sweep = ParallelSweep::with_threads(4);
         for chunk in 1..=10u64 {
-            sweep.for_each_mut(&mut sums, |s| *s += chunk);
+            sweep
+                .try_for_each_mut_in(None, &mut sums, |s| {
+                    *s += chunk;
+                    Ok(())
+                })
+                .unwrap();
         }
         assert_eq!(sums, vec![55u64; 16]);
-        sweep.for_each_mut(&mut [], |_: &mut u64| unreachable!("empty slice has no items"));
+        sweep
+            .try_for_each_mut_in(None, &mut [], |_: &mut u64| {
+                unreachable!("empty slice has no items")
+            })
+            .unwrap();
     }
 
     #[test]
@@ -899,7 +826,7 @@ mod tests {
         for threads in [1, 8] {
             let mut items: Vec<u64> = (0..40).collect();
             let err = ParallelSweep::with_threads(threads)
-                .try_for_each_mut(&mut items, |x| {
+                .try_for_each_mut_in(None, &mut items, |x| {
                     if *x == 11 {
                         panic!("poisoned item");
                     }
@@ -913,7 +840,7 @@ mod tests {
         // Success path mutates every item exactly once.
         let mut items: Vec<u64> = (0..40).collect();
         ParallelSweep::with_threads(8)
-            .try_for_each_mut(&mut items, |x| {
+            .try_for_each_mut_in(None, &mut items, |x| {
                 *x += 100;
                 Ok(())
             })

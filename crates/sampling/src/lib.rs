@@ -16,7 +16,7 @@
 //! exact [`mhe_cache::SinglePassSim`], via [`SampledSim`], at a cost
 //! proportional to the number of *representative* accesses rather than
 //! the trace length. For large LRU configurations an analytic
-//! reuse-distance-histogram path ([`histogram::ReuseHistogram`], after
+//! reuse-distance-histogram path ([`mhe_cache::ReuseHistogram`], after
 //! Ling et al., *Fast Modeling L2 Cache Reuse Distance Histograms*)
 //! replaces per-set stack simulation entirely.
 //!
@@ -64,14 +64,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod histogram;
 pub mod interval;
 pub mod kmeans;
 pub mod plan;
 pub mod sampled;
 pub mod signature;
 
-pub use histogram::ReuseHistogram;
 pub use interval::{split, IntervalSplitter};
 pub use kmeans::Clustering;
 pub use plan::{

@@ -40,10 +40,9 @@
 //! exactly by pass A. Every accumulation runs in fixed interval order,
 //! so the estimate is a pure function of (plan, windows) and
 //! bit-identical on every run and thread count.
-use crate::histogram::ReuseHistogram;
 use crate::plan::{RepWindow, SamplePlan};
 use crate::signature::{ProbeCounts, PROBE_LINES, PROBE_LINE_WORDS, PROBE_LINE_WORDS_WIDE};
-use mhe_cache::{Policy, SinglePassSim};
+use mhe_cache::{Policy, ReuseHistogram, SinglePassSim};
 use mhe_trace::StreamKind;
 
 /// Minimum probe misses the representative must show before the ratio

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example miss_anatomy`
 
-use mhe::cache::{classify_misses, StackSim};
+use mhe::cache::{classify_misses, ReuseHistogram};
 use mhe::prelude::*;
 use mhe::vliw::compile::Compiled;
 
@@ -47,16 +47,19 @@ fn main() {
     }
 
     // --- Stack profile: every fully-associative capacity at once. ---
-    let mut stack = StackSim::new(8);
-    stack.run(trace.iter().copied());
+    let mut stack = ReuseHistogram::new(8);
+    for &a in &trace {
+        stack.observe(a);
+    }
+    let accesses = stack.accesses() as f64;
     println!("\n## Fully-associative miss-rate curve (one stack pass)\n");
     println!("{:>10} {:>12} {:>10}", "capacity", "misses", "rate");
     for lines in [8u32, 16, 32, 64, 128, 256, 512, 1024] {
-        let m = stack.misses(lines);
-        println!("{:>7} ln {:>12} {:>9.2}%", lines, m, 100.0 * m as f64 / stack.accesses() as f64);
+        let m = stack.expected_misses(1, lines);
+        println!("{:>7} ln {:>12} {:>9.2}%", lines, m, 100.0 * m / accesses);
     }
     for target in [0.05, 0.02, 0.01] {
-        match stack.capacity_for_miss_rate(target) {
+        match capacity_for_miss_rate(&stack, target) {
             Some(lines) => println!(
                 "smallest fully-associative cache with miss rate <= {:.0}%: {} lines ({} KB)",
                 target * 100.0,
@@ -66,10 +69,30 @@ fn main() {
             None => println!(
                 "no capacity reaches {:.0}% (compulsory floor {:.2}%)",
                 target * 100.0,
-                100.0 * stack.cold_misses() as f64 / stack.accesses() as f64
+                100.0 * stack.cold() as f64 / accesses
             ),
         }
     }
     println!("\nWhere the conflict share is high and compulsory misses are few, the");
     println!("paper's steady-state interference model is on safe ground.");
+}
+
+/// The smallest fully-associative capacity (in lines) with a miss rate at
+/// most `target`, if any capacity reaches it (compulsory misses set the
+/// floor). A reference at stack distance `d` hits every capacity above
+/// `d`, so the running sum of the histogram is the hit curve.
+fn capacity_for_miss_rate(stack: &ReuseHistogram, target: f64) -> Option<u32> {
+    let accesses = stack.accesses();
+    if accesses == 0 {
+        return Some(1);
+    }
+    let mut hits = 0u64;
+    for (d, &n) in stack.histogram().iter().enumerate() {
+        hits += n;
+        if (accesses - hits) as f64 / accesses as f64 <= target {
+            return Some(d as u32 + 1);
+        }
+    }
+    (stack.cold() as f64 / accesses as f64 <= target)
+        .then_some(stack.histogram().len().max(1) as u32)
 }

@@ -12,6 +12,9 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> miss_anatomy example (cargo test compiles examples but never runs them)"
+cargo run --release -q --example miss_anatomy > /dev/null
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -30,7 +33,7 @@ timeout 300 cargo test -q --release -p mhe --test policy_differential
 echo "==> sampling accuracy harness (full matrix, budget: 300 s wall)"
 timeout 300 cargo test -q --release -p mhe --test sampling_accuracy
 
-echo "==> trace replay differential suite (mtr/din replay vs in-memory bytes, sampled frame skipping; budget: 300 s wall)"
+echo "==> trace replay differential suite (mtr/din replay vs generated-build bytes, sampled frame skipping; budget: 300 s wall)"
 timeout 300 cargo test -q --release -p mhe --test trace_replay
 
 echo "==> daemon differential suite (4 concurrent clients vs batch bytes, budget: 300 s wall)"

@@ -25,11 +25,15 @@ fn spaces() -> (Vec<CacheConfig>, Vec<CacheConfig>, Vec<CacheConfig>) {
 }
 
 fn build(threads: usize) -> ReferenceEvaluation {
+    build_chunked(threads, EvalConfig::default().chunk_accesses)
+}
+
+fn build_chunked(threads: usize, chunk_accesses: usize) -> ReferenceEvaluation {
     let (ic, dc, uc) = spaces();
     ReferenceEvaluation::for_benchmark(
         Benchmark::Epic,
         &ProcessorKind::P1111.mdes(),
-        EvalConfig { events: EVENTS, threads, ..EvalConfig::default() },
+        EvalConfig { events: EVENTS, threads, chunk_accesses, ..EvalConfig::default() },
         &ic,
         &dc,
         &uc,
@@ -38,12 +42,20 @@ fn build(threads: usize) -> ReferenceEvaluation {
 
 #[test]
 fn measured_maps_identical_across_thread_counts() {
+    // The generated trace streams through the build in chunks, so the
+    // chunk size must be just as invisible as the worker count; a small
+    // odd size splits basic blocks and granules across chunks.
     let one = build(1);
-    for threads in [2, 8] {
-        let many = build(threads);
-        assert_eq!(one.imeasured(), many.imeasured(), "imeasured @ {threads} threads");
-        assert_eq!(one.dmeasured(), many.dmeasured(), "dmeasured @ {threads} threads");
-        assert_eq!(one.umeasured(), many.umeasured(), "umeasured @ {threads} threads");
+    for threads in [1, 2, 8] {
+        for chunk in [977, 1 << 16] {
+            let many = build_chunked(threads, chunk);
+            let tag = format!("{threads} threads, {chunk}-access chunks");
+            assert_eq!(one.imeasured(), many.imeasured(), "imeasured @ {tag}");
+            assert_eq!(one.dmeasured(), many.dmeasured(), "dmeasured @ {tag}");
+            assert_eq!(one.umeasured(), many.umeasured(), "umeasured @ {tag}");
+            assert_eq!(one.iparams(), many.iparams(), "iparams @ {tag}");
+            assert_eq!(one.uparams(), many.uparams(), "uparams @ {tag}");
+        }
     }
 }
 

@@ -90,6 +90,12 @@ fn evaluation_and_walk_record_every_promised_phase() {
         cfg,
         &space,
     );
+    // The build generates its trace chunk by chunk inside the measurement
+    // loop; that time is trace generation, not simulation. (Taken before
+    // `capture_mtr`, which generates the trace again.)
+    let built = RunReport::since("build", cfg.worker_threads(), &before);
+    let gen = built.phases.iter().find(|p| p.phase == Phase::TraceGen.name());
+    assert!(gen.is_some_and(|p| p.busy_ns > 0 && p.events > 0), "build phases: {:?}", built.phases);
     // Round-trip the reference trace through the codec so the encode and
     // decode phases record, exactly as `trace_replay` does with files.
     let dir = std::env::temp_dir();

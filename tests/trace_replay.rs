@@ -1,16 +1,16 @@
-//! Differential test: captured-trace replay reproduces the in-memory
-//! evaluation bit for bit.
+//! Differential test: captured-trace replay reproduces the evaluation
+//! built from the generated trace bit for bit.
 //!
 //! For every benchmark, the reference trace is captured to a compact
 //! `.mtr` file and replayed through [`ReferenceEvaluation::replay_file`]
 //! at 1 and 8 worker threads. The replayed evaluation must agree with the
-//! in-memory build exactly — identical measured miss maps and
+//! generated build exactly — identical measured miss maps and
 //! bit-identical dilated estimates — and the binary capture must be at
 //! least 4x smaller than the equivalent `din` text. A second test checks
 //! the `din` replay path and that the chunk size is invisible to results.
 //! A third checks the sampled route: its second pass decodes only the
 //! `.mtr` frames that hold representative windows, yet the result equals
-//! the in-memory sampled build and the sampled `din` replay bit for bit.
+//! the generated sampled build and the sampled `din` replay bit for bit.
 
 use mhe::prelude::*;
 use mhe::trace::TraceWriter;
@@ -32,7 +32,7 @@ fn config(threads: usize, chunk_accesses: usize) -> EvalConfig {
     EvalConfig { events: EVENTS, threads, chunk_accesses, ..EvalConfig::default() }
 }
 
-fn build_in_memory(b: Benchmark) -> ReferenceEvaluation {
+fn build_generated(b: Benchmark) -> ReferenceEvaluation {
     let (ic, dc, uc) = spaces();
     ReferenceEvaluation::build(
         b.generate(),
@@ -74,7 +74,7 @@ fn mtr_replay_is_bit_identical_for_every_benchmark() {
     let (ic, dc, uc) = spaces();
     for b in Benchmark::ALL {
         let name = b.name();
-        let mem = build_in_memory(b);
+        let mem = build_generated(b);
         let path = temp_path(&format!("{}.mtr", name.replace('.', "_")));
         let stats = mem.capture_mtr(BufWriter::new(File::create(&path).unwrap())).unwrap();
         assert_eq!(stats.accesses, mem.metrics().trace_len, "{name}: captured whole trace");
@@ -112,7 +112,7 @@ fn mtr_replay_is_bit_identical_for_every_benchmark() {
 #[test]
 fn din_replay_matches_and_chunk_size_is_invisible() {
     let b = Benchmark::Unepic;
-    let mem = build_in_memory(b);
+    let mem = build_generated(b);
     let path = temp_path("unepic.din");
     mem.capture_din(File::create(&path).unwrap()).unwrap();
     let (ic, dc, uc) = spaces();
