@@ -130,8 +130,11 @@ impl From<SweepError> for MheError {
     }
 }
 
-/// Renders a caught panic payload for [`MheError::WorkerFailed`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+/// Renders a caught panic payload: the `panic!` message when it is a
+/// string, a placeholder otherwise. Pass the payload itself
+/// (`payload.as_ref()`), not a reference to its `Box`, or the downcast
+/// never matches.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -43,6 +43,7 @@ use crate::pareto::ParetoSet;
 use crate::spec::Spec;
 use crate::walker::{self, SystemPoint};
 use mhe_core::evaluator::{EvalConfig, ReferenceEvaluation};
+use mhe_core::parallel::panic_message;
 use mhe_core::{CancelToken, MheError, SamplingConfig, EXIT_BAD_CONFIG, EXIT_WORKER_FAILURE};
 use mhe_vliw::ProcessorKind;
 use proto::{FrontierReport, FrontierRequest, FrontierRow, Request, Response, StatsReport};
@@ -326,21 +327,13 @@ impl EvalService {
                         ),
                     };
                 };
-                let run = || match &cancel {
+                reply(|| match &cancel {
                     Some(token) if token.is_cancelled() => {
                         Err(ServiceError::from(MheError::Cancelled))
                     }
                     Some(token) => walker::with_walk_cancel(token.clone(), || self.frontier(&req)),
                     None => self.frontier(&req),
-                };
-                match catch_unwind(AssertUnwindSafe(run)) {
-                    Ok(Ok(report)) => Response::Frontier(report),
-                    Ok(Err(e)) => Response::Error { code: e.code, message: e.message },
-                    Err(payload) => Response::Error {
-                        code: EXIT_WORKER_FAILURE,
-                        message: format!("request panicked: {}", panic_message(&payload)),
-                    },
-                }
+                })
             }
         }
     }
@@ -555,14 +548,16 @@ impl Default for EvalService {
     }
 }
 
-/// Renders a panic payload for a diagnostic.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Runs one frontier evaluation under `catch_unwind`: a panic becomes a
+/// code-4 error carrying the panic's message, never a dead thread.
+fn reply(run: impl FnOnce() -> Result<FrontierReport, ServiceError>) -> Response {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(report)) => Response::Frontier(report),
+        Ok(Err(e)) => Response::Error { code: e.code, message: e.message },
+        Err(payload) => Response::Error {
+            code: EXIT_WORKER_FAILURE,
+            message: format!("request panicked: {}", panic_message(payload.as_ref())),
+        },
     }
 }
 
@@ -686,6 +681,17 @@ mod tests {
         }
         assert_eq!(admitted.load(Ordering::SeqCst), 2);
         assert_eq!(gate.occupancy(), (0, 0));
+    }
+
+    #[test]
+    fn a_panicking_request_reports_the_panic_message() {
+        match reply(|| panic!("boom")) {
+            Response::Error { code, message } => {
+                assert_eq!(code, EXIT_WORKER_FAILURE);
+                assert!(message.contains("boom"), "{message}");
+            }
+            other => panic!("expected a code-4 error, got {other:?}"),
+        }
     }
 
     #[test]

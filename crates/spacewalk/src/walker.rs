@@ -499,9 +499,11 @@ mod tests {
         let err = with_walk_cancel(token, || walk_icache(&eval, &space.icache, 1.5, &db))
             .expect_err("pre-cancelled walk must abort");
         assert!(matches!(err, MheError::Cancelled), "{err}");
-        // The scope restored: the same thread walks normally afterwards,
-        // reusing whatever the cancelled attempt already warmed.
+        // The cancel saved work: the aborted walk computed no metric.
+        assert_eq!(db.stats().1, 0, "a pre-cancelled walk computed metrics");
+        // The scope restored: the same thread walks normally afterwards.
         assert!(walk_icache(&eval, &space.icache, 1.5, &db).is_ok());
+        assert!(db.stats().1 > 0);
     }
 
     #[test]

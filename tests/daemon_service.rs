@@ -190,7 +190,9 @@ fn ping_and_stats_round_trip() {
 
 /// A warm reply leaves when the walk returns, not when the connection's
 /// idle read next wakes to check for a drain: ten warm frontier requests
-/// on one connection take far less than ten drain polls.
+/// on one connection take far less than ten drain polls. They are warm
+/// in the work they do, not only in time: no new metric and no new
+/// session.
 #[test]
 fn warm_replies_do_not_wait_for_the_drain_poll() {
     let _serial = common::fault_serial();
@@ -199,17 +201,20 @@ fn warm_replies_do_not_wait_for_the_drain_poll() {
     let mut client = Client::builder().addr(addr).connect().expect("connect");
     let cold = client.evaluate(frontier_request(false)).expect("cold walk");
     assert_eq!(render_frontier(&cold), want_text);
+    let sessions = client.stats().expect("stats after the cold walk").sessions;
 
     let started = std::time::Instant::now();
     for i in 0..10 {
         let warm = client.evaluate(frontier_request(false)).expect("warm walk");
         assert_eq!(render_frontier(&warm), want_text, "warm request {i} differs from batch");
+        assert_eq!(warm.computes, cold.computes, "warm request {i} computed new metrics");
     }
     let took = started.elapsed();
     assert!(
         took < std::time::Duration::from_millis(500),
         "10 warm replies took {took:?}: replies are waiting on a timer"
     );
+    assert_eq!(client.stats().expect("stats after the warm walks").sessions, sessions);
 
     drop(client);
     drain.store(true, std::sync::atomic::Ordering::SeqCst);

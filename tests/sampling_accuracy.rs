@@ -17,9 +17,12 @@
 //!
 //! The pinned configuration trades speed for tightness (short traces
 //! leave few intervals to cluster, and the sparse-miss points of this
-//! grid make relative error a harsh metric); the replay-speedup story
-//! at production defaults lives in the `sampling_speedup` bench, which
-//! records its own measured error without gating on it.
+//! grid make relative error a harsh metric). What sampling saves is
+//! gated here as work, not time: a sampled build simulates a bounded
+//! number of addresses, at least [`MIN_WORK_RATIO`]× fewer than the
+//! exact build. The time that saves end to end is measured by
+//! `mhe-benchmark`'s `sampled-replay` workload (`latency_iqm_ms`, and
+//! `cache.exact_grid_sim_s` ÷ `cache.grid_sim_s` in a traced run).
 
 use mhe::cache::{CacheConfig, Policy};
 use mhe::core::evaluator::ReferenceEvaluation;
@@ -34,6 +37,10 @@ const EVENTS: usize = 60_000;
 /// No benchmark's pinned budget may exceed this: the ≤2 % acceptance
 /// gate, enforced structurally in [`budgets_stay_under_the_global_gate`].
 const GLOBAL_BUDGET: f64 = 0.02;
+
+/// A sampled build must simulate at least this many times fewer family
+/// addresses than the exact build of the same trace.
+const MIN_WORK_RATIO: u64 = 10;
 
 /// The pinned sampling configuration of the whole harness. Changing any
 /// field re-tunes the accuracy story and must re-pin every budget.
@@ -155,4 +162,26 @@ fn sampled_grids_match_full_simulation_within_pinned_budgets() {
             );
         }
     }
+}
+
+/// Sampling's saving as a work count: every simulated family (stream,
+/// line size, policy) replays at most `clusters × (interval + warm-up)`
+/// addresses, and the whole sampled build at least [`MIN_WORK_RATIO`]×
+/// fewer than the exact one.
+#[test]
+fn sampled_build_simulates_a_bounded_fraction_of_the_exact_addresses() {
+    let small =
+        SamplingConfig { interval_accesses: 1024, clusters: 8, warmup: 1024, ..Default::default() };
+    let b = Benchmark::Gcc;
+    let exact = build(b, Policy::Lru, 1, None).metrics().simulated_addresses();
+    let sampled = build(b, Policy::Lru, 1, Some(small));
+    let families = sampled.metrics().passes.len() as u64;
+    let cap = families * (small.clusters * (small.interval_accesses + small.warmup)) as u64;
+    let simulated = sampled.metrics().simulated_addresses();
+    eprintln!("{b:?}: {simulated} sampled vs {exact} exact family addresses ({families} families)");
+    assert!(simulated <= cap, "{simulated} simulated addresses exceed the {cap} window bound");
+    assert!(
+        simulated * MIN_WORK_RATIO <= exact,
+        "sampling simulated {simulated} of {exact} addresses: less than a {MIN_WORK_RATIO}x saving"
+    );
 }
