@@ -5,8 +5,10 @@
 //! * [`sim::Cache`] — a plain set-associative simulator (the oracle),
 //!   generic over the replacement [`Policy`];
 //! * [`single_pass::SinglePassSim`] — the Cheetah role: every configuration
-//!   sharing a line size and policy in one pass over the trace (LRU stack
-//!   distances, a FIFO wavetable, or a direct fallback grid);
+//!   sharing a line size and policy in one pass over the trace (flat LRU
+//!   stacks, bounded FIFO rings whose memory does not grow with the
+//!   trace's footprint, or a direct fallback grid), behind a filter that
+//!   drops repeated references to the last block;
 //! * [`histogram::ReuseHistogram`] — Mattson's LRU stack-distance
 //!   histogram: every fully-associative capacity exactly, and
 //!   set-associative grids analytically, from one pass;

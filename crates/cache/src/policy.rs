@@ -58,8 +58,8 @@ pub enum Policy {
 
 impl Policy {
     /// Whether the single-pass simulator has a native (one-structure)
-    /// formulation for this policy: LRU via Mattson stacks, FIFO via a
-    /// DEW-style insertion wavetable. Other policies fall back to
+    /// formulation for this policy: LRU via Mattson stacks, FIFO via
+    /// bounded insertion rings. Other policies fall back to
     /// per-configuration direct simulation inside the same pass.
     pub fn single_pass_native(self) -> bool {
         matches!(self, Policy::Lru | Policy::Fifo)

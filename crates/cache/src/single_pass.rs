@@ -7,19 +7,34 @@
 //!
 //! * **LRU** — Mattson stack inclusion: within a set, a reference at stack
 //!   depth `p` hits every cache of associativity `> p`, so one truncated
-//!   stack per set covers the whole associativity axis.
-//! * **FIFO** — a DEW-style insertion *wavetable* (after Haque et al.):
-//!   FIFO has no stack inclusion, but because hits never reorder the
-//!   queue, a block is resident in the associativity-`a` cache iff its
-//!   latest insertion was among the last `a` insertions into its set.
-//!   Per-`(set, assoc)` insertion-epoch counters plus a per-block record
-//!   of latest insertion epochs answer residency for every associativity
-//!   in O(max_assoc) per reference.
+//!   stack per set covers the whole associativity axis. The stacks of one
+//!   set count live in one flat `sets × max_assoc` table: a hit rotates
+//!   the prefix down to its depth, a miss shifts the row and stores the
+//!   block at the top.
+//! * **FIFO** — bounded insertion rings, in the spirit of DEW (Haque et
+//!   al.): FIFO has no stack inclusion, but hits never reorder the queue,
+//!   so each `(set, assoc)` cache is simulated by a ring of exactly `assoc`
+//!   slots and a head that the next miss overwrites. All rings of a set
+//!   sit side by side (`A(A+1)/2` slots for `A = max_assoc`), so a
+//!   reference scans at most `A` slots per associativity. Memory is
+//!   `sets × A(A+1)/2` words per set count, whatever the trace's
+//!   footprint.
 //! * **Fallback** (PLRU, random) — no single-pass formulation exists, so
 //!   the same pass feeds one direct [`crate::policy::SetEngine`] grid per
 //!   covered configuration. Costs scale with the number of configurations
 //!   rather than line sizes, but the API — and the evaluator above it —
 //!   stays uniform.
+//!
+//! In front of every engine sits a **repeat filter**: a reference to the
+//! block the simulator admitted last is counted and dropped. That block
+//! was just touched, so it hits in every covered cache, and the hit
+//! changes no state under any policy (it is already LRU's MRU, FIFO hits
+//! never mutate the queue, PLRU's touch is idempotent, and random draws
+//! only on eviction). Sequential instruction fetch makes such repeats
+//! common at wide lines.
+//!
+//! Empty ways are never compared: every table keeps per-set (LRU) or
+//! per-ring (FIFO) fill counts, so every `u64` is a valid block id.
 //!
 //! This is the paper's first efficiency pillar: "the number of simulations
 //! is reduced from the total number of caches in the design space to the
@@ -29,7 +44,6 @@ use crate::config::CacheConfig;
 use crate::policy::{Policy, ReplacementPolicy, SetEngine};
 use crate::sim::MissStats;
 use mhe_trace::{Access, StreamKind};
-use std::collections::HashMap;
 
 /// Single-pass simulator for a family of configurations sharing a line
 /// size and replacement policy.
@@ -55,6 +69,11 @@ pub struct SinglePassSim {
     policy: Policy,
     engine: Engine,
     accesses: u64,
+    /// Block of the last reference the engines saw.
+    last_block: Option<u64>,
+    /// References to `last_block` again: hits everywhere that the
+    /// engines never see.
+    repeats: u64,
 }
 
 /// One engine per policy family; each variant holds one table per set
@@ -63,43 +82,55 @@ pub struct SinglePassSim {
 enum Engine {
     /// LRU stack inclusion.
     Stack(Vec<StackTable>),
-    /// FIFO insertion wavetable.
-    Wave(Vec<WaveTable>),
+    /// FIFO insertion rings.
+    Rings(Vec<RingTable>),
     /// Per-configuration direct simulation (PLRU, random).
     Direct(Vec<DirectTable>),
 }
 
 #[derive(Debug, Clone)]
 struct StackTable {
-    sets: u32,
-    /// Per-set LRU stack of block ids, MRU first, truncated at `max_assoc`.
-    stacks: Vec<Vec<u64>>,
+    /// `sets - 1`: the set index of a block is `block & mask`.
+    mask: u64,
+    /// Per-set LRU stacks, row-major `[set][depth]` with `max_assoc` ways
+    /// per row, MRU first; only the first `fill[set]` ways are valid.
+    ways: Vec<u64>,
+    /// Valid ways per set.
+    fill: Vec<u32>,
     /// `hits_at_depth[d]` = hits at stack depth `d` (so a cache with
     /// associativity `A` hits `sum(hits_at_depth[..A])`).
     hits_at_depth: Vec<u64>,
 }
 
-/// FIFO wavetable: the associativity-`a` FIFO set holds exactly the blocks
-/// whose latest insertion was among the last `a` insertions to that set's
-/// lane `a` queue (insertions happen per lane, on that lane's misses).
+/// FIFO rings: the associativity-`l + 1` FIFO set is a ring of `l + 1`
+/// slots (lane `l`); a miss overwrites the slot at the ring's head, which
+/// holds the oldest block once the ring is full.
 #[derive(Debug, Clone)]
-struct WaveTable {
-    sets: u32,
-    /// Insertion counts, row-major `[set][lane]` where lane `l` models
-    /// associativity `l + 1`.
-    epochs: Vec<u64>,
-    /// Latest insertion epoch of each block per lane; `u64::MAX` = never
-    /// inserted (or evicted long ago — staleness is harmless because the
-    /// residency window test rejects old epochs).
-    waves: HashMap<u64, Box<[u64]>>,
+struct RingTable {
+    /// `sets - 1`: the set index of a block is `block & mask`.
+    mask: u64,
+    /// Ring slots, `A(A+1)/2` per set; lane `l`'s ring starts at offset
+    /// `l(l+1)/2` of its set's row.
+    slots: Vec<u64>,
+    /// Fill count and head per ring, row-major `[set][lane]`.
+    rings: Vec<Ring>,
     /// `hits[l]` = hits of the associativity-`l + 1` cache.
     hits: Vec<u64>,
+}
+
+/// One FIFO ring's state: its first `len` slots are valid, and the next
+/// insertion goes to slot `head` (equal to `len` until the ring is full).
+#[derive(Debug, Clone, Copy, Default)]
+struct Ring {
+    len: u32,
+    head: u32,
 }
 
 /// Fallback: a full grid of direct per-set engines for one set count.
 #[derive(Debug, Clone)]
 struct DirectTable {
-    sets: u32,
+    /// `sets - 1`: the set index of a block is `block & mask`.
+    mask: u64,
     /// `lanes[a - 1]` simulates associativity `a`.
     lanes: Vec<DirectLane>,
 }
@@ -147,25 +178,27 @@ impl SinglePassSim {
         for &s in &counts {
             assert!(s.is_power_of_two(), "set count {s} must be a power of two");
         }
+        let assoc = max_assoc as usize;
         let engine = match policy {
             Policy::Lru => Engine::Stack(
                 counts
                     .iter()
                     .map(|&s| StackTable {
-                        sets: s,
-                        stacks: vec![Vec::with_capacity(max_assoc as usize); s as usize],
-                        hits_at_depth: vec![0; max_assoc as usize],
+                        mask: u64::from(s) - 1,
+                        ways: vec![0; s as usize * assoc],
+                        fill: vec![0; s as usize],
+                        hits_at_depth: vec![0; assoc],
                     })
                     .collect(),
             ),
-            Policy::Fifo => Engine::Wave(
+            Policy::Fifo => Engine::Rings(
                 counts
                     .iter()
-                    .map(|&s| WaveTable {
-                        sets: s,
-                        epochs: vec![0; s as usize * max_assoc as usize],
-                        waves: HashMap::new(),
-                        hits: vec![0; max_assoc as usize],
+                    .map(|&s| RingTable {
+                        mask: u64::from(s) - 1,
+                        slots: vec![0; s as usize * ring_slots(assoc)],
+                        rings: vec![Ring::default(); s as usize * assoc],
+                        hits: vec![0; assoc],
                     })
                     .collect(),
             ),
@@ -173,7 +206,7 @@ impl SinglePassSim {
                 counts
                     .iter()
                     .map(|&s| DirectTable {
-                        sets: s,
+                        mask: u64::from(s) - 1,
                         lanes: (1..=max_assoc)
                             .map(|a| DirectLane {
                                 engines: (0..u64::from(s)).map(|i| policy.new_set(a, i)).collect(),
@@ -184,7 +217,16 @@ impl SinglePassSim {
                     .collect(),
             ),
         };
-        Self { line_words, max_assoc, set_counts: counts, policy, engine, accesses: 0 }
+        Self {
+            line_words,
+            max_assoc,
+            set_counts: counts,
+            policy,
+            engine,
+            accesses: 0,
+            last_block: None,
+            repeats: 0,
+        }
     }
 
     /// Convenience: a simulator covering a whole [`CacheConfig`] family.
@@ -215,49 +257,64 @@ impl SinglePassSim {
     pub fn access(&mut self, addr: u64) {
         self.accesses += 1;
         let block = addr / u64::from(self.line_words);
+        if self.last_block == Some(block) {
+            self.repeats += 1;
+            return;
+        }
+        self.last_block = Some(block);
         let max_assoc = self.max_assoc as usize;
         match &mut self.engine {
             Engine::Stack(tables) => {
                 for table in tables {
-                    let set = &mut table.stacks[(block % u64::from(table.sets)) as usize];
-                    match set.iter().position(|&b| b == block) {
+                    let si = (block & table.mask) as usize;
+                    let row = &mut table.ways[si * max_assoc..][..max_assoc];
+                    let fill = &mut table.fill[si];
+                    let len = *fill as usize;
+                    match row[..len].iter().position(|&b| b == block) {
                         Some(pos) => {
                             table.hits_at_depth[pos] += 1;
-                            set[..=pos].rotate_right(1);
+                            row[..=pos].rotate_right(1);
                         }
                         None => {
-                            if set.len() == max_assoc {
-                                set.pop();
+                            row.copy_within(..len.min(max_assoc - 1), 1);
+                            row[0] = block;
+                            if len < max_assoc {
+                                *fill += 1;
                             }
-                            set.insert(0, block);
                         }
                     }
                 }
             }
-            Engine::Wave(tables) => {
+            Engine::Rings(tables) => {
+                let width = ring_slots(max_assoc);
                 for table in tables {
-                    let row = (block % u64::from(table.sets)) as usize * max_assoc;
-                    let waves = table
-                        .waves
-                        .entry(block)
-                        .or_insert_with(|| vec![u64::MAX; max_assoc].into_boxed_slice());
-                    for lane in 0..max_assoc {
-                        let epoch = table.epochs[row + lane];
-                        let w = waves[lane];
-                        // Resident iff the block's latest insertion is
-                        // within the last `lane + 1` insertions.
-                        if w != u64::MAX && epoch - w <= lane as u64 + 1 {
-                            table.hits[lane] += 1;
+                    let si = (block & table.mask) as usize;
+                    let row = &mut table.slots[si * width..][..width];
+                    let rings = &mut table.rings[si * max_assoc..][..max_assoc];
+                    let mut start = 0;
+                    for (lane, (ring, hits)) in rings.iter_mut().zip(&mut table.hits).enumerate() {
+                        let ways = &mut row[start..=start + lane];
+                        start += lane + 1;
+                        // A full scan without early exit: where (and whether)
+                        // the block sits varies from lane to lane, so an
+                        // early-exit scan mispredicts.
+                        let found =
+                            ways[..ring.len as usize].iter().fold(false, |f, &b| f | (b == block));
+                        if found {
+                            *hits += 1;
                         } else {
-                            waves[lane] = epoch;
-                            table.epochs[row + lane] = epoch + 1;
+                            ways[ring.head as usize] = block;
+                            ring.head = if ring.head as usize == lane { 0 } else { ring.head + 1 };
+                            if ring.len as usize <= lane {
+                                ring.len += 1;
+                            }
                         }
                     }
                 }
             }
             Engine::Direct(tables) => {
                 for table in tables {
-                    let si = (block % u64::from(table.sets)) as usize;
+                    let si = (block & table.mask) as usize;
                     for lane in &mut table.lanes {
                         let set = &mut lane.engines[si];
                         if !set.lookup(block) {
@@ -326,7 +383,7 @@ impl SinglePassSim {
     }
 
     /// Whether this simulator uses a native single-pass engine (LRU
-    /// stacks, FIFO wavetable) rather than the per-configuration direct
+    /// stacks, FIFO rings) rather than the per-configuration direct
     /// fallback.
     pub fn single_pass_native(&self) -> bool {
         self.policy.single_pass_native()
@@ -347,9 +404,11 @@ impl SinglePassSim {
         match &self.engine {
             Engine::Stack(tables) => {
                 let hits: u64 = tables[ti].hits_at_depth[..assoc as usize].iter().sum();
-                self.accesses - hits
+                self.accesses - self.repeats - hits
             }
-            Engine::Wave(tables) => self.accesses - tables[ti].hits[assoc as usize - 1],
+            Engine::Rings(tables) => {
+                self.accesses - self.repeats - tables[ti].hits[assoc as usize - 1]
+            }
             Engine::Direct(tables) => tables[ti].lanes[assoc as usize - 1].misses,
         }
     }
@@ -377,6 +436,12 @@ impl SinglePassSim {
         }
         out
     }
+}
+
+/// Slots of one set's FIFO rings: one ring of `l + 1` slots per lane `l`
+/// below `max_assoc`.
+fn ring_slots(max_assoc: usize) -> usize {
+    max_assoc * (max_assoc + 1) / 2
 }
 
 #[cfg(test)]
@@ -479,15 +544,41 @@ mod tests {
     }
 
     #[test]
-    fn fifo_wavetable_shows_belady_anomaly_capability() {
+    fn fifo_rings_show_belady_anomaly() {
         // The classic Belady sequence: FIFO with 4 frames misses MORE
-        // than with 3. The wavetable must reproduce non-monotone
+        // than with 3. The rings must reproduce non-monotone
         // associativity behaviour exactly (stacks could not).
         let trace: Vec<u64> = [1u64, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5].to_vec();
         let mut sp = SinglePassSim::new_with_policy(Policy::Fifo, 1, &[1], 4);
         sp.run(trace.iter().copied());
         assert_eq!(sp.misses(1, 3), 9);
         assert_eq!(sp.misses(1, 4), 10, "Belady's anomaly");
+    }
+
+    #[test]
+    fn repeated_blocks_change_no_miss_count() {
+        // Each address k times in a row: every repeat after the first hits
+        // in every cache and changes no state, so the grid is the
+        // original trace's while the access count grows k-fold.
+        let trace = pseudo_trace(5_000, 99);
+        for p in Policy::all() {
+            let mut once = SinglePassSim::new_with_policy(p, 2, &[1, 4, 16], 4);
+            once.run(trace.iter().copied());
+            for k in [2usize, 3] {
+                let mut repeated = SinglePassSim::new_with_policy(p, 2, &[1, 4, 16], 4);
+                repeated.run(trace.iter().flat_map(|&a| std::iter::repeat_n(a, k)));
+                assert_eq!(repeated.accesses(), k as u64 * once.accesses(), "{p} k={k}");
+                for &s in &[1u32, 4, 16] {
+                    for a in 1..=4 {
+                        assert_eq!(
+                            repeated.misses(s, a),
+                            once.misses(s, a),
+                            "{p} k={k} S={s} A={a}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests: the single-pass simulator is exactly equivalent to
-//! direct simulation, and LRU inclusion properties hold.
+//! direct simulation under every policy and over the whole address range,
+//! and LRU inclusion properties hold.
 
-use mhe_cache::{simulate, CacheConfig, SinglePassSim};
+use mhe_cache::{simulate, CacheConfig, Policy, SinglePassSim};
+use mhe_trace::{Access, StreamKind};
 use proptest::prelude::*;
 
 /// Traces mixing streams, hot sets, and random addresses.
@@ -16,27 +18,88 @@ fn trace_strategy() -> impl Strategy<Value = Vec<u64>> {
     )
 }
 
+/// Traces built to stress the engines' edge cases: hot, wide and strided
+/// addresses in long same-block runs (the repeat filter) and ping-pong
+/// between two blocks, plus addresses at and near `u64::MAX` (block ids
+/// no empty-way marker may collide with).
+fn edge_case_trace_strategy() -> impl Strategy<Value = Vec<u64>> {
+    let addr = || {
+        prop_oneof![
+            0u64..256,
+            0u64..256,
+            0u64..65_536,
+            (0u64..4096).prop_map(|x| x * 7 % 4096),
+            Just(u64::MAX),
+            (1u64..16).prop_map(|d| u64::MAX - d),
+            0u64..u64::MAX,
+        ]
+    };
+    let segment = prop_oneof![
+        addr().prop_map(|a| vec![a]),
+        (addr(), 2usize..32).prop_map(|(a, n)| vec![a; n]),
+        (addr(), addr(), 2usize..16).prop_map(|(a, b, n)| [a, b].repeat(n)),
+    ];
+    prop::collection::vec(segment, 10..120).prop_map(|segments| segments.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn single_pass_equals_direct_everywhere(
-        trace in trace_strategy(),
+        trace in edge_case_trace_strategy(),
         line_pow in 0u32..4,
-        max_assoc in 1u32..6,
+        max_assoc in 1u32..9,
     ) {
         let line = 1u32 << line_pow;
-        let set_counts = [4u32, 16, 64];
-        let mut sp = SinglePassSim::new(line, &set_counts, max_assoc);
-        sp.run(trace.iter().copied());
-        for &sets in &set_counts {
-            for assoc in 1..=max_assoc {
-                let direct = simulate(CacheConfig::new(sets, assoc, line), trace.iter().copied());
-                prop_assert_eq!(
-                    sp.misses(sets, assoc),
-                    direct.misses,
-                    "S={} A={} L={}", sets, assoc, line
-                );
+        let set_counts = [1u32, 4, 16, 64];
+        for policy in Policy::all() {
+            let mut sp = SinglePassSim::new_with_policy(policy, line, &set_counts, max_assoc);
+            sp.run(trace.iter().copied());
+            prop_assert_eq!(sp.accesses(), trace.len() as u64);
+            for &sets in &set_counts {
+                for assoc in 1..=max_assoc {
+                    let cfg = CacheConfig::new(sets, assoc, line).with_policy(policy);
+                    let direct = simulate(cfg, trace.iter().copied());
+                    prop_assert_eq!(
+                        sp.misses(sets, assoc),
+                        direct.misses,
+                        "{} S={} A={} L={}", policy, sets, assoc, line
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_run_stream_equals_one_run(
+        trace in edge_case_trace_strategy(),
+        line_pow in 0u32..4,
+        chunk in 1usize..64,
+    ) {
+        let line = 1u32 << line_pow;
+        let set_counts = [1u32, 4, 16, 64];
+        let accesses: Vec<Access> = trace
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| if i % 2 == 0 { Access::inst(a) } else { Access::load(a) })
+            .collect();
+        for policy in Policy::all() {
+            let mut whole = SinglePassSim::new_with_policy(policy, line, &set_counts, 8);
+            whole.run(trace.iter().copied());
+            let mut chunked = SinglePassSim::new_with_policy(policy, line, &set_counts, 8);
+            for part in accesses.chunks(chunk) {
+                chunked.run_stream(StreamKind::Unified, part.iter().copied());
+            }
+            prop_assert_eq!(chunked.accesses(), whole.accesses());
+            for &sets in &set_counts {
+                for assoc in 1..=8 {
+                    prop_assert_eq!(
+                        chunked.misses(sets, assoc),
+                        whole.misses(sets, assoc),
+                        "{} S={} A={} L={} chunk={}", policy, sets, assoc, line, chunk
+                    );
+                }
             }
         }
     }

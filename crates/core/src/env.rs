@@ -8,15 +8,21 @@
 //!
 //! | Variable         | Accessor            | Meaning |
 //! |------------------|---------------------|---------|
-//! | `MHE_THREADS`    | [`threads`]         | Worker-thread count for every parallel fan-out (`>= 1`; unset/invalid → available parallelism). Results are bit-identical for every value. |
+//! | `MHE_THREADS`    | [`threads`]         | Worker-thread count for every parallel fan-out (`>= 1`; unset/invalid → available parallelism; [`check`] rejects invalid). Results are bit-identical for every value. |
 //! | `MHE_EVENTS`     | [`events_or`]       | Dynamic window (basic-block events) for bench/demo binaries; each binary supplies its own default. |
 //! | `MHE_OBS`        | [`obs`]             | Observability sink: `json`, `text`/`1`/`on`/`true`, anything else off. Parsed by `mhe-obs`, surfaced here for discoverability. |
-//! | `MHE_RETRIES`    | [`retry_policy`]    | Bounded retries for panicked sweep tasks: `N` or `N:backoff_ms` (e.g. `3:10`). Unset → no retries. |
+//! | `MHE_RETRIES`    | [`retry_policy`]    | Bounded retries for panicked sweep tasks: `N` or `N:backoff_ms` (e.g. `3:10`). Unset/invalid → no retries; [`check`] rejects invalid. |
 //! | `MHE_FAULT_PLAN` | `fault::armed` (private) | Deterministic fault-injection schedule for tests, in [`crate::fault::FaultPlan::parse`] syntax, armed process-wide on first use; [`crate::fault::arm`] replaces it (see [`crate::fault`]). Unset → no injection. |
 //!
 //! None of these variables affects any measured or estimated miss count —
 //! they steer *how* the work runs (parallelism, workload size, reporting,
 //! fault recovery), never what it computes.
+//!
+//! The accessors cannot report an error, so an invalid value falls back
+//! as described above. A binary that can should call [`check`] at
+//! start-up: it applies the accessors' own parse rules to `MHE_THREADS`
+//! and `MHE_RETRIES` and names the first variable that is set but
+//! invalid.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -40,7 +46,7 @@ impl RetryPolicy {
 
     /// Parses the `MHE_RETRIES` syntax: `N` (extra attempts with no
     /// backoff) or `N:backoff_ms`. Returns `None` for empty/invalid text.
-    fn parse(text: &str) -> Option<RetryPolicy> {
+    pub fn parse(text: &str) -> Option<RetryPolicy> {
         let (n, backoff_ms) = match text.split_once(':') {
             Some((n, ms)) => (n, ms.trim().parse::<u64>().ok()?),
             None => (text, 0),
@@ -82,9 +88,32 @@ pub fn retry_policy() -> RetryPolicy {
 /// back to the machine's available parallelism.
 pub fn threads() -> Option<usize> {
     static THREADS: OnceLock<Option<usize>> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("MHE_THREADS").ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n >= 1)
-    })
+    *THREADS.get_or_init(|| std::env::var("MHE_THREADS").ok().and_then(|v| parse_threads(&v)))
+}
+
+/// Parses the `MHE_THREADS` syntax: a positive integer. Returns `None`
+/// for empty/invalid text.
+pub fn parse_threads(text: &str) -> Option<usize> {
+    text.parse::<usize>().ok().filter(|&n| n >= 1)
+}
+
+/// Checks `MHE_THREADS` and `MHE_RETRIES`, read through `lookup` (the
+/// process environment in the binaries), against the parse rules of
+/// [`threads`] and [`retry_policy`]. An empty variable counts as unset.
+///
+/// # Errors
+///
+/// A one-line message naming the first variable whose value the
+/// accessor would silently ignore.
+pub fn check(lookup: impl Fn(&str) -> Option<String>) -> Result<(), String> {
+    let set = |var: &str| lookup(var).filter(|text| !text.is_empty());
+    if let Some(text) = set("MHE_THREADS").filter(|text| parse_threads(text).is_none()) {
+        return Err(format!("MHE_THREADS {text:?}: expected a whole number of at least 1"));
+    }
+    if let Some(text) = set("MHE_RETRIES").filter(|text| RetryPolicy::parse(text).is_none()) {
+        return Err(format!("MHE_RETRIES {text:?}: expected N or N:backoff_ms"));
+    }
+    Ok(())
 }
 
 /// Dynamic-window size (basic-block events) from `MHE_EVENTS`, or
@@ -157,6 +186,32 @@ mod tests {
         assert_eq!(RetryPolicy::parse("nope"), None);
         assert_eq!(RetryPolicy::parse("3:x"), None);
         assert_eq!(RetryPolicy::default(), RetryPolicy::NONE);
+    }
+
+    #[test]
+    fn check_names_the_invalid_variable() {
+        let check_with = |env: &[(&str, &str)]| {
+            check(|var| env.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string()))
+        };
+        assert_eq!(check_with(&[]), Ok(()));
+        assert_eq!(check_with(&[("MHE_THREADS", "4"), ("MHE_RETRIES", "2:10")]), Ok(()));
+        assert_eq!(
+            check_with(&[("MHE_THREADS", ""), ("MHE_RETRIES", "")]),
+            Ok(()),
+            "empty = unset"
+        );
+        for (var, text) in [
+            ("MHE_THREADS", "0"),
+            ("MHE_THREADS", "four"),
+            ("MHE_THREADS", "-1"),
+            ("MHE_RETRIES", "x"),
+            ("MHE_RETRIES", "3:y"),
+        ] {
+            let err = check_with(&[(var, text)]).expect_err(text);
+            assert!(err.starts_with(var) && err.contains(text) && !err.contains('\n'), "{err}");
+        }
+        assert_eq!(parse_threads("3"), Some(3));
+        assert_eq!(parse_threads("0"), None);
     }
 
     #[test]

@@ -366,7 +366,9 @@ fn main() -> ExitCode {
         let asked = subcommand == cli::HELP.flag;
         return if asked { ExitCode::SUCCESS } else { ExitCode::from(EXIT_BAD_CONFIG) };
     };
-    let result = command.parse(&argv[1..], |var| std::env::var(var).ok()).map_err(bad);
+    let env = |var: &str| std::env::var(var).ok();
+    let result = mhe_core::env::check(env).and_then(|()| command.parse(&argv[1..], env));
+    let result = result.map_err(bad);
     let result = result.and_then(|args| {
         if args.has(&cli::HELP) {
             eprintln!("usage:\n  {}", command.usage());

@@ -34,6 +34,9 @@ MHE_EVENTS=60000 cargo run --release -q -p mhe-bench --bin obs_overhead
 echo "==> replacement-policy differential suite (budget: 300 s wall)"
 timeout 300 cargo test -q --release -p mhe --test policy_differential
 
+echo "==> single-pass engines vs the direct oracle, release build (overflow checks off, as the benchmark runs them)"
+cargo test -q --release -p mhe-cache
+
 echo "==> sampling accuracy harness (full matrix, budget: 300 s wall)"
 timeout 300 cargo test -q --release -p mhe --test sampling_accuracy
 

@@ -1,9 +1,11 @@
 //! Differential tests that keep every replacement policy honest.
 //!
 //! The single-pass simulator answers "how many misses at every
-//! associativity" from one pass over the trace — via LRU stack distances,
-//! a FIFO insertion-epoch wavetable, or (for PLRU and random) an embedded
-//! grid of per-configuration direct simulations. Each of those paths is an
+//! associativity" from one pass over the trace — via flat LRU stacks,
+//! bounded FIFO insertion rings (memory independent of the trace's
+//! footprint), or (for PLRU and random) an embedded grid of
+//! per-configuration direct simulations, all behind a filter that skips
+//! repeated references to the last block. Each of those paths is an
 //! independent re-derivation of the same quantity the direct oracle
 //! [`Cache`] computes by brute force, so any disagreement — on any
 //! benchmark, any geometry, any thread count — is a bug, not noise.
