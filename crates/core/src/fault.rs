@@ -16,7 +16,7 @@
 //! - **Ambient**: setting `MHE_FAULT_PLAN` (same syntax as
 //!   [`FaultPlan::parse`]) arms a process-wide plan whose
 //!   [`Fault::PanicTask`] entries fire inside `ParallelSweep::try_map`
-//!   via [`maybe_panic_task`], proving panics are isolated without
+//!   and `try_map_in` via [`maybe_panic_task`], proving panics are isolated without
 //!   touching production code. Tests arm programmatically with [`arm`],
 //!   which returns a disarm-on-drop guard.
 //!
@@ -320,7 +320,7 @@ fn with_armed<T>(f: impl FnOnce(&mut ActivePlan) -> Option<T>) -> Option<T> {
 
 /// Fires a scheduled [`Fault::PanicTask`] for `task`, at most once.
 ///
-/// Called by `ParallelSweep::try_map` at each task boundary; a
+/// Called by `ParallelSweep::try_map`/`try_map_in` at each task boundary; a
 /// no-op unless a plan is armed and schedules this index. The panic
 /// message names the injection so it can never be mistaken for a real
 /// defect.

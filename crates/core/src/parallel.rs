@@ -16,38 +16,52 @@
 //! environment variable and falls back to the machine's available
 //! parallelism.
 //!
-//! # Fault tolerance
+//! # One loop
 //!
-//! Worker panics are caught at the task boundary (`catch_unwind`), so a
-//! poisoned task can never deadlock or abort a sweep mid-join:
+//! Every entry point is a thin adapter over one private loop that runs
+//! `task(i)` for each index `i`, claimed from an atomic cursor so uneven
+//! costs balance. One worker runs on the calling thread and spawns
+//! nothing. The adapters differ only in how a task reaches its item:
+//! `map`, `map_in` and `map_timed` take it out of an owned slot,
+//! `try_map` and `try_map_in` borrow `&items[i]`, and
+//! `try_for_each_mut_in` locks `&mut items[i]`. The loop alone spawns
+//! workers, catches panics, retries, checks the cancel token, picks the
+//! reported failure, fills [`SweepMetrics`] and, given an observability
+//! phase, records the round's wall span and each worker's busy time (one
+//! relaxed atomic load when observability is off).
 //!
-//! * the fallible entry points ([`ParallelSweep::try_map`],
-//!   [`ParallelSweep::try_for_each_mut_in`]) convert the panic into
-//!   [`MheError::WorkerFailed`] carrying the task label and panic
-//!   message, cancel remaining queued work, and surface the partial
-//!   [`SweepMetrics`] in a [`SweepError`];
-//! * the infallible entry point ([`ParallelSweep::map`]) cancels
-//!   remaining work, joins every worker cleanly, and then re-raises the
-//!   first panicking task's payload (lowest index wins) — deterministic,
-//!   but still a panic, because the signature cannot express failure;
-//! * a [`RetryPolicy`] (default: [`crate::env::retry_policy`], i.e.
-//!   `MHE_RETRIES`) re-runs *panicked* tasks a bounded number of times in
-//!   the fallible paths. Typed `MheError` returns are never retried —
-//!   they are deterministic domain failures.
+//! # Failures, retries, cancellation and faults
 //!
-//! [`ParallelSweep::try_map`] also consults
+//! Every task runs under `catch_unwind`, so a panic can never deadlock or
+//! abort a sweep mid-join. The first failure, typed error or panic, stops
+//! new claims; tasks already claimed finish, and the **lowest failing
+//! index** is reported, whatever the worker count.
+//!
+//! * The fallible entry points (`try_*`) return it as a [`SweepError`]
+//!   with partial [`SweepMetrics`]; a panic becomes
+//!   [`MheError::WorkerFailed`] (`"{label} task {i}"` plus the panic
+//!   message). Panics, never typed errors, are re-run under the sweep's
+//!   [`RetryPolicy`] (default [`crate::env::retry_policy`], i.e.
+//!   `MHE_RETRIES`), and the [`CancelToken`] is checked before every
+//!   attempt.
+//! * The infallible entry points (`map*`) cannot express failure: they
+//!   never retry, ignore the cancel token, and re-raise the failing
+//!   task's original panic payload once every worker has joined.
+//!
+//! Only `try_map` and `try_map_in` consult
 //! [`crate::fault::maybe_panic_task`], so a [`crate::fault::FaultPlan`]
-//! can kill chosen tasks on demand. Injected panics are one-shot, built
-//! for a retry to recover from; the in-place sweep feeds stateful tasks
-//! that are never retried (the reference measurement), so it is no fault
-//! site.
+//! can kill chosen tasks there. Injected panics are one-shot, built for a
+//! retry to recover from; `map*` never retries, and the in-place sweep
+//! feeds stateful tasks (the reference measurement runs it without
+//! retries), so neither is a fault site.
 
 use crate::cancel::CancelToken;
 use crate::env::RetryPolicy;
 use crate::error::MheError;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default worker count: `MHE_THREADS` if set to a positive integer,
@@ -224,9 +238,9 @@ impl ParallelSweep {
     /// Applies `f` to every item, concurrently, returning results in input
     /// order.
     ///
-    /// Work is claimed dynamically (an atomic cursor), so uneven item costs
-    /// balance across workers; a panicking item propagates the panic to the
-    /// caller once the scope joins.
+    /// A panicking task stops the sweep; the panic of the lowest failing
+    /// index is re-raised, with its original payload, once every worker
+    /// has joined.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -247,74 +261,7 @@ impl ParallelSweep {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let probe = phase.filter(|_| mhe_obs::enabled());
-        let _wall = probe.map(mhe_obs::wall_span);
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            let busy_start = probe.map(|_| Instant::now());
-            let out: Vec<R> = items.into_iter().map(f).collect();
-            if let (Some(p), Some(start)) = (probe, busy_start) {
-                mhe_obs::add_busy(p, start.elapsed());
-            }
-            return out;
-        }
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let first_panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        if cancelled.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item = slots[i].lock().unwrap().take().expect("item claimed once");
-                        let item_start = probe.map(|_| Instant::now());
-                        // Isolate the task: a panic cancels the queue and
-                        // joins every worker cleanly instead of tearing
-                        // down the scope mid-flight.
-                        match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                            Ok(r) => {
-                                *results[i].lock().unwrap() = Some(r);
-                            }
-                            Err(payload) => {
-                                mhe_obs::count(mhe_obs::Counter::WorkerPanic, 1);
-                                cancelled.store(true, Ordering::Relaxed);
-                                let mut slot = first_panic.lock().unwrap();
-                                match &*slot {
-                                    Some((j, _)) if *j <= i => {}
-                                    _ => *slot = Some((i, payload)),
-                                }
-                                break;
-                            }
-                        }
-                        if let Some(start) = item_start {
-                            busy += start.elapsed();
-                        }
-                    }
-                    if let Some(p) = probe {
-                        mhe_obs::add_busy(p, busy);
-                    }
-                });
-            }
-        });
-        if let Some((_, payload)) = first_panic.into_inner().unwrap() {
-            // Deterministic re-raise: the lowest-index panicking task's
-            // payload, after every worker has joined.
-            std::panic::resume_unwind(payload);
-        }
-        results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("worker completed item"))
-            .collect()
+        self.map_owned(phase, items, f).0
     }
 
     /// Like [`ParallelSweep::map`], also reporting the fan-out's wall time.
@@ -324,38 +271,19 @@ impl ParallelSweep {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let jobs = items.len();
-        let start = Instant::now();
-        let out = self.map(items, f);
-        (
-            out,
-            SweepMetrics {
-                jobs,
-                threads: self.threads.min(jobs).max(1),
-                wall: start.elapsed(),
-                completed: jobs,
-                retries: 0,
-            },
-        )
+        self.map_owned(None, items, f)
     }
 
     /// Applies a fallible `f` to every item, concurrently, returning
     /// results in input order.
     ///
-    /// Unlike [`ParallelSweep::map`], nothing panics out of this method:
-    ///
-    /// * a task returning `Err` cancels remaining queued work and
-    ///   surfaces as the sweep's error (lowest input index wins, so the
-    ///   reported failure is deterministic);
-    /// * a task that *panics* is caught at the task boundary, retried per
-    ///   the sweep's [`RetryPolicy`], and — if it keeps panicking —
-    ///   converted into [`MheError::WorkerFailed`] with the task label
-    ///   and panic message;
-    /// * the returned [`SweepError`] carries partial [`SweepMetrics`], so
-    ///   callers know how much work completed before cancellation.
-    ///
-    /// Items are taken by reference (retries may re-run a task), which is
-    /// why `f` borrows rather than consumes.
+    /// Nothing panics out of this method. The lowest-index failure, a
+    /// typed error or a panic that outlived the sweep's [`RetryPolicy`]
+    /// (as [`MheError::WorkerFailed`] with the task label and panic
+    /// message), cancels the remaining queue and comes back as a
+    /// [`SweepError`] whose partial [`SweepMetrics`] say how much work
+    /// completed. Items are taken by reference (retries may re-run a
+    /// task), which is why `f` borrows rather than consumes.
     pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, SweepError>
     where
         T: Sync,
@@ -378,147 +306,19 @@ impl ParallelSweep {
         R: Send,
         F: Fn(&T) -> Result<R, MheError> + Sync,
     {
-        let start = Instant::now();
-        let probe = phase.filter(|_| mhe_obs::enabled());
-        let _wall = probe.map(mhe_obs::wall_span);
-        let n = items.len();
-        let workers = self.threads.min(n).max(1);
-        let retries = AtomicU64::new(0);
-        let completed = AtomicUsize::new(0);
-
-        let run_one = |i: usize, item: &T| -> Result<R, MheError> {
-            let mut attempt = 0u32;
-            loop {
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    return Err(MheError::Cancelled);
-                }
-                attempt += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    crate::fault::maybe_panic_task(i as u64);
-                    f(item)
-                }));
-                match outcome {
-                    Ok(result) => return result,
-                    Err(payload) => {
-                        mhe_obs::count(mhe_obs::Counter::WorkerPanic, 1);
-                        if attempt < self.retry.max_attempts {
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            mhe_obs::count(mhe_obs::Counter::TaskRetry, 1);
-                            if !self.retry.backoff.is_zero() {
-                                std::thread::sleep(self.retry.backoff);
-                            }
-                            continue;
-                        }
-                        return Err(MheError::worker_failed(
-                            format!("{} task {i}", self.label),
-                            panic_message(payload.as_ref()),
-                        ));
-                    }
-                }
-            }
-        };
-
-        let metrics = |completed: usize, retries: u64, wall: Duration| SweepMetrics {
-            jobs: n,
-            threads: workers,
-            wall,
-            completed,
-            retries,
-        };
-
-        if workers <= 1 {
-            let busy_start = probe.map(|_| Instant::now());
-            let mut out = Vec::with_capacity(n);
-            for (i, item) in items.iter().enumerate() {
-                match run_one(i, item) {
-                    Ok(r) => out.push(r),
-                    Err(error) => {
-                        if let (Some(p), Some(bs)) = (probe, busy_start) {
-                            mhe_obs::add_busy(p, bs.elapsed());
-                        }
-                        return Err(SweepError {
-                            error,
-                            metrics: metrics(i, retries.load(Ordering::Relaxed), start.elapsed()),
-                        });
-                    }
-                }
-            }
-            if let (Some(p), Some(bs)) = (probe, busy_start) {
-                mhe_obs::add_busy(p, bs.elapsed());
-            }
-            return Ok(out);
-        }
-
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let first_error: Mutex<Option<(usize, MheError)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        if cancelled.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item_start = probe.map(|_| Instant::now());
-                        match run_one(i, &items[i]) {
-                            Ok(r) => {
-                                completed.fetch_add(1, Ordering::Relaxed);
-                                *results[i].lock().unwrap() = Some(r);
-                            }
-                            Err(error) => {
-                                cancelled.store(true, Ordering::Relaxed);
-                                let mut slot = first_error.lock().unwrap();
-                                match &*slot {
-                                    Some((j, _)) if *j <= i => {}
-                                    _ => *slot = Some((i, error)),
-                                }
-                                break;
-                            }
-                        }
-                        if let Some(s) = item_start {
-                            busy += s.elapsed();
-                        }
-                    }
-                    if let Some(p) = probe {
-                        mhe_obs::add_busy(p, busy);
-                    }
-                });
-            }
-        });
-        if let Some((_, error)) = first_error.into_inner().unwrap() {
-            return Err(SweepError {
-                error,
-                metrics: metrics(
-                    completed.load(Ordering::Relaxed),
-                    retries.load(Ordering::Relaxed),
-                    start.elapsed(),
-                ),
-            });
-        }
-        Ok(results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("worker completed item"))
-            .collect())
+        self.run(phase, items.len(), Path::TryMap, |i| f(&items[i])).map(|(out, _)| out)
     }
 
     /// Applies `f` to every item **in place**, concurrently, attributing
-    /// the round to an observability phase (wall time + per-worker busy
-    /// time, as [`ParallelSweep::map_in`] does for `map`).
+    /// the round to an observability phase as [`ParallelSweep::map_in`]
+    /// does.
     ///
-    /// The streaming counterpart of [`ParallelSweep::try_map`]: the items
-    /// stay owned by the caller, so stateful workers (simulators,
-    /// modelers) can be fed one trace chunk per call across many calls
-    /// without moving in and out of the pool. Work is claimed dynamically;
-    /// each item is visited exactly once per call. `Err` and caught panics
-    /// behave as in [`ParallelSweep::try_map`]. A retried task re-runs `f`
-    /// on the same item, so `f` must either be restartable or panic before
-    /// mutating.
+    /// The streaming counterpart of [`ParallelSweep::try_map`]: stateful
+    /// items (simulators, modelers) stay owned by the caller and can be fed
+    /// one trace chunk per call, each visited exactly once per call. `Err`
+    /// and caught panics behave as in `try_map`; a retried task re-runs `f`
+    /// on the same item, so `f` must be restartable or panic before
+    /// mutating. This sweep is no fault-injection site.
     pub fn try_for_each_mut_in<T, F>(
         &self,
         phase: Option<mhe_obs::Phase>,
@@ -529,126 +329,172 @@ impl ParallelSweep {
         T: Send,
         F: Fn(&mut T) -> Result<(), MheError> + Sync,
     {
+        let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+        // A panicking attempt poisons its slot; a retry still gets the item.
+        self.run(phase, slots.len(), Path::InPlace, |i| {
+            f(&mut slots[i].lock().unwrap_or_else(PoisonError::into_inner))
+        })
+        .map(|_| ())
+    }
+
+    /// The `map*` adapter: each task takes its item out of an owned slot.
+    fn map_owned<T, R, F>(
+        &self,
+        phase: Option<mhe_obs::Phase>,
+        items: Vec<T>,
+        f: F,
+    ) -> (Vec<R>, SweepMetrics)
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        self.run(phase, slots.len(), Path::Map, |i| {
+            Ok(f(slots[i].lock().expect("no task holds a slot").take().expect("item claimed once")))
+        })
+        .expect("map tasks return Ok and their panics re-raise")
+    }
+
+    /// The one fan-out loop: runs `task(i)` for every `i < n` and returns
+    /// the results in index order with the sweep's metrics, following the
+    /// rules in the module doc. A `map*` panic is re-raised here, after
+    /// every worker has joined.
+    fn run<R, F>(
+        &self,
+        phase: Option<mhe_obs::Phase>,
+        n: usize,
+        path: Path,
+        task: F,
+    ) -> Result<(Vec<R>, SweepMetrics), SweepError>
+    where
+        R: Send,
+        F: Fn(usize) -> Result<R, MheError> + Sync,
+    {
         let start = Instant::now();
         let probe = phase.filter(|_| mhe_obs::enabled());
         let _wall = probe.map(mhe_obs::wall_span);
-        let n = items.len();
         let workers = self.threads.min(n).max(1);
+        let cursor = AtomicUsize::new(0);
+        let halted = AtomicBool::new(false);
         let retries = AtomicU64::new(0);
-        let completed = AtomicUsize::new(0);
-
-        let run_one = |i: usize, item: &mut T| -> Result<(), MheError> {
-            let mut attempt = 0u32;
-            loop {
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    return Err(MheError::Cancelled);
+        let first_stop: Mutex<Option<(usize, Stop)>> = Mutex::new(None);
+        let worker = || {
+            let busy_start = probe.map(|_| Instant::now());
+            let mut done = Vec::with_capacity(n.div_ceil(workers));
+            while !halted.load(Ordering::Relaxed) {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
-                attempt += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
-                match outcome {
-                    Ok(result) => return result,
-                    Err(payload) => {
-                        mhe_obs::count(mhe_obs::Counter::WorkerPanic, 1);
-                        if attempt < self.retry.max_attempts {
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            mhe_obs::count(mhe_obs::Counter::TaskRetry, 1);
-                            if !self.retry.backoff.is_zero() {
-                                std::thread::sleep(self.retry.backoff);
-                            }
-                            continue;
+                match self.attempt(path, i, &task, &retries) {
+                    Ok(r) => done.push((i, r)),
+                    Err(stop) => {
+                        halted.store(true, Ordering::Relaxed);
+                        let mut first = first_stop.lock().expect("no task holds the stop slot");
+                        if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                            *first = Some((i, stop));
                         }
-                        return Err(MheError::worker_failed(
-                            format!("{} task {i}", self.label),
-                            panic_message(payload.as_ref()),
-                        ));
+                        break;
                     }
                 }
             }
+            if let (Some(p), Some(s)) = (probe, busy_start) {
+                mhe_obs::add_busy(p, s.elapsed());
+            }
+            done
         };
-
-        let metrics = |completed: usize, retries: u64, wall: Duration| SweepMetrics {
+        let mut outputs: Vec<Vec<(usize, R)>> = if workers == 1 {
+            vec![worker()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+                handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect()
+            })
+        };
+        // One worker's output is already the whole result, in order.
+        let mut results = outputs.pop().unwrap_or_default();
+        for part in outputs {
+            results.extend(part);
+        }
+        let metrics = SweepMetrics {
             jobs: n,
             threads: workers,
-            wall,
-            completed,
-            retries,
+            wall: start.elapsed(),
+            completed: results.len(),
+            retries: retries.into_inner(),
         };
-
-        if workers <= 1 {
-            let busy_start = probe.map(|_| Instant::now());
-            for (i, item) in items.iter_mut().enumerate() {
-                if let Err(error) = run_one(i, item) {
-                    if let (Some(p), Some(bs)) = (probe, busy_start) {
-                        mhe_obs::add_busy(p, bs.elapsed());
-                    }
-                    return Err(SweepError {
-                        error,
-                        metrics: metrics(i, retries.load(Ordering::Relaxed), start.elapsed()),
-                    });
-                }
+        match first_stop.into_inner().expect("no task holds the stop slot") {
+            None => {
+                results.sort_unstable_by_key(|&(i, _)| i);
+                Ok((results.into_iter().map(|(_, r)| r).collect(), metrics))
             }
-            if let (Some(p), Some(bs)) = (probe, busy_start) {
-                mhe_obs::add_busy(p, bs.elapsed());
-            }
-            return Ok(());
+            Some((_, Stop::Failed(error))) => Err(SweepError { error, metrics }),
+            Some((_, Stop::Panicked(payload))) => resume_unwind(payload),
         }
-
-        let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-        let cursor = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let first_error: Mutex<Option<(usize, MheError)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        if cancelled.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut guard = slots[i].lock().unwrap();
-                        let item_start = probe.map(|_| Instant::now());
-                        let outcome = run_one(i, &mut guard);
-                        drop(guard);
-                        match outcome {
-                            Ok(()) => {
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(error) => {
-                                cancelled.store(true, Ordering::Relaxed);
-                                let mut slot = first_error.lock().unwrap();
-                                match &*slot {
-                                    Some((j, _)) if *j <= i => {}
-                                    _ => *slot = Some((i, error)),
-                                }
-                                break;
-                            }
-                        }
-                        if let Some(s) = item_start {
-                            busy += s.elapsed();
-                        }
-                    }
-                    if let Some(p) = probe {
-                        mhe_obs::add_busy(p, busy);
-                    }
-                });
-            }
-        });
-        if let Some((_, error)) = first_error.into_inner().unwrap() {
-            return Err(SweepError {
-                error,
-                metrics: metrics(
-                    completed.load(Ordering::Relaxed),
-                    retries.load(Ordering::Relaxed),
-                    start.elapsed(),
-                ),
-            });
-        }
-        Ok(())
     }
+
+    /// Runs task `i` until it returns, or until it has panicked as often
+    /// as `path` allows. Counts each re-run in `retries`.
+    fn attempt<R>(
+        &self,
+        path: Path,
+        i: usize,
+        task: &impl Fn(usize) -> Result<R, MheError>,
+        retries: &AtomicU64,
+    ) -> Result<R, Stop> {
+        let fallible = path != Path::Map;
+        let mut attempts = 0u32;
+        loop {
+            if fallible && self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                return Err(Stop::Failed(MheError::Cancelled));
+            }
+            attempts += 1;
+            let payload = match catch_unwind(AssertUnwindSafe(|| {
+                if path == Path::TryMap {
+                    crate::fault::maybe_panic_task(i as u64);
+                }
+                task(i)
+            })) {
+                Ok(result) => return result.map_err(Stop::Failed),
+                Err(payload) => payload,
+            };
+            mhe_obs::count(mhe_obs::Counter::WorkerPanic, 1);
+            if !fallible {
+                return Err(Stop::Panicked(payload));
+            }
+            if attempts >= self.retry.max_attempts {
+                return Err(Stop::Failed(MheError::worker_failed(
+                    format!("{} task {i}", self.label),
+                    panic_message(payload.as_ref()),
+                )));
+            }
+            retries.fetch_add(1, Ordering::Relaxed);
+            mhe_obs::count(mhe_obs::Counter::TaskRetry, 1);
+            if !self.retry.backoff.is_zero() {
+                std::thread::sleep(self.retry.backoff);
+            }
+        }
+    }
+}
+
+/// The entry-point family a task runs for; it fixes the loop's rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// `map*`: no retries, no cancel token, no fault site; panics re-raise.
+    Map,
+    /// `try_map*`: retries, the cancel token and the `PanicTask` fault site.
+    TryMap,
+    /// `try_for_each_mut_in`: retries and the cancel token; no fault site.
+    InPlace,
+}
+
+/// Why a task stopped its sweep.
+enum Stop {
+    /// A typed error, or a fallible path's panic that outlived its retries.
+    Failed(MheError),
+    /// A `map*` panic, re-raised with its original payload.
+    Panicked(Box<dyn Any + Send>),
 }
 
 #[cfg(test)]
@@ -728,6 +574,7 @@ mod tests {
         let (out, m) = ParallelSweep::with_threads(2).map_timed(vec![1, 2, 3], |x| x);
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(m.jobs, 3);
+        assert_eq!(m.completed, m.jobs);
         assert!(m.threads >= 1);
         assert!(format!("{m}").contains("3 jobs"));
     }
@@ -744,24 +591,34 @@ mod tests {
 
     #[test]
     fn try_map_surfaces_the_lowest_index_error() {
+        // Each case: the index that panics, the indices that return a
+        // typed error, and the failure the sweep must report.
+        let typed = MheError::InvalidConfig { field: "x", requirement: "!= 7" };
+        let panicked = |i: u64| MheError::worker_failed(format!("sweep task {i}"), "boom");
+        let cases = [
+            (None, vec![7, 40], typed.clone()),
+            (Some(3), vec![7], panicked(3)),
+            (Some(7), vec![3], typed.clone()),
+        ];
         let items: Vec<u64> = (0..64).collect();
-        for threads in [1, 4] {
-            let err = ParallelSweep::with_threads(threads)
-                .try_map(&items, |&x| {
-                    if x == 7 || x == 40 {
-                        Err(MheError::InvalidConfig { field: "x", requirement: "!= 7" })
-                    } else {
+        for (panic_at, errors_at, expected) in cases {
+            for threads in [1, 4, 8] {
+                let err = ParallelSweep::with_threads(threads)
+                    .with_retry(RetryPolicy::NONE)
+                    .try_map(&items, |&x| {
+                        if Some(x) == panic_at {
+                            panic!("boom");
+                        }
+                        if errors_at.contains(&x) {
+                            return Err(typed.clone());
+                        }
                         Ok(x)
-                    }
-                })
-                .unwrap_err();
-            assert_eq!(
-                err.error,
-                MheError::InvalidConfig { field: "x", requirement: "!= 7" },
-                "{threads} threads"
-            );
-            assert!(err.metrics.completed < items.len(), "queue was cancelled");
-            assert_eq!(err.metrics.jobs, items.len());
+                    })
+                    .unwrap_err();
+                assert_eq!(err.error, expected, "{threads} threads, panic at {panic_at:?}");
+                assert!(err.metrics.completed < items.len(), "queue was cancelled");
+                assert_eq!(err.metrics.jobs, items.len());
+            }
         }
     }
 
@@ -855,18 +712,22 @@ mod tests {
     fn map_panic_is_reraised_after_clean_join() {
         // The infallible path cannot express failure, but the panic must
         // arrive via a clean join (no worker left running), carrying the
-        // original payload.
-        let items: Vec<u64> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            ParallelSweep::with_threads(4).map(items, |x| {
-                if x == 9 {
-                    panic!("original payload");
-                }
-                x
+        // original payload of the lowest panicking index, at any worker
+        // count.
+        for threads in [1, 4] {
+            let sweep = ParallelSweep::with_threads(threads);
+            let payload = std::thread::spawn(move || {
+                sweep.map((0..64u64).collect(), |x| {
+                    if x == 9 || x == 30 {
+                        panic!("original payload {x}");
+                    }
+                    x
+                })
             })
-        });
-        let payload = result.unwrap_err();
-        assert_eq!(panic_message(payload.as_ref()), "original payload");
+            .join()
+            .unwrap_err();
+            assert_eq!(panic_message(payload.as_ref()), "original payload 9", "{threads} threads");
+        }
     }
 
     #[test]
@@ -906,6 +767,36 @@ mod tests {
     }
 
     #[test]
+    fn only_try_map_is_a_fault_site() {
+        let _lock = crate::fault::injection_lock().lock().unwrap();
+        let _guard =
+            crate::fault::arm(crate::fault::FaultPlan::new(vec![crate::fault::Fault::PanicTask {
+                task: 0,
+            }]));
+        let items: Vec<u64> = (0..16).collect();
+        let sweep = ParallelSweep::with_threads(4).with_retry(RetryPolicy::NONE);
+        assert_eq!(sweep.map(items.clone(), |x| x), items);
+        assert_eq!(sweep.map_in(None, items.clone(), |x| x), items);
+        let mut visited = items.clone();
+        sweep
+            .try_for_each_mut_in(None, &mut visited, |x| {
+                *x += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(visited, (1..17).collect::<Vec<u64>>());
+        // The one-shot plan is still armed: the first fault site fires it.
+        let err = sweep.try_map(&items, |&x| Ok(x)).unwrap_err();
+        match &err.error {
+            MheError::WorkerFailed { task, cause } => {
+                assert_eq!(&**task, "sweep task 0");
+                assert!(cause.contains("injected fault"), "{cause}");
+            }
+            other => panic!("expected WorkerFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn cancelled_sweep_stops_at_a_task_boundary_with_partial_metrics() {
         for threads in [1, 4] {
             let token = CancelToken::new();
@@ -933,7 +824,7 @@ mod tests {
         let calls = std::sync::atomic::AtomicU32::new(0);
         let items: Vec<u64> = (0..16).collect();
         let err = ParallelSweep::with_threads(4)
-            .with_cancel(token)
+            .with_cancel(token.clone())
             .try_map(&items, |&x| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Ok(x)
@@ -941,6 +832,18 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.error, MheError::Cancelled);
         assert_eq!(calls.load(Ordering::Relaxed), 0, "no task may start after cancellation");
+
+        let mut items: Vec<u64> = (0..16).collect();
+        let err = ParallelSweep::with_threads(4)
+            .with_cancel(token)
+            .try_for_each_mut_in(None, &mut items, |x| {
+                *x += 100;
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err.error, MheError::Cancelled);
+        assert_eq!(err.metrics.completed, 0);
+        assert_eq!(items, (0..16).collect::<Vec<u64>>(), "no item may be visited");
     }
 
     #[test]

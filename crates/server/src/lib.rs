@@ -42,7 +42,8 @@ pub struct DaemonConfig {
 
 /// Parses daemon flags, reading absent knobs' variables from `lookup`
 /// (the process environment in the binary). `--help` yields `Ok(None)`
-/// after printing usage.
+/// after printing usage. `MHE_THREADS` and `MHE_RETRIES`, which steer
+/// every sweep, are checked first, by [`mhe_core::env::check`].
 ///
 /// # Errors
 ///
@@ -52,6 +53,7 @@ pub fn parse_args(
     argv: &[String],
     lookup: impl Fn(&str) -> Option<String>,
 ) -> Result<Option<DaemonConfig>, String> {
+    mhe_core::env::check(&lookup)?;
     let args = cli::SERVER.parse(argv, lookup)?;
     if args.has(&cli::HELP) {
         eprintln!("usage:\n  {}", cli::SERVER.usage());
@@ -133,5 +135,15 @@ mod tests {
         assert!(parse("--help", &[]).unwrap().is_none());
         let err = parse("", &[("MHE_MAX_SESSIONS", "0")]).unwrap_err();
         assert!(err.starts_with("MHE_MAX_SESSIONS"), "{err}");
+    }
+
+    #[test]
+    fn rejects_invalid_sweep_variables_naming_them() {
+        for (var, value) in [("MHE_THREADS", "0"), ("MHE_THREADS", "abc"), ("MHE_RETRIES", "3:x")] {
+            let err = parse("", &[(var, value)]).unwrap_err();
+            assert!(err.starts_with(var), "{var}={value}: {err}");
+        }
+        // Empty counts as unset; valid values pass.
+        assert!(parse("", &[("MHE_THREADS", ""), ("MHE_RETRIES", "2:5")]).unwrap().is_some());
     }
 }

@@ -698,18 +698,22 @@ mod tests {
     fn service_answers_ping_and_rejects_malformed_specs() {
         let svc = EvalService::default();
         assert_eq!(svc.respond(Request::Ping), Response::Pong);
-        let resp = svc.respond(Request::Frontier(FrontierRequest {
-            spec_text: "this is not a spec".into(),
-            heuristic: false,
-            sampling: None,
-            policies: None,
-        }));
-        match resp {
-            Response::Error { code, message } => {
-                assert_eq!(code, mhe_core::EXIT_BAD_CONFIG);
-                assert!(message.starts_with("spec: "), "{message}");
+        // Not a spec at all, and a machine the builder would assert on.
+        let zero_units = "[processors]\nkinds = x\n[processor.x]\nunits = 0 0 0 0\n";
+        for spec_text in ["this is not a spec", zero_units] {
+            let resp = svc.respond(Request::Frontier(FrontierRequest {
+                spec_text: spec_text.into(),
+                heuristic: false,
+                sampling: None,
+                policies: None,
+            }));
+            match resp {
+                Response::Error { code, message } => {
+                    assert_eq!(code, mhe_core::EXIT_BAD_CONFIG, "{message}");
+                    assert!(message.starts_with("spec: "), "{message}");
+                }
+                other => panic!("expected Error, got {other:?}"),
             }
-            other => panic!("expected Error, got {other:?}"),
         }
         let stats = svc.stats();
         assert_eq!(stats.sessions, 0, "a rejected spec must not leave a session behind");

@@ -239,11 +239,23 @@ fn parse_custom_processor(
             token: format!("{} entries (need 4: int float mem branch)", units.len()),
         });
     }
+    if let Some(&zero) = units.iter().find(|&&u| u == 0) {
+        return Err(ParseSpecError::BadValue {
+            key: format!("processor.{name}.units"),
+            token: format!("{zero} (need at least 1 of each class)"),
+        });
+    }
     let regs: Vec<u32> = parse_list(section, name, "regs")?.unwrap_or_else(|| vec![32, 32]);
     if regs.len() != 2 {
         return Err(ParseSpecError::BadValue {
             key: format!("processor.{name}.regs"),
             token: format!("{} entries (need 2: int float)", regs.len()),
+        });
+    }
+    if let Some(&few) = regs.iter().find(|&&r| r < 8) {
+        return Err(ParseSpecError::BadValue {
+            key: format!("processor.{name}.regs"),
+            token: format!("{few} (need at least 8 per file)"),
         });
     }
     let flag = |key: &str, default: bool| -> Result<bool, ParseSpecError> {
@@ -277,17 +289,23 @@ fn parse_cache(sections: &Sections, name: &str) -> Result<CacheSpace, ParseSpecE
     // e.g. `policies = lru fifo plru random:7`.
     let policies =
         parse_list(section, name, "policies")?.unwrap_or_else(|| vec![mhe_cache::Policy::Lru]);
-    Ok(CacheSpace {
-        sizes_bytes: sizes_kb.iter().map(|k| k * 1024).collect(),
-        assocs,
-        line_bytes,
-        ports,
-        policies,
-    })
+    let sizes_bytes = sizes_kb
+        .iter()
+        .map(|&k| {
+            k.checked_mul(1024).ok_or_else(|| ParseSpecError::BadValue {
+                key: format!("{name}.sizes_kb"),
+                token: format!("{k} (too large to count in bytes)"),
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(CacheSpace { sizes_bytes, assocs, line_bytes, ports, policies })
 }
 
 fn parse_benchmark(name: Option<&str>) -> Result<Benchmark, ParseSpecError> {
-    let name = name.ok_or_else(|| ParseSpecError::Missing { what: "eval.benchmark".into() })?;
+    // An empty name would suffix-match every benchmark.
+    let name = name
+        .filter(|name| !name.is_empty())
+        .ok_or_else(|| ParseSpecError::Missing { what: "eval.benchmark".into() })?;
     Benchmark::ALL
         .iter()
         .copied()
@@ -438,6 +456,35 @@ l1_miss = 8
                 assert_eq!(token, "mru");
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_values_are_errors_naming_their_key() {
+        let custom = |body: &str| {
+            GOOD.replace("kinds = 1111 3221", "kinds = 1111 x") + "\n[processor.x]\n" + body
+        };
+        // Each case: the spec text and the key its error must name.
+        let cases = [
+            (custom("units = 0 0 0 0\n"), "processor.x.units"),
+            (custom("units = 1 1 1 0\n"), "processor.x.units"),
+            (custom("units = 1 1 1 1\nregs = 7 32\n"), "processor.x.regs"),
+            (custom("units = 1 1 1 1\nregs = 32 0\n"), "processor.x.regs"),
+            (
+                GOOD.replace("sizes_kb = 1 2 4", "sizes_kb = 1 18446744073709551615"),
+                "icache.sizes_kb",
+            ),
+            (GOOD.replace("sizes_kb = 16 64", "sizes_kb = 18014398509481984"), "ucache.sizes_kb"),
+            (GOOD.replace("benchmark = epic", "benchmark ="), "eval.benchmark"),
+        ];
+        for (text, key) in cases {
+            let err = Spec::parse(&text).unwrap_err();
+            let named = match &err {
+                ParseSpecError::BadValue { key, .. } => key,
+                ParseSpecError::Missing { what } => what,
+                other => panic!("{key}: unexpected error {other:?}"),
+            };
+            assert_eq!(named, key, "{err}");
         }
     }
 

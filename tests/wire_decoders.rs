@@ -15,6 +15,7 @@ use mhe::spacewalk::service::proto::{
     FEATURE_FRONTIER, HANDSHAKE_LEN,
 };
 use mhe::trace::{Access, FrameEntry, TraceReader, TraceWriter};
+use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Cursor, ErrorKind};
@@ -134,6 +135,33 @@ fn every_prefix_and_bit_flip_of_a_golden_payload_is_ok_or_err() {
             let bytes = decode_everything(&flipped);
             assert!(bytes < BUDGET, "bit {bit} of {payload:02x?} allocated {bytes} bytes");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary payloads of 0–256 bytes; half of them start with a tag
+    /// byte some golden payload starts with, so they get past the tag
+    /// dispatch into a message body.
+    #[test]
+    fn arbitrary_payloads_are_ok_or_err_within_budget(
+        tagged in 0u8..2,
+        tag_pick in 0usize..1024,
+        body in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..257),
+    ) {
+        let mut payload = body;
+        if tagged == 1 {
+            let tags: Vec<u8> =
+                common::wire::goldens().into_iter().map(|(msg, _)| msg.encode()[0]).collect();
+            let tag = tags[tag_pick % tags.len()];
+            match payload.first_mut() {
+                Some(first) => *first = tag,
+                None => payload.push(tag),
+            }
+        }
+        let bytes = decode_everything(&payload);
+        prop_assert!(bytes < BUDGET, "{payload:02x?} allocated {bytes} bytes");
     }
 }
 
