@@ -25,6 +25,7 @@ fn mean_abs_err(errors: &[f64]) -> f64 {
 }
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let n = events();
     let b = Benchmark::Gcc;
     let dilations = [1.3, 1.7, 2.2, 2.8, 3.3];

@@ -16,6 +16,7 @@ use mhe_workload::Benchmark;
 use std::time::Instant;
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let b = Benchmark::Ghostscript;
     let space = SystemSpace::paper_default();
     let events = mhe_bench::events();

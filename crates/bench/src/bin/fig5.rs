@@ -64,6 +64,7 @@ fn report(b: Benchmark) -> String {
 }
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let (reports, sweep) =
         ParallelSweep::new().map_timed(vec![Benchmark::Gcc, Benchmark::Ghostscript], report);
     for r in reports {

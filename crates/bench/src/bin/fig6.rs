@@ -21,6 +21,7 @@ use mhe_vliw::ProcessorKind;
 use mhe_workload::Benchmark;
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let n = events();
     let b = Benchmark::Gcc;
     let eval = ReferenceEvaluation::for_benchmark(

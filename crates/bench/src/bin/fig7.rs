@@ -25,6 +25,7 @@ fn bar(x: f64) -> String {
 }
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let n = events();
     let eval = ReferenceEvaluation::for_benchmark(
         Benchmark::Gcc,

@@ -49,6 +49,7 @@ fn replay_once(b: Benchmark, mdes: &Mdes, cfg: EvalConfig, path: &Path) -> Durat
 }
 
 fn main() -> std::io::Result<()> {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let events = mhe_bench::events();
     let mdes = mhe_vliw::ProcessorKind::P1111.mdes();
     // One thread: the probe cost per access is what is under test, and

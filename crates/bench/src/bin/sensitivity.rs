@@ -13,6 +13,7 @@ use mhe_vliw::ProcessorKind;
 use mhe_workload::Benchmark;
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let b = Benchmark::Ghostscript;
     let target = ProcessorKind::P3221;
     let icache = l1_small();

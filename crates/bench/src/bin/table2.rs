@@ -19,6 +19,7 @@ use mhe_vliw::ProcessorKind;
 use mhe_workload::{Benchmark, BlockFrequencies};
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let n = events();
     let configs = [l1_small(), l1_large()];
     let names = ["1 KB", "16 KB"];

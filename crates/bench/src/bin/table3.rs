@@ -8,6 +8,7 @@ use mhe_vliw::ProcessorKind;
 use mhe_workload::{Benchmark, BlockFrequencies};
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     println!("# Table 3: Text dilation for all benchmarks\n");
     println!(
         "{:<14} {:>6} {:>6} {:>6} {:>6} {:>6}",

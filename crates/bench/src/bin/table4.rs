@@ -35,6 +35,7 @@ struct BenchResult {
 }
 
 fn main() {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     let n = events();
     let configs: [(StreamKind, CacheConfig, &str); 4] = [
         (StreamKind::Instruction, l1_small(), "1 KB Icache"),

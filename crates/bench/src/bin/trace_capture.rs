@@ -32,6 +32,7 @@ fn stem(b: Benchmark) -> String {
 }
 
 fn main() -> std::process::ExitCode {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     match run() {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {

@@ -60,6 +60,7 @@ fn replay(
 }
 
 fn main() -> std::process::ExitCode {
+    mhe_bench::check_env(env!("CARGO_BIN_NAME"));
     match run() {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {

@@ -25,6 +25,17 @@ pub fn events() -> usize {
     mhe_core::env::events_or(200_000)
 }
 
+/// Rejects an invalid `MHE_THREADS`, `MHE_EVENTS` or `MHE_RETRIES` before
+/// any work starts, by [`mhe_core::env::check`]: prints `bin: ` and the
+/// one-line reason to stderr and exits with [`mhe_core::EXIT_BAD_CONFIG`].
+/// Every binary calls it first, so a typo never silently runs the default.
+pub fn check_env(bin: &str) {
+    if let Err(message) = mhe_core::env::check(|var| std::env::var(var).ok()) {
+        eprintln!("{bin}: {message}");
+        std::process::exit(i32::from(mhe_core::EXIT_BAD_CONFIG));
+    }
+}
+
 /// Strips the `--obs` / `--obs-json` flags (the [`cli::OBS`] and
 /// [`cli::OBS_JSON`] rows of the knob table) from a binary's argument
 /// list, selecting the corresponding observability sink. The flags mirror

@@ -9,7 +9,7 @@
 //! | Variable         | Accessor            | Meaning |
 //! |------------------|---------------------|---------|
 //! | `MHE_THREADS`    | [`threads`]         | Worker-thread count for every parallel fan-out (`>= 1`; unset/invalid → available parallelism; [`check`] rejects invalid). Results are bit-identical for every value. |
-//! | `MHE_EVENTS`     | [`events_or`]       | Dynamic window (basic-block events) for bench/demo binaries; each binary supplies its own default. |
+//! | `MHE_EVENTS`     | [`events_or`]       | Dynamic window (basic-block events) for bench/demo binaries (`>= 1`); each binary supplies its own default for unset/invalid; [`check`] rejects invalid. |
 //! | `MHE_OBS`        | [`obs`]             | Observability sink: `json`, `text`/`1`/`on`/`true`, anything else off. Parsed by `mhe-obs`, surfaced here for discoverability. |
 //! | `MHE_RETRIES`    | [`retry_policy`]    | Bounded retries for panicked sweep tasks: `N` or `N:backoff_ms` (e.g. `3:10`). Unset/invalid → no retries; [`check`] rejects invalid. |
 //! | `MHE_FAULT_PLAN` | `fault::armed` (private) | Deterministic fault-injection schedule for tests, in [`crate::fault::FaultPlan::parse`] syntax, armed process-wide on first use; [`crate::fault::arm`] replaces it (see [`crate::fault`]). Unset → no injection. |
@@ -20,9 +20,9 @@
 //!
 //! The accessors cannot report an error, so an invalid value falls back
 //! as described above. A binary that can should call [`check`] at
-//! start-up: it applies the accessors' own parse rules to `MHE_THREADS`
-//! and `MHE_RETRIES` and names the first variable that is set but
-//! invalid.
+//! start-up: it applies the accessors' own parse rules to `MHE_THREADS`,
+//! `MHE_EVENTS` and `MHE_RETRIES` and names the first variable that is
+//! set but invalid.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -94,12 +94,19 @@ pub fn threads() -> Option<usize> {
 /// Parses the `MHE_THREADS` syntax: a positive integer. Returns `None`
 /// for empty/invalid text.
 pub fn parse_threads(text: &str) -> Option<usize> {
+    positive(text)
+}
+
+/// A positive integer (the `MHE_THREADS` and `MHE_EVENTS` syntax), or
+/// `None`.
+fn positive(text: &str) -> Option<usize> {
     text.parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// Checks `MHE_THREADS` and `MHE_RETRIES`, read through `lookup` (the
-/// process environment in the binaries), against the parse rules of
-/// [`threads`] and [`retry_policy`]. An empty variable counts as unset.
+/// Checks `MHE_THREADS`, `MHE_EVENTS` and `MHE_RETRIES`, read through
+/// `lookup` (the process environment in the binaries), against the parse
+/// rules of [`threads`], [`events_or`] and [`retry_policy`]. An empty
+/// variable counts as unset.
 ///
 /// # Errors
 ///
@@ -109,6 +116,9 @@ pub fn check(lookup: impl Fn(&str) -> Option<String>) -> Result<(), String> {
     let set = |var: &str| lookup(var).filter(|text| !text.is_empty());
     if let Some(text) = set("MHE_THREADS").filter(|text| parse_threads(text).is_none()) {
         return Err(format!("MHE_THREADS {text:?}: expected a whole number of at least 1"));
+    }
+    if let Some(text) = set("MHE_EVENTS").filter(|text| positive(text).is_none()) {
+        return Err(format!("MHE_EVENTS {text:?}: expected a whole number of at least 1"));
     }
     if let Some(text) = set("MHE_RETRIES").filter(|text| RetryPolicy::parse(text).is_none()) {
         return Err(format!("MHE_RETRIES {text:?}: expected N or N:backoff_ms"));
@@ -122,12 +132,7 @@ pub fn check(lookup: impl Fn(&str) -> Option<String>) -> Result<(), String> {
 pub fn events_or(default: usize) -> usize {
     static EVENTS: OnceLock<Option<usize>> = OnceLock::new();
     EVENTS
-        .get_or_init(|| {
-            std::env::var("MHE_EVENTS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-        })
+        .get_or_init(|| std::env::var("MHE_EVENTS").ok().and_then(|v| positive(&v)))
         .unwrap_or(default)
 }
 
@@ -194,9 +199,12 @@ mod tests {
             check(|var| env.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string()))
         };
         assert_eq!(check_with(&[]), Ok(()));
-        assert_eq!(check_with(&[("MHE_THREADS", "4"), ("MHE_RETRIES", "2:10")]), Ok(()));
         assert_eq!(
-            check_with(&[("MHE_THREADS", ""), ("MHE_RETRIES", "")]),
+            check_with(&[("MHE_THREADS", "4"), ("MHE_EVENTS", "5000"), ("MHE_RETRIES", "2:10")]),
+            Ok(())
+        );
+        assert_eq!(
+            check_with(&[("MHE_THREADS", ""), ("MHE_EVENTS", ""), ("MHE_RETRIES", "")]),
             Ok(()),
             "empty = unset"
         );
@@ -204,6 +212,9 @@ mod tests {
             ("MHE_THREADS", "0"),
             ("MHE_THREADS", "four"),
             ("MHE_THREADS", "-1"),
+            ("MHE_EVENTS", "0"),
+            ("MHE_EVENTS", "20k"),
+            ("MHE_EVENTS", "-5"),
             ("MHE_RETRIES", "x"),
             ("MHE_RETRIES", "3:y"),
         ] {

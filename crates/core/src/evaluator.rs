@@ -41,6 +41,7 @@ use crate::error::MheError;
 use crate::icache::estimate_icache_misses;
 use crate::metrics::{EvalMetrics, PassMetrics, ReplayMetrics, SamplingMetrics};
 use crate::parallel::ParallelSweep;
+use crate::system::profile_cycles;
 use crate::ucache::estimate_ucache_misses;
 use mhe_cache::{Cache, CacheConfig, Policy, SinglePassSim};
 use mhe_model::ahh::UniqueLineModel;
@@ -55,7 +56,7 @@ use mhe_trace::stats::din_text_bytes;
 use mhe_trace::{
     Access, CodecStats, DilatedTraceGenerator, StreamKind, TraceGenerator, TraceReader,
 };
-use mhe_vliw::compile::Compiled;
+use mhe_vliw::compile::{text_dilation, Compiled};
 use mhe_vliw::Mdes;
 use mhe_workload::exec::BlockFrequencies;
 use mhe_workload::ir::Program;
@@ -63,7 +64,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{self, BufReader, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Knobs of the reference evaluation.
@@ -315,6 +316,27 @@ pub struct ReferenceEvaluation {
     dmeasured: HashMap<CacheConfig, u64>,
     umeasured: HashMap<CacheConfig, u64>,
     metrics: EvalMetrics,
+    /// Block execution counts of the evaluation's own `(seed, events)`
+    /// window, profiled on first use: every target's compute cycles are
+    /// this profile dotted with its schedule lengths.
+    window: OnceLock<BlockFrequencies>,
+    /// One cell per distinct target machine, so each is compiled once per
+    /// evaluation. The map lock is held only to find a cell, never while
+    /// compiling.
+    targets: Mutex<HashMap<Mdes, Arc<OnceLock<TargetFacts>>>>,
+}
+
+/// What the walk needs to know about one target processor: computed once
+/// per evaluation by [`ReferenceEvaluation::target_facts`], which keeps
+/// these two numbers and drops the compilation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TargetFacts {
+    /// Text dilation relative to the reference compilation (the paper's
+    /// `d`).
+    pub dilation: f64,
+    /// Compute cycles over the evaluation's window: Σ over blocks of
+    /// execution count × schedule length.
+    pub cycles: u64,
 }
 
 // The service layer multiplexes concurrent clients onto one shared
@@ -765,6 +787,8 @@ impl ReferenceEvaluation {
             dmeasured: outcome.grids.dmeasured,
             umeasured: outcome.grids.umeasured,
             metrics,
+            window: OnceLock::new(),
+            targets: Mutex::default(),
         })
     }
 
@@ -943,15 +967,45 @@ impl ReferenceEvaluation {
 
     /// Text dilation of a target machine relative to the reference.
     ///
-    /// This compiles the program for the target (cheap: no simulation),
-    /// using the same layout profile as the reference so that
-    /// `dilation_of(reference) == 1` exactly.
+    /// Reads [`ReferenceEvaluation::target_facts`], so the target is
+    /// compiled at most once per evaluation, with the same layout profile
+    /// as the reference so that `dilation_of(reference) == 1` exactly.
     pub fn dilation_of(&self, target: &Mdes) -> f64 {
-        self.compile_target(target).text_words() as f64 / self.reference.text_words() as f64
+        self.target_facts(target).dilation
+    }
+
+    /// The target's dilation and compute cycles, computed on first use
+    /// and remembered for the evaluation's lifetime.
+    ///
+    /// The first call for a machine compiles it (as
+    /// [`ReferenceEvaluation::compile_target`] does) and dots its schedule
+    /// lengths with the window's block profile, itself built once on the
+    /// first call for any machine. Concurrent first calls for one machine
+    /// compile it once; the rest wait for that result. Later calls only
+    /// look the facts up.
+    pub fn target_facts(&self, target: &Mdes) -> TargetFacts {
+        let cell = {
+            let mut targets = self.targets.lock().unwrap_or_else(PoisonError::into_inner);
+            match targets.get(target) {
+                Some(cell) => Arc::clone(cell),
+                None => Arc::clone(targets.entry(target.clone()).or_default()),
+            }
+        };
+        *cell.get_or_init(|| {
+            let compiled = self.compile_target(target);
+            let window = self.window.get_or_init(|| {
+                BlockFrequencies::profile(&self.program, self.config.seed, self.config.events)
+            });
+            TargetFacts {
+                dilation: text_dilation(&self.reference, &compiled),
+                cycles: profile_cycles(window, &compiled),
+            }
+        })
     }
 
     /// Compiles the program for a target machine with the evaluation's
-    /// layout profile.
+    /// layout profile. Every call compiles afresh; callers that need only
+    /// the dilation or the cycles read [`ReferenceEvaluation::target_facts`].
     pub fn compile_target(&self, target: &Mdes) -> Compiled {
         Compiled::build(&self.program, target, Some(self.freq.as_ref()))
     }

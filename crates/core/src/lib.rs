@@ -73,10 +73,12 @@ pub use error::{
     EXIT_UNAUTHORIZED, EXIT_WORKER_FAILURE,
 };
 pub use evaluator::{
-    actual_misses, dilated_misses, EvalConfig, EvalConfigBuilder, ReferenceEvaluation,
+    actual_misses, dilated_misses, EvalConfig, EvalConfigBuilder, ReferenceEvaluation, TargetFacts,
 };
 pub use fault::{Fault, FaultPlan, FaultyReader, FaultyWriter};
 pub use metrics::{EvalMetrics, PassMetrics, SamplingMetrics};
 pub use mhe_sampling::SamplingConfig;
 pub use parallel::{worker_threads, ParallelSweep, SweepError, SweepMetrics};
-pub use system::{evaluate_system, processor_cycles, SystemDesign, SystemPerformance};
+pub use system::{
+    evaluate_system, processor_cycles, profile_cycles, SystemDesign, SystemPerformance,
+};

@@ -3,16 +3,17 @@
 //! The paper's evaluator combines independently-obtained subsystem metrics:
 //! "The overall execution time consists of the processor cycles and the
 //! stall cycles from each of the caches." Processor cycles come from
-//! schedule lengths weighted by dynamic execution (no trace simulation);
-//! cache stalls come either from the dilation model (fast path, used during
+//! schedule lengths weighted by block execution counts (no trace
+//! simulation, and one block profile serves every processor); cache
+//! stalls come either from the dilation model (fast path, used during
 //! design-space exploration) or from simulation (validation path).
 
 use crate::error::MheError;
-use crate::evaluator::ReferenceEvaluation;
+use crate::evaluator::{ReferenceEvaluation, TargetFacts};
 use mhe_cache::{MemoryDesign, Penalties};
 use mhe_vliw::compile::Compiled;
 use mhe_vliw::Mdes;
-use mhe_workload::exec::Executor;
+use mhe_workload::exec::BlockFrequencies;
 use mhe_workload::ir::Program;
 
 /// One complete system design point.
@@ -50,6 +51,11 @@ impl SystemPerformance {
 /// Dynamic processor cycles: schedule lengths summed over the executed
 /// block window (no cache effects).
 ///
+/// The event trace does not depend on the machine, so this is the
+/// window's block profile dotted with the target's schedule lengths
+/// ([`profile_cycles`]). Callers that score several processors on one
+/// window profile it once; [`ReferenceEvaluation::target_facts`] does.
+///
 /// # Examples
 ///
 /// ```
@@ -64,17 +70,21 @@ impl SystemPerformance {
 ///     < processor_cycles(&program, &narrow, 1, events));
 /// ```
 pub fn processor_cycles(program: &Program, compiled: &Compiled, seed: u64, events: usize) -> u64 {
-    Executor::new(program, seed)
-        .take(events)
-        .map(|ev| u64::from(compiled.sched.block(ev.proc, ev.block).len_cycles()))
-        .sum()
+    profile_cycles(&BlockFrequencies::profile(program, seed, events), compiled)
+}
+
+/// Compute cycles of `compiled` over a profiled window: Σ over blocks of
+/// execution count × schedule length. The sum is an integer, so it equals
+/// the per-event sum exactly.
+pub fn profile_cycles(freq: &BlockFrequencies, compiled: &Compiled) -> u64 {
+    freq.weighted_total(|proc, block| u64::from(compiled.sched.block(proc, block).len_cycles()))
 }
 
 /// Evaluates a complete system design using the dilation model — the fast
-/// path the spacewalker calls per design point. The only per-design work is
-/// compiling for the target processor (for its cycles and dilation);
-/// all cache numbers are produced analytically from the reference
-/// evaluation.
+/// path the spacewalker calls per design point. The per-processor facts
+/// (dilation and compute cycles) come from the evaluation's target memo,
+/// so each processor is compiled once per evaluation; all cache numbers
+/// are produced analytically from the reference evaluation.
 ///
 /// # Errors
 ///
@@ -85,14 +95,10 @@ pub fn evaluate_system(
     design: &SystemDesign,
     penalties: Penalties,
 ) -> Result<SystemPerformance, MheError> {
-    let program = eval.program();
-    let cfg = eval.config();
-    let target = eval.compile_target(&design.processor);
-    let d = target.text_words() as f64 / eval.reference().text_words() as f64;
-    let processor = processor_cycles(program, &target, cfg.seed, cfg.events);
-    let icache = eval.estimate_icache_misses(design.memory.icache, d)?;
+    let TargetFacts { dilation, cycles: processor } = eval.target_facts(&design.processor);
+    let icache = eval.estimate_icache_misses(design.memory.icache, dilation)?;
     let dcache = eval.dcache_misses(design.memory.dcache)? as f64;
-    let ucache = eval.estimate_ucache_misses(design.memory.ucache, d)?;
+    let ucache = eval.estimate_ucache_misses(design.memory.ucache, dilation)?;
     let perf = SystemPerformance {
         processor_cycles: processor,
         icache_misses: icache,

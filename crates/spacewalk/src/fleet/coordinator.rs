@@ -27,6 +27,7 @@ use crate::service::proto::{
 use crate::service::server::reap_finished;
 use mhe_cache::Policy;
 use mhe_core::{MheError, SamplingConfig};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -423,7 +424,17 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(HANDLER_POLL))?;
     stream.set_nodelay(true)?;
     let features = FEATURE_FLEET | if shared.cfg.auth_token.is_some() { FEATURE_AUTH } else { 0 };
-    let stop = || shared.all_done() || shared.aborted().is_some() || shared.halted();
+    // A worker that holds a job but has not asked for a shard yet is
+    // still building its evaluation. Closing on it when the last shard
+    // finishes would fail its next send, so its handler waits for that
+    // first `NeedShard` and answers `NoMoreWork`. The worker's heartbeats
+    // keep the wait alive; silence past the lease timeout ends it.
+    let building = Cell::new(false);
+    let heard = Cell::new(Instant::now());
+    let stop = || {
+        let awaited = building.get() && heard.get().elapsed() <= shared.cfg.lease_timeout;
+        shared.aborted().is_some() || shared.halted() || (shared.all_done() && !awaited)
+    };
 
     // The handshake reply gets its own patience: a worker admitted from
     // the post-sweep backlog drain must still complete it (so it can be
@@ -492,6 +503,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 break Ok(());
             }
         };
+        heard.set(Instant::now());
         match decode_worker_frame(&payload)? {
             WorkerFrame::Hello => {
                 if shared.all_done() {
@@ -515,8 +527,10 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     shard_count: shared.cfg.shard_count,
                 });
                 send(&mut stream, &job)?;
+                building.set(true);
             }
             WorkerFrame::NeedShard => {
+                building.set(false);
                 let Some(id) = worker_id else {
                     break Err(io::Error::new(
                         io::ErrorKind::InvalidData,

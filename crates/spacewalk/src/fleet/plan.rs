@@ -21,7 +21,6 @@ use crate::cache_db::{self, MetricKey};
 use crate::cost::CacheDesign;
 use crate::space::SystemSpace;
 use mhe_core::evaluator::ReferenceEvaluation;
-use mhe_core::system::processor_cycles;
 use mhe_core::MheError;
 use mhe_vliw::Mdes;
 use std::collections::HashSet;
@@ -32,9 +31,10 @@ use std::sync::Arc;
 /// walkers pass to the evaluation cache.
 #[derive(Debug, Clone)]
 pub enum Task {
-    /// Compile the target processor and symbolically execute it.
+    /// The target processor's compute cycles, read from the evaluation's
+    /// target memo.
     ProcCycles {
-        /// The processor to compile and execute.
+        /// The processor.
         proc: Mdes,
     },
     /// Estimate instruction-cache misses at a text dilation.
@@ -119,11 +119,7 @@ pub fn work_plan(eval: &ReferenceEvaluation, space: &SystemSpace) -> Vec<WorkIte
 /// pre-simulated space).
 pub fn evaluate_item(eval: &ReferenceEvaluation, item: &WorkItem) -> Result<f64, MheError> {
     match &item.task {
-        Task::ProcCycles { proc } => {
-            let cfg = eval.config();
-            let compiled = eval.compile_target(proc);
-            Ok(processor_cycles(eval.program(), &compiled, cfg.seed, cfg.events) as f64)
-        }
+        Task::ProcCycles { proc } => Ok(eval.target_facts(proc).cycles as f64),
         Task::Icache { design, dilation } => eval.estimate_icache_misses(design.config, *dilation),
         Task::Dcache { design } => eval.dcache_misses(design.config).map(|m| m as f64),
         Task::Ucache { design, dilation } => eval.estimate_ucache_misses(design.config, *dilation),

@@ -12,11 +12,13 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Per-design evaluation fans out over a [`ParallelSweep`] against the
-//! shared concurrent cache; the worker count comes from the evaluation's
-//! [`EvalConfig::worker_threads`]. Results come back in the input
-//! enumeration order and are merged into the [`ParetoSet`] serially in
-//! that order, so the frontier is **bit-identical regardless of thread
+//! The per-processor step of [`walk_system`] — the cold compile of each
+//! target — fans out over a [`ParallelSweep`]; the worker count comes
+//! from the evaluation's [`EvalConfig::worker_threads`]. A cache-space
+//! walk resolves its designs in a plain loop on the calling thread: each
+//! estimate takes about a microsecond, less than a thread spawn. Either
+//! way results are merged into the [`ParetoSet`] serially in enumeration
+//! order, so the frontier is **bit-identical regardless of thread
 //! count** — only the wall clock changes.
 
 use crate::cache_db::{EvaluationCache, MetricKey};
@@ -27,7 +29,6 @@ use crate::space::{CacheSpace, SystemSpace};
 use mhe_cache::{MemoryDesign, Penalties};
 use mhe_core::evaluator::{EvalConfig, ReferenceEvaluation};
 use mhe_core::parallel::ParallelSweep;
-use mhe_core::system::processor_cycles;
 use mhe_core::{CancelToken, MheError};
 use mhe_vliw::Mdes;
 use mhe_workload::ir::Program;
@@ -96,7 +97,8 @@ fn app_of(eval: &ReferenceEvaluation) -> Arc<str> {
 
 std::thread_local! {
     /// The cancel token every sweep built by [`fan_out`] on this thread
-    /// attaches (scoped by [`with_walk_cancel`]). Thread-local rather
+    /// attaches, and every cache-space walk on it checks before each
+    /// design (scoped by [`with_walk_cancel`]). Thread-local rather
     /// than a parameter so the whole `walk_*` family stays cancellation-
     /// agnostic: batch runs and fleet workers never set it, while the
     /// daemon scopes one token around each served request.
@@ -104,10 +106,10 @@ std::thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// Runs `f` with `cancel` attached to every `fan_out` sweep this thread
-/// constructs, restoring the previous token (usually none) afterwards —
-/// panic-safe via an RAII guard, since the service catches request
-/// panics and reuses the thread.
+/// Runs `f` with `cancel` attached to every `fan_out` sweep and
+/// cache-space walk this thread runs, restoring the previous token
+/// (usually none) afterwards — panic-safe via an RAII guard, since the
+/// service catches request panics and reuses the thread.
 pub fn with_walk_cancel<R>(cancel: CancelToken, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<CancelToken>);
     impl Drop for Restore {
@@ -169,21 +171,26 @@ pub(crate) fn fan_out<T: Send + Sync, R: Send>(
         .collect())
 }
 
-/// Walks one cache space: fans the enumerated designs out, resolving each
-/// metric through the shared cache, then merges serially in enumeration
-/// order.
+/// Walks one cache space: resolves each enumerated design's metric
+/// through the shared cache, in order, on the calling thread, and merges
+/// it into the frontier. The scoped cancel token (see
+/// [`with_walk_cancel`]) is checked before each design.
 fn walk_cache_space(
-    eval: &ReferenceEvaluation,
     space: &CacheSpace,
     db: &EvaluationCache,
-    key: impl Fn(CacheDesign) -> MetricKey + Sync,
-    metric: impl Fn(CacheDesign) -> Result<f64, MheError> + Sync,
+    key: impl Fn(CacheDesign) -> MetricKey,
+    metric: impl Fn(CacheDesign) -> Result<f64, MheError>,
 ) -> Result<ParetoSet<CacheDesign>, MheError> {
-    let results = fan_out(eval.config().worker_threads(), space.enumerate(), |design| {
-        db.get_or_try_insert_with(key(*design), || metric(*design)).map(|time| (*design, time))
-    })?;
+    let designs = space.enumerate();
+    mhe_obs::add_events(mhe_obs::Phase::Walk, designs.len() as u64);
+    let _obs = mhe_obs::span(mhe_obs::Phase::Walk);
+    let cancel = current_cancel();
     let mut pareto = ParetoSet::new();
-    for (design, time) in results {
+    for design in designs {
+        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Err(MheError::Cancelled);
+        }
+        let time = db.get_or_try_insert_with(key(design), || metric(design))?;
         pareto.insert(design, cache_area(&design), time);
     }
     Ok(pareto)
@@ -204,7 +211,6 @@ pub fn walk_icache(
 ) -> Result<ParetoSet<CacheDesign>, MheError> {
     let app = app_of(eval);
     walk_cache_space(
-        eval,
         space,
         db,
         |design| MetricKey::icache(&app, design, dilation),
@@ -225,7 +231,6 @@ pub fn walk_dcache(
 ) -> Result<ParetoSet<CacheDesign>, MheError> {
     let app = app_of(eval);
     walk_cache_space(
-        eval,
         space,
         db,
         |design| MetricKey::dcache(&app, design),
@@ -247,7 +252,6 @@ pub fn walk_ucache(
 ) -> Result<ParetoSet<CacheDesign>, MheError> {
     let app = app_of(eval);
     walk_cache_space(
-        eval,
         space,
         db,
         |design| MetricKey::ucache(&app, design, dilation),
@@ -290,11 +294,13 @@ pub fn walk_memory(
 
 /// Walks the joint processor × memory space; time = total execution cycles.
 ///
-/// The expensive per-processor work — compiling the target and symbolically
-/// executing it for compute cycles — fans out over a [`ParallelSweep`]
-/// against the shared cache; each processor's memory walk then fans out its
-/// own designs. Frontier merges happen serially in processor order, so the
-/// result is bit-identical at any thread count.
+/// The per-processor facts — text dilation and compute cycles, read from
+/// the evaluation's target memo ([`ReferenceEvaluation::target_facts`]) —
+/// fan out over a [`ParallelSweep`]: on a cold evaluation that compiles
+/// each target once, in parallel; on a warm one it only looks them up.
+/// Each processor's memory walk then runs on the calling thread. Frontier
+/// merges happen serially in processor order, so the result is
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -329,15 +335,12 @@ pub fn walk_system_with(
     checkpoint: Option<&Checkpointer>,
 ) -> Result<ParetoSet<SystemPoint>, MheError> {
     let app = app_of(eval);
-    let cfg = *eval.config();
     let procs: Vec<&Mdes> = space.processors.iter().collect();
-    let prepared = fan_out(cfg.worker_threads(), procs, |proc| {
-        let compiled = eval.compile_target(proc);
-        let d = compiled.text_words() as f64 / eval.reference().text_words() as f64;
-        let cycles = db.get_or_insert_with(MetricKey::proc_cycles(&app, &proc.name), || {
-            processor_cycles(eval.program(), &compiled, cfg.seed, cfg.events) as f64
-        });
-        Ok((d, cycles))
+    let prepared = fan_out(eval.config().worker_threads(), procs, |proc| {
+        let target = eval.target_facts(proc);
+        let cycles = db
+            .get_or_insert_with(MetricKey::proc_cycles(&app, &proc.name), || target.cycles as f64);
+        Ok((target.dilation, cycles))
     })?;
     if let Some(ckpt) = checkpoint {
         ckpt.save(db).map_err(|e| MheError::worker_failed("checkpoint save", e.to_string()))?;

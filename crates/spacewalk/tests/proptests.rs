@@ -1,4 +1,5 @@
-//! Property tests for the evaluation-cache binary persistence.
+//! Property tests for the evaluation-cache binary persistence, and for
+//! `Spec::parse` on arbitrary text.
 //!
 //! The properties: `save` → `load` reproduces *exactly* the entries that
 //! were stored — every key, and every value down to the f64 bit pattern
@@ -8,10 +9,14 @@
 //! The hit/compute counters do **not** round-trip: a loaded database
 //! documents this by starting at `(0, 0)` — they describe the current
 //! process's lookups, not the file's history.
+//!
+//! `Spec::parse` is total: arbitrary strings, and byte-mutated copies of
+//! a valid spec, parse to `Ok` or `Err`, never a panic.
 
 use mhe_cache::CacheConfig;
 use mhe_spacewalk::cache_db::{EvaluationCache, MetricKey};
 use mhe_spacewalk::cost::CacheDesign;
+use mhe_spacewalk::spec::Spec;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,5 +132,75 @@ proptest! {
         std::fs::write(&flipped, &bytes).unwrap();
         prop_assert!(EvaluationCache::load(&flipped).is_err(), "bit-flipped file loaded");
         std::fs::remove_file(&flipped).ok();
+    }
+}
+
+/// A valid spec: every section, every key, every value kind.
+const VALID_SPEC: &str = "\
+# comment
+[processors]
+kinds = 1111 3221
+
+[icache]
+sizes_kb = 1 2 4
+assocs = 1 2
+line_bytes = 32
+ports = 1
+policies = lru fifo
+
+[dcache]
+sizes_kb = 1 4
+assocs = 1
+
+[ucache]
+sizes_kb = 16 64
+assocs = 2
+line_bytes = 64
+
+[eval]
+benchmark = epic
+events = 5000
+l1_miss = 8
+l2_miss = 50
+";
+
+/// Characters weighted toward the spec grammar (brackets, `=`, `#`,
+/// digits, spaces, newlines), mixed with any Unicode scalar value.
+fn spec_char() -> impl Strategy<Value = char> {
+    const GRAMMAR: &[u8] = b"[]=# \n\t0123456789kKbB_-.:,abcdefilnoprstuvwxyz";
+    prop_oneof![
+        (0usize..GRAMMAR.len()).prop_map(|i| char::from(GRAMMAR[i])),
+        (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn spec_parse_never_panics_on_arbitrary_text(
+        chars in prop::collection::vec(spec_char(), 0..200)
+    ) {
+        let text: String = chars.into_iter().collect();
+        let _ = Spec::parse(&text);
+        // Text after a valid prefix must not confuse the parser either.
+        let _ = Spec::parse(&format!("{VALID_SPEC}{text}"));
+    }
+
+    #[test]
+    fn spec_parse_never_panics_on_a_mutated_valid_spec(
+        edits in prop::collection::vec((0usize..1024, 0u32..256, 0u8..3), 1..8)
+    ) {
+        prop_assert!(Spec::parse(VALID_SPEC).is_ok());
+        let mut bytes = VALID_SPEC.as_bytes().to_vec();
+        for (at, byte, op) in edits {
+            let at = at % (bytes.len() + 1);
+            match op {
+                0 if at < bytes.len() => bytes[at] = byte as u8,
+                1 => bytes.insert(at, byte as u8),
+                _ => bytes.truncate(at.max(1)),
+            }
+        }
+        let _ = Spec::parse(&String::from_utf8_lossy(&bytes));
     }
 }

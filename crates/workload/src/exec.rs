@@ -158,6 +158,19 @@ impl BlockFrequencies {
     pub fn proc_count(&self, proc: ProcId) -> u64 {
         self.counts[proc.0 as usize].iter().sum()
     }
+
+    /// Σ over blocks of execution count × `weight(proc, block)`: a
+    /// per-block cost summed over the profiled window, equal to summing
+    /// it once per executed event.
+    pub fn weighted_total(&self, weight: impl Fn(ProcId, BlockId) -> u64) -> u64 {
+        let mut total = 0;
+        for (p, blocks) in self.counts.iter().enumerate() {
+            for (b, &n) in blocks.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                total += n * weight(ProcId(p as u32), BlockId(b as u32));
+            }
+        }
+        total
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +245,11 @@ mod tests {
         let sum: u64 = (0..p.procedures.len()).map(|i| f.proc_count(ProcId(i as u32))).sum();
         assert_eq!(sum, n as u64);
         assert_eq!(f.total(), n as u64);
+        assert_eq!(f.weighted_total(|_, _| 1), n as u64);
+        // A per-block weight summed per event equals the weighted counts.
+        let weight = |proc: ProcId, block: BlockId| u64::from(proc.0 * 7 + block.0 % 5);
+        let per_event: u64 = Executor::new(&p, 17).take(n).map(|e| weight(e.proc, e.block)).sum();
+        assert_eq!(f.weighted_total(weight), per_event);
     }
 
     #[test]

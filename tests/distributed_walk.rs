@@ -370,3 +370,36 @@ fn parked_need_shard_is_assigned_as_soon_as_the_lease_is_reclaimed() {
     let summary = run.join().expect("coordinator thread").expect("the sweep completes");
     assert_eq!((summary.shards, summary.steals), (1, 1), "{summary:?}");
 }
+
+/// A worker that attached before the last shard finished, but is still
+/// building its evaluation when it does, is answered `NoMoreWork` at its
+/// first `NeedShard`, however late: the coordinator does not close on a
+/// job holder that has not asked for work yet.
+#[test]
+fn a_worker_still_building_when_the_sweep_ends_is_told_no_more_work() {
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { shard_count: 1, auth_token: None, ..FleetConfig::default() };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+    let run = std::thread::spawn(move || coordinator.run(None));
+
+    let mut building = raw_worker(addr);
+    let mut finisher = raw_worker(addr);
+    send_worker(&mut finisher, &proto::WorkerFrame::NeedShard);
+    assert!(matches!(read_coord(&mut finisher), proto::CoordFrame::Assign { shard: 0, .. }));
+    send_worker(&mut finisher, &proto::WorkerFrame::ShardDone { shard: 0 });
+    send_worker(&mut finisher, &proto::WorkerFrame::NeedShard);
+    assert!(matches!(read_coord(&mut finisher), proto::CoordFrame::NoMoreWork));
+
+    // The sweep is over. The late worker heartbeats while it "builds",
+    // well past the handlers' stop poll, and only then asks for work.
+    for _ in 0..3 {
+        std::thread::sleep(Duration::from_millis(150));
+        send_worker(&mut building, &proto::WorkerFrame::Heartbeat);
+    }
+    send_worker(&mut building, &proto::WorkerFrame::NeedShard);
+    assert!(matches!(read_coord(&mut building), proto::CoordFrame::NoMoreWork));
+    let summary = run.join().expect("coordinator thread").expect("the sweep completes");
+    assert_eq!((summary.workers, summary.shards), (2, 1), "{summary:?}");
+}
