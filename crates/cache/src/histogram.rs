@@ -24,9 +24,9 @@
 //!   ```
 //!
 //!   One histogram therefore answers *every* (sets, assoc) point of an
-//!   evaluation grid. The approximation is accurate precisely when sets
-//!   are many (the binomial concentrates), which is why the sampling
-//!   pipeline enables it only at or above `SamplingConfig::histogram_sets`.
+//!   evaluation grid. With one set it is exact; with many it is an
+//!   estimate that rests on the uniform-mapping assumption, so the
+//!   sampled grid does not use it and simulates every set count.
 //!
 //! ```
 //! use mhe_cache::ReuseHistogram;
@@ -83,14 +83,6 @@ impl Fenwick {
         }
         sum
     }
-}
-
-/// Counters frozen at a moment in time; see [`ReuseHistogram::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    hist: Vec<u64>,
-    cold: u64,
-    accesses: u64,
 }
 
 /// Exact global LRU stack-distance histogram of a line-address stream.
@@ -165,35 +157,20 @@ impl ReuseHistogram {
         &self.hist
     }
 
-    /// Freezes the counters — pair with
-    /// [`ReuseHistogram::expected_misses_since`] to score only the
-    /// accesses observed after this point (warm-up exclusion).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot { hist: self.hist.clone(), cold: self.cold, accesses: self.accesses }
-    }
-
-    /// Expected LRU misses over the accesses observed *since* `snap`,
-    /// for a `sets × assoc` cache with this histogram's line size.
+    /// Expected LRU misses over the whole observed stream, for a
+    /// `sets × assoc` cache with this histogram's line size.
     ///
     /// Cold references always miss; a reuse at distance `d` misses with
     /// probability `1 - P_hit(d, sets, assoc)` under uniform set
     /// mapping. Distances below `assoc` can never miss.
-    pub fn expected_misses_since(&self, snap: &HistogramSnapshot, sets: u32, assoc: u32) -> f64 {
-        let mut misses = (self.cold - snap.cold) as f64;
+    pub fn expected_misses(&self, sets: u32, assoc: u32) -> f64 {
+        let mut misses = self.cold as f64;
         for (d, &n) in self.hist.iter().enumerate() {
-            let prior = snap.hist.get(d).copied().unwrap_or(0);
-            let n = n - prior;
             if n > 0 {
                 misses += n as f64 * p_miss(d as u64, sets, assoc);
             }
         }
         misses
-    }
-
-    /// Expected misses over the whole observed stream.
-    pub fn expected_misses(&self, sets: u32, assoc: u32) -> f64 {
-        let empty = HistogramSnapshot { hist: Vec::new(), cold: 0, accesses: 0 };
-        self.expected_misses_since(&empty, sets, assoc)
     }
 }
 
@@ -346,23 +323,6 @@ mod tests {
             let rel = (est - exact).abs() / exact.max(1.0);
             assert!(rel < 0.05, "assoc={assoc}: est={est:.1} exact={exact:.1} rel={rel:.4}");
         }
-    }
-
-    #[test]
-    fn snapshot_delta_scores_only_the_suffix() {
-        let mut h = ReuseHistogram::new(1);
-        for i in 0..100u64 {
-            h.observe(i % 10);
-        }
-        let snap = h.snapshot();
-        for i in 0..50u64 {
-            h.observe(i % 10);
-        }
-        // Suffix has no cold misses (all blocks warmed) and 50 reuses at
-        // distance 9.
-        assert_eq!(h.cold() - snap.cold, 0);
-        assert_eq!(h.expected_misses_since(&snap, 1, 16), 0.0);
-        assert_eq!(h.expected_misses_since(&snap, 1, 8), 50.0);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! |------------------|---------------------|---------|
 //! | `MHE_THREADS`    | [`threads`]         | Worker-thread count for every parallel fan-out (`>= 1`; unset/invalid → available parallelism; [`check`] rejects invalid). Results are bit-identical for every value. |
 //! | `MHE_EVENTS`     | [`events_or`]       | Dynamic window (basic-block events) for bench/demo binaries (`>= 1`); each binary supplies its own default for unset/invalid; [`check`] rejects invalid. |
-//! | `MHE_OBS`        | [`obs`]             | Observability sink: `json`, `text`/`1`/`on`/`true`, anything else off. Parsed by `mhe-obs`, surfaced here for discoverability. |
+//! | `MHE_OBS`        | [`obs`]             | Observability sink: `json`, `text`/`1`/`on`/`true`, anything else off (case-insensitive). Parsed by `mhe-obs`, surfaced here for discoverability; [`check`] rejects anything but those and `off`/`0`/`false`. |
 //! | `MHE_RETRIES`    | [`retry_policy`]    | Bounded retries for panicked sweep tasks: `N` or `N:backoff_ms` (e.g. `3:10`). Unset/invalid → no retries; [`check`] rejects invalid. |
-//! | `MHE_FAULT_PLAN` | `fault::armed` (private) | Deterministic fault-injection schedule for tests, in [`crate::fault::FaultPlan::parse`] syntax, armed process-wide on first use; [`crate::fault::arm`] replaces it (see [`crate::fault`]). Unset → no injection. |
+//! | `MHE_FAULT_PLAN` | `fault::armed` (private) | Deterministic fault-injection schedule for tests, in [`crate::fault::FaultPlan::parse`] syntax, armed process-wide on first use; [`crate::fault::arm`] replaces it (see [`crate::fault`]). Unset/invalid → no injection; [`check`] rejects invalid. |
 //!
 //! None of these variables affects any measured or estimated miss count —
 //! they steer *how* the work runs (parallelism, workload size, reporting,
@@ -20,9 +20,8 @@
 //!
 //! The accessors cannot report an error, so an invalid value falls back
 //! as described above. A binary that can should call [`check`] at
-//! start-up: it applies the accessors' own parse rules to `MHE_THREADS`,
-//! `MHE_EVENTS` and `MHE_RETRIES` and names the first variable that is
-//! set but invalid.
+//! start-up: it applies the accessors' own parse rules to every variable
+//! of the table and names the first one that is set but invalid.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -103,10 +102,11 @@ fn positive(text: &str) -> Option<usize> {
     text.parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// Checks `MHE_THREADS`, `MHE_EVENTS` and `MHE_RETRIES`, read through
-/// `lookup` (the process environment in the binaries), against the parse
-/// rules of [`threads`], [`events_or`] and [`retry_policy`]. An empty
-/// variable counts as unset.
+/// Checks `MHE_THREADS`, `MHE_EVENTS`, `MHE_RETRIES`, `MHE_OBS` and
+/// `MHE_FAULT_PLAN`, read through `lookup` (the process environment in
+/// the binaries), against the parse rules of [`threads`], [`events_or`],
+/// [`retry_policy`], [`mhe_obs::ObsLevel::parse_strict`] and
+/// [`crate::fault::FaultPlan::parse`]. An empty variable counts as unset.
 ///
 /// # Errors
 ///
@@ -122,6 +122,18 @@ pub fn check(lookup: impl Fn(&str) -> Option<String>) -> Result<(), String> {
     }
     if let Some(text) = set("MHE_RETRIES").filter(|text| RetryPolicy::parse(text).is_none()) {
         return Err(format!("MHE_RETRIES {text:?}: expected N or N:backoff_ms"));
+    }
+    if let Some(text) =
+        set("MHE_OBS").filter(|text| mhe_obs::ObsLevel::parse_strict(text).is_none())
+    {
+        return Err(format!("MHE_OBS {text:?}: expected json, text, 1, on, true, off, 0 or false"));
+    }
+    if let Some(text) =
+        set("MHE_FAULT_PLAN").filter(|text| crate::fault::FaultPlan::parse(text).is_none())
+    {
+        return Err(format!(
+            "MHE_FAULT_PLAN {text:?}: expected a comma-separated list such as panic@3,drop@2"
+        ));
     }
     Ok(())
 }
@@ -203,8 +215,18 @@ mod tests {
             check_with(&[("MHE_THREADS", "4"), ("MHE_EVENTS", "5000"), ("MHE_RETRIES", "2:10")]),
             Ok(())
         );
+        for obs in ["json", "TEXT", "1", "on", "True", "off", "0", "false", " json "] {
+            assert_eq!(check_with(&[("MHE_OBS", obs)]), Ok(()), "MHE_OBS={obs:?}");
+        }
+        assert_eq!(check_with(&[("MHE_FAULT_PLAN", "panic@0,delay@2:10")]), Ok(()));
         assert_eq!(
-            check_with(&[("MHE_THREADS", ""), ("MHE_EVENTS", ""), ("MHE_RETRIES", "")]),
+            check_with(&[
+                ("MHE_THREADS", ""),
+                ("MHE_EVENTS", ""),
+                ("MHE_RETRIES", ""),
+                ("MHE_OBS", ""),
+                ("MHE_FAULT_PLAN", ""),
+            ]),
             Ok(()),
             "empty = unset"
         );
@@ -217,6 +239,11 @@ mod tests {
             ("MHE_EVENTS", "-5"),
             ("MHE_RETRIES", "x"),
             ("MHE_RETRIES", "3:y"),
+            ("MHE_OBS", "jsn"),
+            ("MHE_OBS", "yes"),
+            ("MHE_FAULT_PLAN", "panic"),
+            ("MHE_FAULT_PLAN", "panic@3,explode@1"),
+            ("MHE_FAULT_PLAN", ","),
         ] {
             let err = check_with(&[(var, text)]).expect_err(text);
             assert!(err.starts_with(var) && err.contains(text) && !err.contains('\n'), "{err}");

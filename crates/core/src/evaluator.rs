@@ -1368,14 +1368,12 @@ mod tests {
     }
 
     /// A sampling config that degenerates to exact full simulation: one
-    /// cluster whose single interval is the whole trace, no warm-up, and
-    /// the analytic fast path disabled.
+    /// cluster whose single interval is the whole trace, no warm-up.
     fn degenerate_sampling() -> SamplingConfig {
         SamplingConfig {
             interval_accesses: usize::MAX,
             clusters: 1,
             warmup: 0,
-            histogram_sets: u32::MAX,
             ..SamplingConfig::default()
         }
     }

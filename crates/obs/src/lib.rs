@@ -70,10 +70,19 @@ impl ObsLevel {
     /// `text`, `1`, `on` or `true` select [`ObsLevel::Text`]; anything
     /// else is [`ObsLevel::Off`].
     pub fn parse(value: &str) -> ObsLevel {
+        ObsLevel::parse_strict(value).unwrap_or(ObsLevel::Off)
+    }
+
+    /// Parses an `MHE_OBS`-style value, case-insensitively, with
+    /// whitespace trimmed: the values [`ObsLevel::parse`] names, plus
+    /// `off`, `0` or `false` for [`ObsLevel::Off`]. `None` for anything
+    /// else, which [`ObsLevel::parse`] would silently read as off.
+    pub fn parse_strict(value: &str) -> Option<ObsLevel> {
         match value.trim().to_ascii_lowercase().as_str() {
-            "json" => ObsLevel::Json,
-            "text" | "1" | "on" | "true" => ObsLevel::Text,
-            _ => ObsLevel::Off,
+            "json" => Some(ObsLevel::Json),
+            "text" | "1" | "on" | "true" => Some(ObsLevel::Text),
+            "off" | "0" | "false" => Some(ObsLevel::Off),
+            _ => None,
         }
     }
 

@@ -6,8 +6,9 @@
 //! (*Improving the Representativeness of Simulation Intervals for the
 //! Cache Memory System*): the trace is split into fixed-size
 //! **intervals**, each interval is summarized by a cheap **signature**
-//! (access-kind mix plus the miss profile of a small direct-mapped probe
-//! filter), signatures are clustered with a deterministic seeded
+//! (access-kind mix plus the miss profiles of two ladders of small
+//! direct-mapped probe filters, one shared and one split per stream),
+//! signatures are clustered with a deterministic seeded
 //! **k-means**, and only one **representative** interval per cluster is
 //! simulated — preceded by a warm-up prefix — with its miss counts scaled
 //! back by the cluster's weight.
@@ -15,10 +16,10 @@
 //! The result answers the same `misses(sets, assoc)` grid queries as the
 //! exact [`mhe_cache::SinglePassSim`], via [`SampledSim`], at a cost
 //! proportional to the number of *representative* accesses rather than
-//! the trace length. For large LRU configurations an analytic
-//! reuse-distance-histogram path ([`mhe_cache::ReuseHistogram`], after
-//! Ling et al., *Fast Modeling L2 Cache Reuse Distance Histograms*)
-//! replaces per-set stack simulation entirely.
+//! the trace length. Every grid point is simulated exactly over the
+//! representative windows, with the same single-pass engines the exact
+//! path uses; only the extrapolation from windows to the whole trace is
+//! estimated.
 //!
 //! Everything here is deterministic: the same trace and
 //! [`SamplingConfig`] produce bit-identical estimates on any thread
@@ -32,7 +33,7 @@
 //! pass A (whole trace, cheap):   split -> signatures        [SamplePlanner]
 //! plan   (tiny):                 k-means -> representatives  [SamplePlan]
 //! pass B (windows only, copy):   extract warm-up + body      [WindowExtractor]
-//! simulate (representatives):    exact grid or histogram     [SampledSim]
+//! simulate (representatives):    exact grid over windows     [SampledSim]
 //! ```
 //!
 //! Pass B reads only what the windows need. A source that can seek
@@ -64,13 +65,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod interval;
 pub mod kmeans;
 pub mod plan;
 pub mod sampled;
 pub mod signature;
 
-pub use interval::{split, IntervalSplitter};
 pub use kmeans::Clustering;
 pub use plan::{
     plan_trace, ClusterInfo, IntervalInfo, RepWindow, SamplePlan, SamplePlanner, WindowExtractor,
@@ -98,22 +97,11 @@ pub struct SamplingConfig {
     pub warmup: usize,
     /// Seed for the deterministic k-means initialisation.
     pub seed: u64,
-    /// Set counts at or above this threshold are answered by the
-    /// analytic reuse-distance-histogram path instead of exact per-set
-    /// simulation — LRU only; other policies always simulate exactly.
-    /// Use `u32::MAX` to disable the fast path entirely.
-    pub histogram_sets: u32,
 }
 
 impl Default for SamplingConfig {
     fn default() -> Self {
-        Self {
-            interval_accesses: 8192,
-            clusters: 48,
-            warmup: 8192,
-            seed: 0x5A3B_1E5D_0C0F_FEE1,
-            histogram_sets: 4096,
-        }
+        Self { interval_accesses: 8192, clusters: 48, warmup: 8192, seed: 0x5A3B_1E5D_0C0F_FEE1 }
     }
 }
 

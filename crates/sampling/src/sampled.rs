@@ -6,7 +6,8 @@
 //! only ever feeds representative accesses to an engine.
 //!
 //! **Phase 1 — stale-state window replay.** Representative windows run
-//! in *trace order* through one shared engine per family: each window
+//! in *trace order* through one shared `SinglePassSim` per family, which
+//! simulates every grid point exactly over the windows: each window
 //! simulates its warm-up prefix (state only), snapshots the grid, then
 //! simulates its body and records the per-(sets, assoc) miss *delta*.
 //! Because the engine is shared, every window inherits the cache state
@@ -18,10 +19,9 @@
 //! * *Cluster-weight fallback* (always computed): each representative's
 //!   miss delta × its cluster weight × a probe-miss ratio correction
 //!   (the cluster's per-access probe-miss rate over the
-//!   representative's, at the capacity-nearest probe of the ladder
-//!   whose line size matches the measured family; the factor stays 1
-//!   below `MIN_CORRECTION_MISSES` (16 misses) to avoid amplifying
-//!   small-count noise).
+//!   representative's, at the capacity-nearest probe of the ladder;
+//!   the factor stays 1 below `MIN_CORRECTION_MISSES` (16 misses) to
+//!   avoid amplifying small-count noise).
 //! * *Per-point ridge regression* (with ≥ [`MIN_REGRESSION_REPS`]
 //!   representatives and at least one unsimulated interval): a fit
 //!   from each representative's pass-A probe counters (stream length
@@ -41,8 +41,8 @@
 //! so the estimate is a pure function of (plan, windows) and
 //! bit-identical on every run and thread count.
 use crate::plan::{RepWindow, SamplePlan};
-use crate::signature::{ProbeCounts, PROBE_LINES, PROBE_LINE_WORDS, PROBE_LINE_WORDS_WIDE};
-use mhe_cache::{Policy, ReuseHistogram, SinglePassSim};
+use crate::signature::{ProbeCounts, PROBE_LINES, PROBE_LINE_WORDS};
+use mhe_cache::{Policy, SinglePassSim};
 use mhe_trace::StreamKind;
 
 /// Minimum probe misses the representative must show before the ratio
@@ -130,14 +130,13 @@ struct RepRow {
 }
 
 /// Index of the probe whose capacity (in words) is nearest
-/// `capacity_words` on a log scale (ties take the smaller probe), for
-/// a ladder with `probe_line_words`-word lines.
-fn probe_for(capacity_words: u64, probe_line_words: u32) -> usize {
+/// `capacity_words` on a log scale (ties take the smaller probe).
+fn probe_for(capacity_words: u64) -> usize {
     let target = (capacity_words.max(1) as f64).log2();
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (i, &lines) in PROBE_LINES.iter().enumerate() {
-        let cap = (lines as u64 * u64::from(probe_line_words)) as f64;
+        let cap = (lines as u64 * u64::from(PROBE_LINE_WORDS)) as f64;
         let d = (cap.log2() - target).abs();
         if d < best_d {
             best_d = d;
@@ -158,7 +157,6 @@ pub struct SampledSim {
     grid: Vec<f64>,
     accesses: u64,
     sim_accesses: u64,
-    histogram_points: u32,
     covered_weight: f64,
 }
 
@@ -168,6 +166,11 @@ impl SampledSim {
     /// `set_counts` follows the same convention as `SinglePassSim`:
     /// every count is evaluated at associativities `1..=max_assoc`.
     /// Windows must be the ones extracted for `plan` (cluster order).
+    ///
+    /// # Panics
+    ///
+    /// If the windows do not match the plan's clusters, or on any grid
+    /// `SinglePassSim::new_with_policy` rejects.
     pub fn measure(
         policy: Policy,
         line_words: u32,
@@ -178,12 +181,6 @@ impl SampledSim {
         windows: &[RepWindow],
     ) -> Self {
         assert_eq!(windows.len(), plan.clusters().len(), "windows must match the plan's clusters");
-        let threshold = plan.config().histogram_sets;
-        let analytic =
-            |sets: u32| policy == Policy::Lru && sets >= threshold && threshold != u32::MAX;
-        let exact_sets: Vec<u32> = set_counts.iter().copied().filter(|&s| !analytic(s)).collect();
-        let analytic_sets: Vec<u32> = set_counts.iter().copied().filter(|&s| analytic(s)).collect();
-
         let stream_count = |kinds: &[u64; 3]| -> u64 {
             match stream {
                 StreamKind::Instruction => kinds[0],
@@ -191,24 +188,10 @@ impl SampledSim {
                 StreamKind::Unified => kinds[0] + kinds[1] + kinds[2],
             }
         };
-
-        // Pick the probe ladder whose line size matches this family:
-        // spatial locality differs enough between 16- and 32-byte lines
-        // that mismatched probe counters systematically mis-extrapolate
-        // sparse-miss wide-line configurations.
-        let wide = line_words >= PROBE_LINE_WORDS_WIDE;
-        let probe_line_words = if wide { PROBE_LINE_WORDS_WIDE } else { PROBE_LINE_WORDS };
-        let probe_count = move |counts: &ProbeCounts, p: usize| {
-            let (split, unified) = if wide {
-                (&counts.probe_misses_wide, &counts.probe_misses_unified_wide)
-            } else {
-                (&counts.probe_misses, &counts.probe_misses_unified)
-            };
-            match stream {
-                StreamKind::Instruction => split[p][0],
-                StreamKind::Data => split[p][1] + split[p][2],
-                StreamKind::Unified => unified[p],
-            }
+        let probe_count = |counts: &ProbeCounts, p: usize| match stream {
+            StreamKind::Instruction => counts.probe_misses[p][0],
+            StreamKind::Data => counts.probe_misses[p][1] + counts.probe_misses[p][2],
+            StreamKind::Unified => counts.probe_misses_unified[p],
         };
         let features = |counts: &ProbeCounts| {
             let mut x = [0.0f64; NF];
@@ -237,9 +220,7 @@ impl SampledSim {
         // most of that footprint at zero extra simulation cost.
         let mut order: Vec<usize> = (0..plan.clusters().len()).collect();
         order.sort_by_key(|&i| plan.intervals()[plan.clusters()[i].representative as usize].start);
-        let mut exact_engine = (!exact_sets.is_empty())
-            .then(|| SinglePassSim::new_with_policy(policy, line_words, &exact_sets, max_assoc));
-        let mut hist_engine = (!analytic_sets.is_empty()).then(|| ReuseHistogram::new(line_words));
+        let mut sim = SinglePassSim::new_with_policy(policy, line_words, set_counts, max_assoc);
         let mut rows: Vec<RepRow> = Vec::with_capacity(windows.len());
         for i in order {
             let (c, w) = (&plan.clusters()[i], &windows[i]);
@@ -275,41 +256,15 @@ impl SampledSim {
                 }
             }
 
-            let mut deltas = vec![0.0f64; points];
-            if let Some(sim) = exact_engine.as_mut() {
-                sim.run(warm.iter().copied());
-                let base: Vec<u64> = exact_sets
-                    .iter()
-                    .flat_map(|&s| (1..=max_assoc).map(move |a| (s, a)))
-                    .map(|(s, a)| sim.misses(s, a))
-                    .collect();
-                sim.run(body.iter().copied());
-                let mut at = 0usize;
-                for &sets in &exact_sets {
-                    let si = grid_index(set_counts, sets);
-                    for assoc in 1..=max_assoc {
-                        deltas[si * max_assoc as usize + (assoc - 1) as usize] =
-                            (sim.misses(sets, assoc) - base[at]) as f64;
-                        at += 1;
-                    }
-                }
-            }
-            if let Some(hist) = hist_engine.as_mut() {
-                for &a in &warm {
-                    hist.observe(a);
-                }
-                let snap = hist.snapshot();
-                for &a in &body {
-                    hist.observe(a);
-                }
-                for &sets in &analytic_sets {
-                    let si = grid_index(set_counts, sets);
-                    for assoc in 1..=max_assoc {
-                        deltas[si * max_assoc as usize + (assoc - 1) as usize] =
-                            hist.expected_misses_since(&snap, sets, assoc);
-                    }
-                }
-            }
+            sim.run(warm.iter().copied());
+            let base: Vec<u64> = grid_points(set_counts, max_assoc)
+                .map(|(sets, assoc)| sim.misses(sets, assoc))
+                .collect();
+            sim.run(body.iter().copied());
+            let deltas = grid_points(set_counts, max_assoc)
+                .zip(base)
+                .map(|((sets, assoc), before)| (sim.misses(sets, assoc) - before) as f64)
+                .collect();
             rows.push(RepRow {
                 interval: c.representative as usize,
                 weight,
@@ -327,15 +282,10 @@ impl SampledSim {
         // signs on sparse-miss points, so the blend beats either alone.
         let mut fallback = vec![0.0f64; points];
         for row in &rows {
-            for (si, &sets) in set_counts.iter().enumerate() {
-                for assoc in 1..=max_assoc {
-                    let point = si * max_assoc as usize + (assoc - 1) as usize;
-                    let factor = row.factors[probe_for(
-                        u64::from(sets) * u64::from(assoc) * u64::from(line_words),
-                        probe_line_words,
-                    )];
-                    fallback[point] += row.weight * factor * row.deltas[point];
-                }
+            for (point, (sets, assoc)) in grid_points(set_counts, max_assoc).enumerate() {
+                let factor = row.factors
+                    [probe_for(u64::from(sets) * u64::from(assoc) * u64::from(line_words))];
+                fallback[point] += row.weight * factor * row.deltas[point];
             }
         }
         let mut grid = fallback;
@@ -376,7 +326,6 @@ impl SampledSim {
             grid,
             accesses: total,
             sim_accesses,
-            histogram_points: (analytic_sets.len() as u32) * max_assoc,
             covered_weight: if total == 0 { 1.0 } else { covered as f64 / total as f64 },
         }
     }
@@ -419,11 +368,6 @@ impl SampledSim {
         self.sim_accesses
     }
 
-    /// Grid points answered analytically by the histogram fast path.
-    pub fn histogram_points(&self) -> u32 {
-        self.histogram_points
-    }
-
     /// Fraction of stream accesses whose cluster had a usable
     /// representative (1.0 in practice; below 1.0 only when a cluster's
     /// representative contains no accesses of this stream).
@@ -450,6 +394,11 @@ impl SampledSim {
     pub fn max_assoc(&self) -> u32 {
         self.max_assoc
     }
+}
+
+/// Every `(sets, assoc)` point of the grid, in grid layout order.
+fn grid_points(set_counts: &[u32], max_assoc: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+    set_counts.iter().flat_map(move |&sets| (1..=max_assoc).map(move |assoc| (sets, assoc)))
 }
 
 fn grid_index(set_counts: &[u32], sets: u32) -> usize {
@@ -628,45 +577,6 @@ mod tests {
                 assert_eq!(sim.misses_estimate(s, a), 8.0 * one.misses(s, a) as f64);
             }
         }
-    }
-
-    #[test]
-    fn histogram_fast_path_engages_above_the_threshold() {
-        let t = trace(20_000);
-        let cfg = SamplingConfig {
-            interval_accesses: 4096,
-            clusters: 4,
-            warmup: 1024,
-            histogram_sets: 64,
-            ..Default::default()
-        };
-        let (plan, windows) = plan_trace(&t, cfg);
-        let sim = SampledSim::measure(
-            Policy::Lru,
-            LINE,
-            &SETS,
-            MAX_ASSOC,
-            StreamKind::Unified,
-            &plan,
-            &windows,
-        );
-        assert_eq!(sim.histogram_points(), MAX_ASSOC, "sets=64 is analytic");
-        // FIFO never takes the analytic path.
-        let fifo = SampledSim::measure(
-            Policy::Fifo,
-            LINE,
-            &SETS,
-            MAX_ASSOC,
-            StreamKind::Unified,
-            &plan,
-            &windows,
-        );
-        assert_eq!(fifo.histogram_points(), 0);
-        // And the analytic estimate still lands near the exact one.
-        let exact =
-            exact_grid(&t, StreamKind::Unified, Policy::Lru)[2 * MAX_ASSOC as usize + 1] as f64; // sets=64, assoc=2
-        let est = sim.misses_estimate(64, 2);
-        assert!((est - exact).abs() / exact.max(1.0) < 0.25, "est {est:.0} vs exact {exact:.0}");
     }
 
     #[test]

@@ -21,13 +21,8 @@
 
 use mhe_trace::{Access, AccessKind};
 
-/// Line size of the narrow probe filters, in words (16-byte lines).
+/// Line size of every probe filter, in words (32-byte lines).
 pub const PROBE_LINE_WORDS: u32 = 8;
-
-/// Line size of the wide probe filters, in words (32-byte lines).
-/// Estimators pick the ladder whose line size is nearest the line size
-/// of the cache family they are extrapolating.
-pub const PROBE_LINE_WORDS_WIDE: u32 = 16;
 
 /// Direct-mapped probe sizes, in lines (powers of two; 512 B..128 KiB).
 /// Ascending: [`SignatureProbe::observe`] relies on it to stop a ladder
@@ -62,12 +57,6 @@ pub struct ProbeCounts {
     /// size: all accesses contend in one array, mirroring a unified
     /// cache. Also the miss-profile slice of the [`Signature`].
     pub probe_misses_unified: [u64; PROBE_LINES.len()],
-    /// Like `probe_misses`, for the wide ([`PROBE_LINE_WORDS_WIDE`])
-    /// ladder. Line-size-matched counters keep spatial locality honest
-    /// when extrapolating wide-line cache families.
-    pub probe_misses_wide: [[u64; 3]; PROBE_LINES.len()],
-    /// Like `probe_misses_unified`, for the wide ladder.
-    pub probe_misses_unified_wide: [u64; PROBE_LINES.len()],
 }
 
 impl ProbeCounts {
@@ -86,21 +75,12 @@ impl ProbeCounts {
         for (k, n) in self.kinds.iter_mut().zip(other.kinds) {
             *k += n;
         }
-        for (m, o) in self
-            .probe_misses
-            .iter_mut()
-            .zip(other.probe_misses)
-            .chain(self.probe_misses_wide.iter_mut().zip(other.probe_misses_wide))
-        {
+        for (m, o) in self.probe_misses.iter_mut().zip(other.probe_misses) {
             for (k, n) in m.iter_mut().zip(o) {
                 *k += n;
             }
         }
-        for (m, n) in
-            self.probe_misses_unified.iter_mut().zip(other.probe_misses_unified).chain(
-                self.probe_misses_unified_wide.iter_mut().zip(other.probe_misses_unified_wide),
-            )
-        {
+        for (m, n) in self.probe_misses_unified.iter_mut().zip(other.probe_misses_unified) {
             *m += n;
         }
     }
@@ -172,10 +152,6 @@ pub struct SignatureProbe {
     tags: Vec<Vec<u64>>,
     /// Split tag arrays: `[0]` instruction-only, `[1]` data-only.
     split_tags: [Vec<Vec<u64>>; 2],
-    /// Wide-line shared tag arrays, one per probe size.
-    tags_wide: Vec<Vec<u64>>,
-    /// Wide-line split tag arrays: `[0]` instruction, `[1]` data.
-    split_tags_wide: [Vec<Vec<u64>>; 2],
     counts: ProbeCounts,
     len: u64,
 }
@@ -193,14 +169,13 @@ impl SignatureProbe {
         Self {
             tags: fresh(),
             split_tags: [fresh(), fresh()],
-            tags_wide: fresh(),
-            split_tags_wide: [fresh(), fresh()],
             counts: ProbeCounts::default(),
             len: 0,
         }
     }
 
-    /// Observes one access of the current interval.
+    /// Observes one access of the current interval, in two ladders: the
+    /// shared one and the access's side of the split one.
     ///
     /// Each ladder's filters share a line size, are indexed by mask and
     /// are reset together, so a smaller filter's content is always
@@ -224,13 +199,6 @@ impl SignatureProbe {
         probe_ladder(&mut self.split_tags[side], block, |size| {
             self.counts.probe_misses[size][kind] += 1
         });
-        let wide = access.addr / u64::from(PROBE_LINE_WORDS_WIDE);
-        probe_ladder(&mut self.tags_wide, wide, |size| {
-            self.counts.probe_misses_unified_wide[size] += 1
-        });
-        probe_ladder(&mut self.split_tags_wide[side], wide, |size| {
-            self.counts.probe_misses_wide[size][kind] += 1
-        });
     }
 
     /// Accesses observed since the last [`SignatureProbe::finish`].
@@ -249,13 +217,7 @@ impl SignatureProbe {
         let sig =
             Signature::from_counts(self.counts.kinds, self.counts.probe_misses_unified, self.len);
         let counts = self.counts;
-        for tags in self
-            .tags
-            .iter_mut()
-            .chain(self.split_tags.iter_mut().flatten())
-            .chain(self.tags_wide.iter_mut())
-            .chain(self.split_tags_wide.iter_mut().flatten())
-        {
+        for tags in self.tags.iter_mut().chain(self.split_tags.iter_mut().flatten()) {
             tags.fill(EMPTY);
         }
         self.counts = ProbeCounts::default();
@@ -299,8 +261,8 @@ mod tests {
     /// must match.
     fn full_ladder_counts(interval: &[Access]) -> ProbeCounts {
         let fresh = || PROBE_LINES.map(|n| vec![EMPTY; n]);
-        let (mut unified, mut unified_wide) = (fresh(), fresh());
-        let (mut split, mut split_wide) = ([fresh(), fresh()], [fresh(), fresh()]);
+        let mut unified = fresh();
+        let mut split = [fresh(), fresh()];
         let mut counts = ProbeCounts::default();
         let lookup = |tags: &mut Vec<u64>, block: u64| {
             let slot = (block % tags.len() as u64) as usize;
@@ -315,14 +277,11 @@ mod tests {
                 AccessKind::Store => 2,
             };
             counts.kinds[kind] += 1;
-            let (narrow, wide) = (a.addr / 8, a.addr / 16);
+            let block = a.addr / 8;
             for size in 0..PROBE_LINES.len() {
-                counts.probe_misses_unified[size] += lookup(&mut unified[size], narrow);
+                counts.probe_misses_unified[size] += lookup(&mut unified[size], block);
                 counts.probe_misses[size][kind] +=
-                    lookup(&mut split[usize::from(kind != 0)][size], narrow);
-                counts.probe_misses_unified_wide[size] += lookup(&mut unified_wide[size], wide);
-                counts.probe_misses_wide[size][kind] +=
-                    lookup(&mut split_wide[usize::from(kind != 0)][size], wide);
+                    lookup(&mut split[usize::from(kind != 0)][size], block);
             }
         }
         counts

@@ -1,13 +1,13 @@
 //! Property tests for the interval-sampling machinery: the structural
 //! invariants that must hold for *arbitrary* traces, not just the
-//! benchmarks — splitting is a partition, the permutation-stable slice
-//! of a signature really is permutation-stable, and the degenerate
-//! configuration (one cluster, one interval spanning the trace) is
-//! bit-for-bit exact against full simulation for every stream and
-//! policy.
+//! benchmarks — the planner's intervals partition the trace, the
+//! permutation-stable slice of a signature really is permutation-stable,
+//! and the degenerate configuration (one cluster, one interval spanning
+//! the trace) is bit-for-bit exact against full simulation for every
+//! stream and policy.
 
 use mhe_cache::{Policy, SinglePassSim};
-use mhe_sampling::{plan_trace, signature_of, split, IntervalSplitter, SampledSim, SamplingConfig};
+use mhe_sampling::{plan_trace, signature_of, SampledSim, SamplingConfig};
 use mhe_trace::{Access, StreamKind};
 use proptest::prelude::*;
 
@@ -23,41 +23,34 @@ fn access() -> impl Strategy<Value = Access> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Interval splitting is a partition: concatenating the intervals
-    /// reproduces the exact access sequence, and no interval except the
-    /// last is partial.
+    /// The planner's interval table is a partition of the trace at any
+    /// chunking: starts are contiguous from 0, every interval but the
+    /// last is full, and the lengths sum to the trace length.
     #[test]
     fn splitting_is_a_partition(
         trace in proptest::collection::vec(access(), 0..400),
         interval in 1usize..48,
-    ) {
-        let intervals = split(&trace, interval);
-        let concat: Vec<Access> = intervals.iter().flatten().copied().collect();
-        prop_assert_eq!(&concat, &trace, "concatenated intervals must reproduce the trace");
-        for (i, iv) in intervals.iter().enumerate() {
-            if i + 1 < intervals.len() {
-                prop_assert_eq!(iv.len(), interval, "only the final interval may be partial");
-            } else {
-                prop_assert!(!iv.is_empty() && iv.len() <= interval);
-            }
-        }
-    }
-
-    /// The streaming splitter agrees with whole-trace splitting no
-    /// matter how the trace is chunked on the way in.
-    #[test]
-    fn chunked_splitting_matches_whole_trace(
-        trace in proptest::collection::vec(access(), 0..300),
-        interval in 1usize..32,
         chunk in 1usize..64,
     ) {
-        let mut streamed: Vec<Vec<Access>> = Vec::new();
-        let mut splitter = IntervalSplitter::new(interval);
+        let cfg = SamplingConfig { interval_accesses: interval, ..SamplingConfig::default() };
+        let mut planner = mhe_sampling::SamplePlanner::new(cfg);
         for c in trace.chunks(chunk) {
-            splitter.feed(c, |iv| streamed.push(iv.to_vec()));
+            planner.feed(c);
         }
-        splitter.finish(|iv| streamed.push(iv.to_vec()));
-        prop_assert_eq!(streamed, split(&trace, interval));
+        let plan = planner.finish();
+        let intervals = plan.intervals();
+        let mut next = 0u64;
+        for (i, iv) in intervals.iter().enumerate() {
+            prop_assert_eq!(iv.start, next, "interval {} must start where {} ended", i, i);
+            if i + 1 < intervals.len() {
+                prop_assert_eq!(iv.len, interval as u64, "only the final interval may be partial");
+            } else {
+                prop_assert!(iv.len >= 1 && iv.len <= interval as u64);
+            }
+            next += iv.len;
+        }
+        prop_assert_eq!(next, trace.len() as u64, "interval lengths must sum to the trace");
+        prop_assert_eq!(plan.total_accesses(), trace.len() as u64);
     }
 
     /// The access-kind mix of a signature is permutation-stable: any

@@ -31,6 +31,11 @@
 //! negotiated feature bits, and build identifier. Frame writes also
 //! consult [`mhe_core::fault::next_frame_fate`], so a deterministic
 //! chaos plan can drop, duplicate, truncate, or delay exact frames.
+//!
+//! Version 4 dropped the fifth field, a set-count threshold, from the
+//! [`SamplingConfig`] that [`FrontierRequest`] and [`JobOffer`] carry:
+//! the sampled grid has one simulation engine, so the threshold that
+//! chose between two no longer exists.
 
 use crate::cache_db::{self, MetricKey};
 use crate::cost::CacheDesign;
@@ -45,7 +50,8 @@ pub const MAGIC: [u8; 4] = *b"MHES";
 /// Protocol version, bumped on any incompatible frame-layout change.
 /// Version 2: 12-byte handshake with a feature word, fleet frames.
 /// Version 3: cancellation, token auth, widened [`StatsReport`].
-pub const VERSION: u32 = 3;
+/// Version 4: [`SamplingConfig`] without its set-count threshold.
+pub const VERSION: u32 = 4;
 /// Feature bit: the peer answers [`Request`] frames (frontier RPC).
 pub const FEATURE_FRONTIER: u32 = 1 << 0;
 /// Feature bit: the peer coordinates fleet workers ([`WorkerFrame`]s).
@@ -755,7 +761,7 @@ macro_rules! wire_struct {
 wire_struct! {
     Handshake { version, features }
     CacheDesign { config, ports }
-    SamplingConfig { interval_accesses, clusters, warmup, seed, histogram_sets }
+    SamplingConfig { interval_accesses, clusters, warmup, seed }
     SamplingMetrics { intervals, clusters, representative_accesses, total_accesses, error_bound }
     FrontierRequest { spec_text, heuristic, sampling, policies }
     FrontierRow { processor, icache, dcache, ucache, cost, time }
@@ -1039,7 +1045,7 @@ mod tests {
         assert!(decode_request(&bytes).is_err());
     }
 
-    /// Golden pin of the v3 handshake byte layout: `MHES`, version 3 LE,
+    /// Golden pin of the v4 handshake byte layout: `MHES`, version 4 LE,
     /// feature bits LE. Changing any of these bytes is a wire break and
     /// must come with a version bump.
     #[test]
@@ -1047,11 +1053,11 @@ mod tests {
         let h = handshake(FEATURE_FRONTIER | FEATURE_FLEET | FEATURE_AUTH);
         assert_eq!(
             h,
-            [b'M', b'H', b'E', b'S', 0x03, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00],
-            "v3 handshake layout drifted"
+            [b'M', b'H', b'E', b'S', 0x04, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00],
+            "v4 handshake layout drifted"
         );
         let decoded = Handshake::decode(&h).unwrap();
-        assert_eq!(decoded, Handshake { version: 3, features: 7 });
+        assert_eq!(decoded, Handshake { version: 4, features: 7 });
     }
 
     /// An in-memory peer: reads come from `incoming`, writes are kept.

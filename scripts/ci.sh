@@ -40,6 +40,9 @@ cargo test -q --release -p mhe-cache
 echo "==> ParallelSweep's fan-out loop and the core engine, release build (the loop's concurrency tests optimized, as the benchmark runs the loop)"
 cargo test -q --release -p mhe-core
 
+echo "==> sampling crate, release build (degenerate-exactness and planner proptests optimized, as the benchmark runs them)"
+cargo test -q --release -p mhe-sampling
+
 echo "==> sampling accuracy harness (full matrix, budget: 300 s wall)"
 timeout 300 cargo test -q --release -p mhe --test sampling_accuracy
 

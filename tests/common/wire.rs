@@ -1,4 +1,4 @@
-//! Golden v3 wire payloads: one value per frame variant with the exact
+//! Golden v4 wire payloads: one value per frame variant with the exact
 //! bytes the codec must produce for it. The golden test pins the bytes;
 //! the decoder fuzz in `wire_decoders.rs` mutates them.
 
@@ -63,13 +63,7 @@ fn designs() -> (CacheDesign, CacheDesign, CacheDesign) {
 }
 
 fn sampling() -> SamplingConfig {
-    SamplingConfig {
-        interval_accesses: 8192,
-        clusters: 12,
-        warmup: 16_384,
-        seed: 0x00C0_FFEE,
-        histogram_sets: 64,
-    }
+    SamplingConfig { interval_accesses: 8192, clusters: 12, warmup: 16_384, seed: 0x00C0_FFEE }
 }
 
 fn policies() -> Vec<Policy> {
@@ -103,7 +97,7 @@ pub fn goldens() -> Vec<(Msg, &'static str)> {
                 sampling: Some(sampling()),
                 policies: Some(policies()),
             })),
-            "01180000005b6576616c5d0a62656e63686d61726b203d20657069630a010100200000000000000c000000000000000040000000000000eeffc0000000000040000000010400000000000000000000000001000000000000000002000000000000000003efbeadde00000000",
+            "01180000005b6576616c5d0a62656e63686d61726b203d20657069630a010100200000000000000c000000000000000040000000000000eeffc00000000000010400000000000000000000000001000000000000000002000000000000000003efbeadde00000000",
         ),
         (
             Msg::Req(Request::Frontier(FrontierRequest {
@@ -167,11 +161,11 @@ pub fn goldens() -> Vec<(Msg, &'static str)> {
                 hits: 5,
                 computes: 94,
                 evictions: 3,
-                version: 3,
+                version: 4,
                 features: 5,
                 build: "0.1.0".into(),
             })),
-            "040200000000000000630000000000000005000000000000005e000000000000000300000000000000030000000500000005000000302e312e30",
+            "040200000000000000630000000000000005000000000000005e000000000000000300000000000000040000000500000005000000302e312e30",
         ),
         (Msg::Resp(Response::AuthChallenge { nonce }), "05f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"),
         (Msg::Worker(WorkerFrame::Hello), "10"),
@@ -194,7 +188,7 @@ pub fn goldens() -> Vec<(Msg, &'static str)> {
                 policies: Some(policies()),
                 shard_count: 32,
             })),
-            "2003000000180000005b6576616c5d0a62656e63686d61726b203d20657069630a0100200000000000000c000000000000000040000000000000eeffc0000000000040000000010400000000000000000000000001000000000000000002000000000000000003efbeadde0000000020000000",
+            "2003000000180000005b6576616c5d0a62656e63686d61726b203d20657069630a0100200000000000000c000000000000000040000000000000eeffc00000000000010400000000000000000000000001000000000000000002000000000000000003efbeadde0000000020000000",
         ),
         (
             Msg::Coord(CoordFrame::Job(JobOffer {

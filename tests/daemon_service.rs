@@ -298,7 +298,7 @@ fn client_refuses_a_server_speaking_another_version() {
     });
 
     let err = Client::builder().addr(addr).connect().expect_err("a version skew must refuse");
-    assert_eq!(err, ClientError::UnsupportedVersion { server: 99, client: 3 });
+    assert_eq!(err, ClientError::UnsupportedVersion { server: 99, client: 4 });
     assert_eq!(err.exit_code(), 5);
     let reply = fake.join().expect("fake server thread");
     assert_eq!(reply, proto::handshake(proto::FEATURE_FRONTIER));

@@ -255,7 +255,7 @@ fn worker_refuses_a_coordinator_speaking_another_version() {
     });
 
     let err = run_worker(&addr, WorkerOptions::default()).expect_err("a version skew must refuse");
-    assert_eq!(err, ClientError::UnsupportedVersion { server: 99, client: 3 });
+    assert_eq!(err, ClientError::UnsupportedVersion { server: 99, client: 4 });
     assert_eq!(err.exit_code(), 5);
     fake.join().expect("fake coordinator thread");
 }
@@ -304,7 +304,7 @@ fn coordinator_aborts_a_v1_worker_naming_both_versions() {
     let payload = proto::read_frame(&mut stream).expect("structured refusal frame");
     match proto::decode_coord_frame(&payload).expect("decodable frame") {
         proto::CoordFrame::Abort { message } => assert_eq!(
-            message, "unsupported protocol version 1 (this coordinator speaks 3)",
+            message, "unsupported protocol version 1 (this coordinator speaks 4)",
             "the refusal names both versions"
         ),
         other => panic!("expected Abort, got {other:?}"),

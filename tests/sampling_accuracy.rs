@@ -23,10 +23,18 @@
 //! exact build. The time that saves end to end is measured by
 //! `mhe-benchmark`'s `sampled-replay` workload (`latency_iqm_ms`, and
 //! `cache.exact_grid_sim_s` ÷ `cache.grid_sim_s` in a traced run).
+//!
+//! The pinned configuration leaves most benchmarks with one interval per
+//! cluster, so every interval is simulated and nothing is estimated. A
+//! second case, [`default_config_really_samples_and_holds_the_gate`],
+//! runs the default configuration on longer traces, where every
+//! benchmark has at least four intervals per cluster, over the paper's
+//! design space plus the largest-set unified caches.
 
 use mhe::cache::{CacheConfig, Policy};
 use mhe::core::evaluator::ReferenceEvaluation;
 use mhe::prelude::*;
+use mhe::trace::StreamKind;
 use mhe::workload::Benchmark;
 
 mod common;
@@ -184,4 +192,122 @@ fn sampled_build_simulates_a_bounded_fraction_of_the_exact_addresses() {
         simulated * MIN_WORK_RATIO <= exact,
         "sampling simulated {simulated} of {exact} addresses: less than a {MIN_WORK_RATIO}x saving"
     );
+}
+
+/// Trace length of the real-sampling case: long enough that the default
+/// configuration leaves every benchmark at least [`MIN_INTERVALS_PER_CLUSTER`]
+/// intervals per cluster.
+const SAMPLING_EVENTS: usize = 320_000;
+
+/// The real-sampling case must estimate, not just replay: at least this
+/// many intervals per cluster.
+const MIN_INTERVALS_PER_CLUSTER: u64 = 4;
+
+/// The paper's design space (I$ and D$ 1–16 KB, 1/2-way, 16/32 B lines;
+/// U$ 16–128 KB, 2/4-way, 64 B lines) plus the unified caches with at
+/// least 4096 sets: 128 KB 1-way 32 B, 256 KB 1- and 2-way 32 B, and
+/// 512 KB 2-way 64 B.
+fn paper_grids(policy: Policy) -> (Vec<CacheConfig>, Vec<CacheConfig>, Vec<CacheConfig>) {
+    let p = |kb: u64, assoc: u32, line: u32| {
+        CacheConfig::from_bytes(kb * 1024, assoc, line).with_policy(policy)
+    };
+    let mut l1 = Vec::new();
+    for kb in [1, 2, 4, 8, 16] {
+        for assoc in [1, 2] {
+            for line in [16, 32] {
+                l1.push(p(kb, assoc, line));
+            }
+        }
+    }
+    let mut unified = Vec::new();
+    for kb in [16, 32, 64, 128] {
+        for assoc in [2, 4] {
+            unified.push(p(kb, assoc, 64));
+        }
+    }
+    unified.extend([p(128, 1, 32), p(256, 1, 32), p(256, 2, 32), p(512, 2, 64)]);
+    (l1.clone(), l1, unified)
+}
+
+/// Per-point miss-ratio errors of `sampled` against `exact`: the miss
+/// count error over the exact stream length, as `mhe-benchmark`'s
+/// `sampling.max_miss_ratio_error` measures it.
+fn miss_ratio_errors(
+    sampled: &ReferenceEvaluation,
+    exact: &ReferenceEvaluation,
+) -> Vec<(StreamKind, CacheConfig, f64)> {
+    let stream_len = |kind: StreamKind| {
+        exact.metrics().passes.iter().filter(|p| p.stream == kind).map(|p| p.addresses).max()
+    };
+    let mut errors = Vec::new();
+    for (kind, got, want) in [
+        (StreamKind::Instruction, sampled.imeasured(), exact.imeasured()),
+        (StreamKind::Data, sampled.dmeasured(), exact.dmeasured()),
+        (StreamKind::Unified, sampled.umeasured(), exact.umeasured()),
+    ] {
+        let n = stream_len(kind).unwrap_or(1).max(1) as f64;
+        assert_eq!(got.len(), want.len(), "{kind:?} grid shape differs");
+        for (&config, &truth) in want {
+            errors.push((kind, config, (got[&config] as f64 - truth as f64).abs() / n));
+        }
+    }
+    errors
+}
+
+/// The default [`SamplingConfig`] on [`SAMPLING_EVENTS`]-event traces,
+/// where clustering really leaves intervals unsimulated: every point of
+/// [`paper_grids`] within [`GLOBAL_BUDGET`] miss-ratio error of full
+/// simulation, on every benchmark and policy.
+///
+/// Debug builds cover a three-benchmark subset (three of the four an
+/// analytic LRU estimate of the large-set points once pushed over the
+/// gate); `scripts/ci.sh` runs all ten in release.
+#[test]
+fn default_config_really_samples_and_holds_the_gate() {
+    const SMOKE: [Benchmark; 3] = [Benchmark::Gcc, Benchmark::Ghostscript, Benchmark::PgpEncode];
+    let benchmarks: &[Benchmark] = if cfg!(debug_assertions) { &SMOKE } else { &Benchmark::ALL };
+    let config = SamplingConfig::default();
+    let (mut worst, mut sum, mut points) = (0.0f64, 0.0f64, 0usize);
+    for &b in benchmarks {
+        for policy in [Policy::Lru, Policy::Fifo] {
+            let exact =
+                common::build_eval(b, policy, 2, SAMPLING_EVENTS, None, paper_grids(policy));
+            let sampled = common::build_eval(
+                b,
+                policy,
+                2,
+                SAMPLING_EVENTS,
+                Some(config),
+                paper_grids(policy),
+            );
+            let sm = sampled.metrics().sampling.expect("sampled build records metrics");
+            assert!(
+                sm.intervals >= MIN_INTERVALS_PER_CLUSTER * sm.clusters,
+                "{b:?}/{policy}: {} intervals for {} clusters: the case would not sample",
+                sm.intervals,
+                sm.clusters
+            );
+            let errors = miss_ratio_errors(&sampled, &exact);
+            let (mut local, mut local_sum) = (0.0f64, 0.0f64);
+            for &(kind, config, err) in &errors {
+                assert!(
+                    err <= GLOBAL_BUDGET,
+                    "{b:?}/{policy}: {kind:?} {config:?} miss-ratio error {err:.4} > {GLOBAL_BUDGET}"
+                );
+                local = local.max(err);
+                local_sum += err;
+            }
+            eprintln!(
+                "{b:?}/{policy}: worst {local:.5}, mean {:.5} over {} points, {} intervals -> {} clusters",
+                local_sum / errors.len() as f64,
+                errors.len(),
+                sm.intervals,
+                sm.clusters
+            );
+            worst = worst.max(local);
+            sum += local_sum;
+            points += errors.len();
+        }
+    }
+    eprintln!("all: worst {worst:.5}, mean {:.5} over {points} points", sum / points as f64);
 }

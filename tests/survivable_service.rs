@@ -91,7 +91,7 @@ fn start_daemon_with(
     (addr, drain, handle)
 }
 
-/// A raw protocol socket past the v3 handshake (no auth), for driving
+/// A raw protocol socket past the handshake (no auth), for driving
 /// frame sequences the typed client deliberately cannot produce.
 fn raw_session(addr: SocketAddr, read_timeout: Duration) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("tcp connect");
