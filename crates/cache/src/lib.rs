@@ -7,8 +7,8 @@
 //! * [`single_pass::SinglePassSim`] — the Cheetah role: every configuration
 //!   sharing a line size and policy in one pass over the trace (flat LRU
 //!   stacks, bounded FIFO rings whose memory does not grow with the
-//!   trace's footprint, or a direct fallback grid), behind a filter that
-//!   drops repeated references to the last block;
+//!   trace's footprint, or a direct fallback grid), each stopping a
+//!   reference at the first set count where its block is its set's last;
 //! * [`histogram::ReuseHistogram`] — Mattson's LRU stack-distance
 //!   histogram: every fully-associative capacity exactly, and
 //!   set-associative grids analytically, from one pass;

@@ -1,40 +1,55 @@
 //! Single-pass multi-configuration cache simulation (the Cheetah role).
 //!
 //! For a fixed line size and replacement policy, one pass over the address
-//! trace yields exact miss counts for *every* cache `C(S, A, L)` with `S`
-//! in a set of power-of-two set counts and `A` up to a maximum
-//! associativity. Three engines implement the pass:
+//! trace yields exact miss counts for a grid of caches `C(S, A, L)`: `S`
+//! from a set of power-of-two set counts and, at each `S`, a set of
+//! associativities. [`SinglePassSim::new`] covers every `A` up to a
+//! maximum at every `S`; [`SinglePassSim::for_configs`] covers exactly the
+//! configurations it is given. Each engine keeps one table per set count,
+//! in ascending set-count order:
 //!
 //! * **LRU** — Mattson stack inclusion: within a set, a reference at stack
 //!   depth `p` hits every cache of associativity `> p`, so one truncated
 //!   stack per set covers the whole associativity axis. The stacks of one
-//!   set count live in one flat `sets × max_assoc` table: a hit rotates
-//!   the prefix down to its depth, a miss shifts the row and stores the
-//!   block at the top.
+//!   set count live in one flat `sets × depth` table, `depth` the largest
+//!   associativity covered at that set count: a hit rotates the prefix
+//!   down to its depth, a miss shifts the row and stores the block at the
+//!   top.
 //! * **FIFO** — bounded insertion rings, in the spirit of DEW (Haque et
 //!   al.): FIFO has no stack inclusion, but hits never reorder the queue,
-//!   so each `(set, assoc)` cache is simulated by a ring of exactly `assoc`
-//!   slots and a head that the next miss overwrites. All rings of a set
-//!   sit side by side (`A(A+1)/2` slots for `A = max_assoc`), so a
-//!   reference scans at most `A` slots per associativity. Memory is
-//!   `sets × A(A+1)/2` words per set count, whatever the trace's
-//!   footprint.
+//!   so each covered `(set, assoc)` cache is simulated by a ring of
+//!   exactly `assoc` slots and a head that the next miss overwrites. The
+//!   rings of a set sit side by side, one per covered associativity, so a
+//!   reference scans at most `assoc` slots per ring. Memory is `sets × ΣA`
+//!   words per set count (`ΣA` summing the covered associativities, so
+//!   `A(A+1)/2` on a full grid up to `A`), whatever the trace's footprint.
 //! * **Fallback** (PLRU, random) — no single-pass formulation exists, so
 //!   the same pass feeds one direct [`crate::policy::SetEngine`] grid per
 //!   covered configuration. Costs scale with the number of configurations
 //!   rather than line sizes, but the API — and the evaluator above it —
 //!   stays uniform.
 //!
-//! In front of every engine sits a **repeat filter**: a reference to the
-//! block the simulator admitted last is counted and dropped. That block
-//! was just touched, so it hits in every covered cache, and the hit
-//! changes no state under any policy (it is already LRU's MRU, FIFO hits
-//! never mutate the queue, PLRU's touch is idempotent, and random draws
-//! only on eviction). Sequential instruction fetch makes such repeats
-//! common at wide lines.
+//! **Set refinement.** With bit-selection indexing and power-of-two set
+//! counts, each set of a `2S`-set cache sees a subsequence of the
+//! references that reach its image set at `S` sets. So if a reference's
+//! block is the last block referenced in its set at `S` sets, it is the
+//! last one in its set at every larger set count too. Such a reference
+//! hits in every covered cache of those set counts and changes no state
+//! under any policy: it is already LRU's MRU, FIFO hits never mutate the
+//! queue, PLRU's touch is idempotent, and random draws only on eviction.
+//! [`SinglePassSim::access`] therefore walks the tables from the smallest
+//! set count up and stops at the first one where the block is its set's
+//! last block, counting the stop on that table; a table's misses count
+//! the stops of that table and every smaller one as hits. Sequential
+//! instruction fetch makes such references common: at wide lines the
+//! last block repeats even in a one-set cache, and a loop whose blocks
+//! fall in distinct sets stops a few set counts up. An LRU table reads
+//! the last block from its stacks' MRU slot; FIFO and fallback tables
+//! keep it per set.
 //!
 //! Empty ways are never compared: every table keeps per-set (LRU) or
-//! per-ring (FIFO) fill counts, so every `u64` is a valid block id.
+//! per-ring (FIFO) fill counts, and the last block of a set that saw no
+//! reference yet is `None`, so every `u64` is a valid block id.
 //!
 //! This is the paper's first efficiency pillar: "the number of simulations
 //! is reduced from the total number of caches in the design space to the
@@ -44,6 +59,7 @@ use crate::config::CacheConfig;
 use crate::policy::{Policy, ReplacementPolicy, SetEngine};
 use crate::sim::MissStats;
 use mhe_trace::{Access, StreamKind};
+use std::collections::BTreeMap;
 
 /// Single-pass simulator for a family of configurations sharing a line
 /// size and replacement policy.
@@ -65,15 +81,16 @@ use mhe_trace::{Access, StreamKind};
 pub struct SinglePassSim {
     line_words: u32,
     max_assoc: u32,
+    /// Covered set counts, ascending; the engine keeps one table per entry.
     set_counts: Vec<u32>,
+    /// Covered associativities per set count, ascending.
+    assocs: Vec<Vec<u32>>,
+    /// `stops[t]` = references whose walk stopped at table `t` because
+    /// their block was its set's last block there (see the module docs).
+    stops: Vec<u64>,
     policy: Policy,
     engine: Engine,
     accesses: u64,
-    /// Block of the last reference the engines saw.
-    last_block: Option<u64>,
-    /// References to `last_block` again: hits everywhere that the
-    /// engines never see.
-    repeats: u64,
 }
 
 /// One engine per policy family; each variant holds one table per set
@@ -88,34 +105,162 @@ enum Engine {
     Direct(Vec<DirectTable>),
 }
 
+/// One set count's state in an engine.
+trait Table {
+    /// Feeds `block` to the table, whose covered associativities are
+    /// `assocs`, unless the block is its set's last block. Returns whether
+    /// it was; the table is then unchanged.
+    fn access(&mut self, block: u64, assocs: &[u32]) -> bool;
+}
+
+/// Feeds each block to `tables` from the smallest set count up, stopping
+/// at the first table where it is its set's last block. Returns the
+/// number of blocks fed.
+fn refine<T: Table>(
+    tables: &mut [T],
+    assocs: &[Vec<u32>],
+    stops: &mut [u64],
+    blocks: impl Iterator<Item = u64>,
+) -> u64 {
+    let mut fed = 0;
+    for block in blocks {
+        fed += 1;
+        for ((table, assocs), stops) in tables.iter_mut().zip(assocs).zip(stops.iter_mut()) {
+            if table.access(block, assocs) {
+                *stops += 1;
+                break;
+            }
+        }
+    }
+    fed
+}
+
 #[derive(Debug, Clone)]
 struct StackTable {
     /// `sets - 1`: the set index of a block is `block & mask`.
     mask: u64,
-    /// Per-set LRU stacks, row-major `[set][depth]` with `max_assoc` ways
-    /// per row, MRU first; only the first `fill[set]` ways are valid.
+    /// Ways per stack: the largest covered associativity.
+    depth: usize,
+    /// Per-set LRU stacks, row-major `[set][depth]`, MRU first; only the
+    /// first `fill[set]` ways are valid.
     ways: Vec<u64>,
     /// Valid ways per set.
     fill: Vec<u32>,
-    /// `hits_at_depth[d]` = hits at stack depth `d` (so a cache with
-    /// associativity `A` hits `sum(hits_at_depth[..A])`).
+    /// `hits_at_depth[d]` = hits at stack depth `d`, so a cache with
+    /// associativity `A` hits `sum(hits_at_depth[..A])` plus the stops.
+    /// Depth 0 is the set's last block, so those hits are stops and
+    /// `hits_at_depth[0]` stays 0.
     hits_at_depth: Vec<u64>,
 }
 
-/// FIFO rings: the associativity-`l + 1` FIFO set is a ring of `l + 1`
-/// slots (lane `l`); a miss overwrites the slot at the ring's head, which
-/// holds the oldest block once the ring is full.
+impl StackTable {
+    fn new(sets: u32, depth: u32) -> Self {
+        let depth = depth as usize;
+        Self {
+            mask: u64::from(sets) - 1,
+            depth,
+            ways: vec![0; sets as usize * depth],
+            fill: vec![0; sets as usize],
+            hits_at_depth: vec![0; depth],
+        }
+    }
+}
+
+impl Table for StackTable {
+    #[inline]
+    fn access(&mut self, block: u64, _assocs: &[u32]) -> bool {
+        let depth = self.depth;
+        let si = (block & self.mask) as usize;
+        let fill = &mut self.fill[si];
+        let len = *fill as usize;
+        // The MRU way holds the set's last block.
+        if len > 0 && self.ways[si * depth] == block {
+            return true;
+        }
+        let row = &mut self.ways[si * depth..][..depth];
+        match row[..len].iter().position(|&b| b == block) {
+            Some(pos) => {
+                self.hits_at_depth[pos] += 1;
+                row[..=pos].rotate_right(1);
+            }
+            None => {
+                row.copy_within(..len.min(depth - 1), 1);
+                row[0] = block;
+                if len < depth {
+                    *fill += 1;
+                }
+            }
+        }
+        false
+    }
+}
+
+/// FIFO rings: the associativity-`a` FIFO set is a ring of `a` slots; a
+/// miss overwrites the slot at the ring's head, which holds the oldest
+/// block once the ring is full.
 #[derive(Debug, Clone)]
 struct RingTable {
     /// `sets - 1`: the set index of a block is `block & mask`.
     mask: u64,
-    /// Ring slots, `A(A+1)/2` per set; lane `l`'s ring starts at offset
-    /// `l(l+1)/2` of its set's row.
+    /// Slots per set: the sum of the covered associativities.
+    width: usize,
+    /// Last block referenced in each set (`None` before the first).
+    last: Vec<Option<u64>>,
+    /// Ring slots, `width` per set; the rings of the covered
+    /// associativities sit side by side in ascending order.
     slots: Vec<u64>,
-    /// Fill count and head per ring, row-major `[set][lane]`.
+    /// Fill count and head per ring, row-major `[set][ring]`.
     rings: Vec<Ring>,
-    /// `hits[l]` = hits of the associativity-`l + 1` cache.
+    /// `hits[r]` = hits of ring `r`'s cache, besides the stops.
     hits: Vec<u64>,
+}
+
+impl RingTable {
+    fn new(sets: u32, assocs: &[u32]) -> Self {
+        let sets = sets as usize;
+        let width = assocs.iter().map(|&a| a as usize).sum();
+        Self {
+            mask: sets as u64 - 1,
+            width,
+            last: vec![None; sets],
+            slots: vec![0; sets * width],
+            rings: vec![Ring::default(); sets * assocs.len()],
+            hits: vec![0; assocs.len()],
+        }
+    }
+}
+
+impl Table for RingTable {
+    #[inline]
+    fn access(&mut self, block: u64, assocs: &[u32]) -> bool {
+        let si = (block & self.mask) as usize;
+        if self.last[si] == Some(block) {
+            return true;
+        }
+        self.last[si] = Some(block);
+        let row = &mut self.slots[si * self.width..][..self.width];
+        let rings = &mut self.rings[si * assocs.len()..][..assocs.len()];
+        let mut start = 0;
+        for ((ring, hits), &assoc) in rings.iter_mut().zip(&mut self.hits).zip(assocs) {
+            let assoc = assoc as usize;
+            let ways = &mut row[start..start + assoc];
+            start += assoc;
+            // A full scan without early exit: where (and whether) the
+            // block sits varies from ring to ring, so an early-exit scan
+            // mispredicts.
+            let found = ways[..ring.len as usize].iter().fold(false, |f, &b| f | (b == block));
+            if found {
+                *hits += 1;
+            } else {
+                ways[ring.head as usize] = block;
+                ring.head = if ring.head as usize + 1 == assoc { 0 } else { ring.head + 1 };
+                if (ring.len as usize) < assoc {
+                    ring.len += 1;
+                }
+            }
+        }
+        false
+    }
 }
 
 /// One FIFO ring's state: its first `len` slots are valid, and the next
@@ -126,12 +271,15 @@ struct Ring {
     head: u32,
 }
 
-/// Fallback: a full grid of direct per-set engines for one set count.
+/// Fallback: direct per-set engines for one set count, one lane per
+/// covered associativity.
 #[derive(Debug, Clone)]
 struct DirectTable {
     /// `sets - 1`: the set index of a block is `block & mask`.
     mask: u64,
-    /// `lanes[a - 1]` simulates associativity `a`.
+    /// Last block referenced in each set (`None` before the first).
+    last: Vec<Option<u64>>,
+    /// One lane per covered associativity, in ascending order.
     lanes: Vec<DirectLane>,
 }
 
@@ -139,6 +287,41 @@ struct DirectTable {
 struct DirectLane {
     engines: Vec<SetEngine>,
     misses: u64,
+}
+
+impl DirectTable {
+    fn new(policy: Policy, sets: u32, assocs: &[u32]) -> Self {
+        Self {
+            mask: u64::from(sets) - 1,
+            last: vec![None; sets as usize],
+            lanes: assocs
+                .iter()
+                .map(|&a| DirectLane {
+                    engines: (0..u64::from(sets)).map(|i| policy.new_set(a, i)).collect(),
+                    misses: 0,
+                })
+                .collect(),
+        }
+    }
+}
+
+impl Table for DirectTable {
+    #[inline]
+    fn access(&mut self, block: u64, _assocs: &[u32]) -> bool {
+        let si = (block & self.mask) as usize;
+        if self.last[si] == Some(block) {
+            return true;
+        }
+        self.last[si] = Some(block);
+        for lane in &mut self.lanes {
+            let set = &mut lane.engines[si];
+            if !set.lookup(block) {
+                lane.misses += 1;
+                set.insert(block);
+            }
+        }
+        false
+    }
 }
 
 impl SinglePassSim {
@@ -169,67 +352,14 @@ impl SinglePassSim {
         set_counts: &[u32],
         max_assoc: u32,
     ) -> Self {
-        assert!(line_words.is_power_of_two(), "line size must be a power of two");
         assert!(!set_counts.is_empty(), "need at least one set count");
         assert!(max_assoc >= 1, "max associativity must be at least 1");
-        let mut counts = set_counts.to_vec();
-        counts.sort_unstable();
-        counts.dedup();
-        for &s in &counts {
-            assert!(s.is_power_of_two(), "set count {s} must be a power of two");
-        }
-        let assoc = max_assoc as usize;
-        let engine = match policy {
-            Policy::Lru => Engine::Stack(
-                counts
-                    .iter()
-                    .map(|&s| StackTable {
-                        mask: u64::from(s) - 1,
-                        ways: vec![0; s as usize * assoc],
-                        fill: vec![0; s as usize],
-                        hits_at_depth: vec![0; assoc],
-                    })
-                    .collect(),
-            ),
-            Policy::Fifo => Engine::Rings(
-                counts
-                    .iter()
-                    .map(|&s| RingTable {
-                        mask: u64::from(s) - 1,
-                        slots: vec![0; s as usize * ring_slots(assoc)],
-                        rings: vec![Ring::default(); s as usize * assoc],
-                        hits: vec![0; assoc],
-                    })
-                    .collect(),
-            ),
-            Policy::PlruTree | Policy::Random(_) => Engine::Direct(
-                counts
-                    .iter()
-                    .map(|&s| DirectTable {
-                        mask: u64::from(s) - 1,
-                        lanes: (1..=max_assoc)
-                            .map(|a| DirectLane {
-                                engines: (0..u64::from(s)).map(|i| policy.new_set(a, i)).collect(),
-                                misses: 0,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            ),
-        };
-        Self {
-            line_words,
-            max_assoc,
-            set_counts: counts,
-            policy,
-            engine,
-            accesses: 0,
-            last_block: None,
-            repeats: 0,
-        }
+        let grid = set_counts.iter().map(|&s| (s, (1..=max_assoc).collect())).collect();
+        Self::with_grid(policy, line_words, grid)
     }
 
-    /// Convenience: a simulator covering a whole [`CacheConfig`] family.
+    /// Convenience: a simulator covering exactly the `(sets, assoc)`
+    /// points of a [`CacheConfig`] family, and no others.
     ///
     /// All `configs` must share `line_words` and `policy`.
     ///
@@ -248,83 +378,54 @@ impl SinglePassSim {
             configs.iter().all(|c| c.policy == policy),
             "single-pass simulation requires a common replacement policy"
         );
-        let sets: Vec<u32> = configs.iter().map(|c| c.sets).collect();
-        let max_assoc = configs.iter().map(|c| c.assoc).max().unwrap();
-        Self::new_with_policy(policy, line, &sets, max_assoc)
+        let mut grid: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for c in configs {
+            grid.entry(c.sets).or_default().push(c.assoc);
+        }
+        Self::with_grid(policy, line, grid)
+    }
+
+    /// The one constructor: `grid` maps each covered set count to its
+    /// covered associativities.
+    fn with_grid(policy: Policy, line_words: u32, grid: BTreeMap<u32, Vec<u32>>) -> Self {
+        assert!(line_words.is_power_of_two(), "line size must be a power of two");
+        let (set_counts, assocs): (Vec<u32>, Vec<Vec<u32>>) = grid
+            .into_iter()
+            .map(|(s, mut a)| {
+                assert!(s.is_power_of_two(), "set count {s} must be a power of two");
+                a.sort_unstable();
+                a.dedup();
+                assert!(a[0] >= 1, "associativity must be at least 1");
+                (s, a)
+            })
+            .unzip();
+        let max_assoc =
+            assocs.iter().map(|a| a[a.len() - 1]).max().expect("at least one set count");
+        let tables = set_counts.iter().zip(&assocs);
+        let engine = match policy {
+            Policy::Lru => {
+                Engine::Stack(tables.map(|(&s, a)| StackTable::new(s, a[a.len() - 1])).collect())
+            }
+            Policy::Fifo => Engine::Rings(tables.map(|(&s, a)| RingTable::new(s, a)).collect()),
+            Policy::PlruTree | Policy::Random(_) => {
+                Engine::Direct(tables.map(|(&s, a)| DirectTable::new(policy, s, a)).collect())
+            }
+        };
+        Self {
+            line_words,
+            max_assoc,
+            stops: vec![0; set_counts.len()],
+            set_counts,
+            assocs,
+            policy,
+            engine,
+            accesses: 0,
+        }
     }
 
     /// References a word address in every covered configuration.
     pub fn access(&mut self, addr: u64) {
-        self.accesses += 1;
-        let block = addr / u64::from(self.line_words);
-        if self.last_block == Some(block) {
-            self.repeats += 1;
-            return;
-        }
-        self.last_block = Some(block);
-        let max_assoc = self.max_assoc as usize;
-        match &mut self.engine {
-            Engine::Stack(tables) => {
-                for table in tables {
-                    let si = (block & table.mask) as usize;
-                    let row = &mut table.ways[si * max_assoc..][..max_assoc];
-                    let fill = &mut table.fill[si];
-                    let len = *fill as usize;
-                    match row[..len].iter().position(|&b| b == block) {
-                        Some(pos) => {
-                            table.hits_at_depth[pos] += 1;
-                            row[..=pos].rotate_right(1);
-                        }
-                        None => {
-                            row.copy_within(..len.min(max_assoc - 1), 1);
-                            row[0] = block;
-                            if len < max_assoc {
-                                *fill += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            Engine::Rings(tables) => {
-                let width = ring_slots(max_assoc);
-                for table in tables {
-                    let si = (block & table.mask) as usize;
-                    let row = &mut table.slots[si * width..][..width];
-                    let rings = &mut table.rings[si * max_assoc..][..max_assoc];
-                    let mut start = 0;
-                    for (lane, (ring, hits)) in rings.iter_mut().zip(&mut table.hits).enumerate() {
-                        let ways = &mut row[start..=start + lane];
-                        start += lane + 1;
-                        // A full scan without early exit: where (and whether)
-                        // the block sits varies from lane to lane, so an
-                        // early-exit scan mispredicts.
-                        let found =
-                            ways[..ring.len as usize].iter().fold(false, |f, &b| f | (b == block));
-                        if found {
-                            *hits += 1;
-                        } else {
-                            ways[ring.head as usize] = block;
-                            ring.head = if ring.head as usize == lane { 0 } else { ring.head + 1 };
-                            if ring.len as usize <= lane {
-                                ring.len += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            Engine::Direct(tables) => {
-                for table in tables {
-                    let si = (block & table.mask) as usize;
-                    for lane in &mut table.lanes {
-                        let set = &mut lane.engines[si];
-                        if !set.lookup(block) {
-                            lane.misses += 1;
-                            set.insert(block);
-                        }
-                    }
-                }
-            }
-        }
+        self.feed(std::iter::once(addr));
     }
 
     /// Runs a whole trace.
@@ -332,11 +433,8 @@ impl SinglePassSim {
         // Events only: busy/wall time for the simulate phase is recorded
         // by the fan-out that drives the simulators (`mhe-core`'s
         // parallel sweep), so nesting never double-counts time.
-        let before = self.accesses;
-        for addr in trace {
-            self.access(addr);
-        }
-        mhe_obs::add_events(mhe_obs::Phase::Simulate, self.accesses - before);
+        let fed = self.feed(trace);
+        mhe_obs::add_events(mhe_obs::Phase::Simulate, fed);
     }
 
     /// Feeds a chunk of an access stream, admitting only the references
@@ -348,13 +446,24 @@ impl SinglePassSim {
     /// counts no matter how the stream is chunked.
     pub fn run_stream(&mut self, stream: StreamKind, chunk: impl IntoIterator<Item = Access>) {
         // Events only, as in `run`: the driving fan-out owns the timing.
-        let before = self.accesses;
-        for a in chunk {
-            if stream.admits(a.kind) {
-                self.access(a.addr);
-            }
-        }
-        mhe_obs::add_events(mhe_obs::Phase::Simulate, self.accesses - before);
+        let fed = self.feed(chunk.into_iter().filter(|a| stream.admits(a.kind)).map(|a| a.addr));
+        mhe_obs::add_events(mhe_obs::Phase::Simulate, fed);
+    }
+
+    /// The kernel loop, compiled into the caller with the engine chosen
+    /// once per call. Returns the number of references fed.
+    fn feed(&mut self, addrs: impl IntoIterator<Item = u64>) -> u64 {
+        // A shift: the line size is a power of two.
+        let shift = self.line_words.trailing_zeros();
+        let blocks = addrs.into_iter().map(|a| a >> shift);
+        let (assocs, stops) = (&self.assocs, &mut self.stops);
+        let fed = match &mut self.engine {
+            Engine::Stack(tables) => refine(tables, assocs, stops, blocks),
+            Engine::Rings(tables) => refine(tables, assocs, stops, blocks),
+            Engine::Direct(tables) => refine(tables, assocs, stops, blocks),
+        };
+        self.accesses += fed;
+        fed
     }
 
     /// Total references seen.
@@ -393,23 +502,24 @@ impl SinglePassSim {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` was not covered or `assoc > max_assoc`.
+    /// Panics if `(sets, assoc)` was not covered: a simulator built by
+    /// [`SinglePassSim::for_configs`] covers only the configurations it
+    /// was given.
     pub fn misses(&self, sets: u32, assoc: u32) -> u64 {
-        assert!(assoc >= 1 && assoc <= self.max_assoc, "assoc {assoc} not covered");
-        let ti = self
+        let (ti, ai) = self
             .set_counts
-            .iter()
-            .position(|&s| s == sets)
-            .unwrap_or_else(|| panic!("set count {sets} not covered"));
+            .binary_search(&sets)
+            .ok()
+            .and_then(|ti| Some((ti, self.assocs[ti].binary_search(&assoc).ok()?)))
+            .unwrap_or_else(|| panic!("(sets, assoc) = ({sets}, {assoc}) not covered"));
+        let stopped: u64 = self.stops[..=ti].iter().sum();
         match &self.engine {
             Engine::Stack(tables) => {
                 let hits: u64 = tables[ti].hits_at_depth[..assoc as usize].iter().sum();
-                self.accesses - self.repeats - hits
+                self.accesses - stopped - hits
             }
-            Engine::Rings(tables) => {
-                self.accesses - self.repeats - tables[ti].hits[assoc as usize - 1]
-            }
-            Engine::Direct(tables) => tables[ti].lanes[assoc as usize - 1].misses,
+            Engine::Rings(tables) => self.accesses - stopped - tables[ti].hits[ai],
+            Engine::Direct(tables) => tables[ti].lanes[ai].misses,
         }
     }
 
@@ -422,12 +532,12 @@ impl SinglePassSim {
         MissStats { accesses: self.accesses, misses: self.misses(sets, assoc) }
     }
 
-    /// Enumerates all covered `(config, stats)` pairs (configs carry the
-    /// simulator's policy).
+    /// Enumerates all covered `(config, stats)` pairs, by set count and
+    /// then associativity (configs carry the simulator's policy).
     pub fn all_results(&self) -> Vec<(CacheConfig, MissStats)> {
         let mut out = Vec::new();
-        for &s in &self.set_counts {
-            for a in 1..=self.max_assoc {
+        for (&s, assocs) in self.set_counts.iter().zip(&self.assocs) {
+            for &a in assocs {
                 out.push((
                     CacheConfig::new(s, a, self.line_words).with_policy(self.policy),
                     self.stats(s, a),
@@ -436,12 +546,6 @@ impl SinglePassSim {
         }
         out
     }
-}
-
-/// Slots of one set's FIFO rings: one ring of `l + 1` slots per lane `l`
-/// below `max_assoc`.
-fn ring_slots(max_assoc: usize) -> usize {
-    max_assoc * (max_assoc + 1) / 2
 }
 
 #[cfg(test)]
@@ -576,6 +680,28 @@ mod tests {
                             "{p} k={k} S={s} A={a}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_loop_stops_at_the_first_set_count_where_its_block_is_last() {
+        // 40 distinct blocks in a loop. At 64 sets each sits alone in its
+        // set, so from the second lap on every reference is its set's
+        // last block there; at 8 sets (five blocks a set) and at 1 set it
+        // never is.
+        const LAPS: u64 = 10;
+        let trace: Vec<u64> = (0..LAPS).flat_map(|_| 0..40u64).collect();
+        for p in Policy::all() {
+            let mut sp = SinglePassSim::new_with_policy(p, 1, &[1, 8, 64], 8);
+            sp.run(trace.iter().copied());
+            assert_eq!(sp.stops, [0, 0, 40 * (LAPS - 1)], "{p}");
+            for &sets in &[1u32, 8, 64] {
+                for assoc in 1..=8 {
+                    let cfg = CacheConfig::new(sets, assoc, 1).with_policy(p);
+                    let direct = simulate(cfg, trace.iter().copied());
+                    assert_eq!(sp.misses(sets, assoc), direct.misses, "{p} S={sets} A={assoc}");
                 }
             }
         }

@@ -1,10 +1,12 @@
 //! Property tests: the single-pass simulator is exactly equivalent to
-//! direct simulation under every policy and over the whole address range,
-//! and LRU inclusion properties hold.
+//! direct simulation under every policy, over the whole address range and on
+//! full and sparse grids, and LRU inclusion properties hold.
 
 use mhe_cache::{simulate, CacheConfig, Policy, SinglePassSim};
 use mhe_trace::{Access, StreamKind};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Traces mixing streams, hot sets, and random addresses.
 fn trace_strategy() -> impl Strategy<Value = Vec<u64>> {
@@ -19,7 +21,7 @@ fn trace_strategy() -> impl Strategy<Value = Vec<u64>> {
 }
 
 /// Traces built to stress the engines' edge cases: hot, wide and strided
-/// addresses in long same-block runs (the repeat filter) and ping-pong
+/// addresses in long same-block runs (set-refinement stops) and ping-pong
 /// between two blocks, plus addresses at and near `u64::MAX` (block ids
 /// no empty-way marker may collide with).
 fn edge_case_trace_strategy() -> impl Strategy<Value = Vec<u64>> {
@@ -68,6 +70,54 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sparse_grids_cover_exactly_the_asked_points(
+        trace in edge_case_trace_strategy(),
+        line_pow in 0u32..4,
+        // (index into the set counts, assoc) pairs: a random non-empty
+        // subset of the 4 × 8 grid, so some set counts are asked at one
+        // associativity only and others not at all.
+        picks in prop::collection::vec((0usize..4, 1u32..9), 1..12),
+    ) {
+        let line = 1u32 << line_pow;
+        let set_counts = [1u32, 4, 16, 64];
+        let asked: BTreeSet<(u32, u32)> =
+            picks.iter().map(|&(si, assoc)| (set_counts[si], assoc)).collect();
+        let unasked = set_counts
+            .iter()
+            .flat_map(|&s| (1..=8).map(move |a| (s, a)))
+            .find(|p| !asked.contains(p))
+            .expect("at most 11 of 32 points are asked");
+        for policy in Policy::all() {
+            let configs: Vec<CacheConfig> = asked
+                .iter()
+                .map(|&(sets, assoc)| CacheConfig::new(sets, assoc, line).with_policy(policy))
+                .collect();
+            let mut sp = SinglePassSim::for_configs(&configs);
+            sp.run(trace.iter().copied());
+            for cfg in &configs {
+                let direct = simulate(*cfg, trace.iter().copied());
+                prop_assert_eq!(
+                    sp.misses(cfg.sets, cfg.assoc),
+                    direct.misses,
+                    "{} S={} A={} L={}", policy, cfg.sets, cfg.assoc, line
+                );
+            }
+            let listed: BTreeSet<(u32, u32)> =
+                sp.all_results().iter().map(|(c, _)| (c.sets, c.assoc)).collect();
+            prop_assert_eq!(sp.all_results().len(), asked.len());
+            prop_assert_eq!(&listed, &asked);
+            let err = catch_unwind(AssertUnwindSafe(|| sp.misses(unasked.0, unasked.1)))
+                .expect_err("an unasked point must not return a miss count");
+            let message = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            prop_assert!(message.contains("not covered"), "{}: {:?}", policy, message);
         }
     }
 

@@ -22,6 +22,9 @@ cargo test -q --workspace
 echo "==> miss_anatomy example (cargo test compiles examples but never runs them)"
 cargo run --release -q --example miss_anatomy > /dev/null
 
+echo "==> costs (reads all_results() of a for_configs simulator: asking for an uncovered point panics)"
+MHE_EVENTS=20000 cargo run --release -q -p mhe-bench --bin costs > /dev/null
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
