@@ -51,6 +51,11 @@ impl MissStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(config.line_words)`: a word address shifted right by it is
+    /// its block.
+    line_shift: u32,
+    /// `config.sets - 1`: a block masked by it is its set.
+    set_mask: u64,
     /// Per-set replacement engines, indexed by set.
     sets: Vec<SetEngine>,
     stats: MissStats,
@@ -58,8 +63,22 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache running `config.policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.sets` or `config.line_words` is not a power of
+    /// two ([`CacheConfig`]'s fields are public, so [`CacheConfig::new`]'s
+    /// checks may have been bypassed).
     pub fn new(config: CacheConfig) -> Self {
+        assert!(config.sets.is_power_of_two(), "sets {} must be a power of two", config.sets);
+        assert!(
+            config.line_words.is_power_of_two(),
+            "line size {} words must be a power of two",
+            config.line_words
+        );
         Self {
+            line_shift: config.line_words.trailing_zeros(),
+            set_mask: u64::from(config.sets - 1),
             sets: (0..u64::from(config.sets))
                 .map(|i| config.policy.new_set(config.assoc, i))
                 .collect(),
@@ -76,8 +95,8 @@ impl Cache {
     /// References a word address; returns whether it hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
-        let block = self.config.block_of(addr);
-        let set = &mut self.sets[(block % u64::from(self.config.sets)) as usize];
+        let block = addr >> self.line_shift;
+        let set = &mut self.sets[(block & self.set_mask) as usize];
         if set.lookup(block) {
             true
         } else {
@@ -120,8 +139,8 @@ impl Cache {
 
     /// Whether a word's line is currently resident.
     pub fn contains(&self, addr: u64) -> bool {
-        let block = self.config.block_of(addr);
-        self.sets[(block % u64::from(self.config.sets)) as usize].contains(block)
+        let block = addr >> self.line_shift;
+        self.sets[(block & self.set_mask) as usize].contains(block)
     }
 
     /// Clears contents and statistics; a random policy's victim stream
@@ -142,6 +161,20 @@ pub fn simulate(config: CacheConfig, trace: impl IntoIterator<Item = u64>) -> Mi
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_a_hand_built_non_power_of_two_geometry() {
+        // The fields are public, so `CacheConfig::new`'s checks can be
+        // skipped; the shift and mask would then pick wrong sets.
+        let _ = Cache::new(CacheConfig { sets: 6, ..CacheConfig::new(4, 1, 4) });
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_a_hand_built_non_power_of_two_line() {
+        let _ = Cache::new(CacheConfig { line_words: 3, ..CacheConfig::new(4, 1, 4) });
+    }
 
     #[test]
     fn cold_start_all_misses() {

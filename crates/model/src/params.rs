@@ -64,7 +64,7 @@ impl TraceParams {
     }
 }
 
-/// Per-granule run statistics over a sorted unique-address set.
+/// Per-granule run statistics of a granule's unique addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct GranuleStats {
     /// Unique references.
@@ -77,135 +77,208 @@ pub(crate) struct GranuleStats {
     pub run_len: u64,
 }
 
-/// Run statistics of one granule's unique addresses, which `addrs`
-/// holds exactly once each; sorts them in place. `references` is the
-/// granule's raw reference count, reported to `mhe-obs`.
-fn analyze_unique(addrs: &mut [u64], references: u64) -> GranuleStats {
-    let _obs = mhe_obs::span(mhe_obs::Phase::Model);
-    mhe_obs::add_events(mhe_obs::Phase::Model, references);
-    addrs.sort_unstable();
-    let mut stats = GranuleStats { unique: addrs.len() as u64, ..Default::default() };
-    let mut i = 0;
-    while i < addrs.len() {
-        let mut j = i + 1;
-        while j < addrs.len() && addrs[j] == addrs[j - 1] + 1 {
-            j += 1;
-        }
-        let len = (j - i) as u64;
-        if len == 1 {
-            stats.isolated += 1;
-        } else {
-            stats.runs += 1;
-            stats.run_len += len;
-        }
-        i = j;
-    }
-    stats
-}
+/// Words of address space one [`Page`] covers: one 64-byte line of bits.
+const PAGE_WORDS: u64 = 512;
 
-/// One slot of a [`GranuleSet`]: an address, live while its stamp is the
-/// set's current generation.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    addr: u64,
-    stamp: u32,
+/// Marks no page: page keys are `addr / PAGE_WORDS < 2^55`.
+const NO_PAGE: u64 = u64::MAX;
+
+/// The bits of one touched page: bit `a % PAGE_WORDS` is set when
+/// address `a` was referenced this granule.
+#[derive(Debug, Clone, Copy)]
+struct Page {
+    key: u64,
+    bits: [u64; (PAGE_WORDS / 64) as usize],
 }
 
 /// The distinct addresses of one granule, collected as they arrive.
 ///
-/// An open-addressing hash set whose slots carry a generation stamp:
-/// starting the next granule bumps the generation, which empties every
-/// slot at once without touching the table. The table grows with the
-/// granule's *unique* count (kept at most half full), not with its
-/// reference count, so a modeler sorts only the unique addresses.
+/// A paged bitmap: each bit is one word address. The pages a granule
+/// touches sit in `pages`, found through an open-addressing `index` of
+/// page keys with a last-page shortcut. Consecutive addresses gather in
+/// a pending run and are set a word mask at a time. At the end of a
+/// granule only the touched pages are sorted, and the run statistics
+/// come from the bits: a set bit starts a run when its left neighbour
+/// is clear, and is isolated when its right neighbour is clear too.
+/// The pages are then dropped from the pool, whose capacity is kept.
 #[derive(Debug, Clone)]
 struct GranuleSet {
-    slots: Vec<Slot>,
-    /// `64 - log2(slots.len())`: the hash keeps the top bits.
+    pages: Vec<Page>,
+    /// `slot + 1` of each indexed page (0 = empty); at most half full.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the hash keeps the top bits.
     shift: u32,
-    stamp: u32,
-    unique: Vec<u64>,
+    /// The page the last run was set in, and its slot.
+    last_key: u64,
+    last_slot: usize,
+    /// The pending run: `run_len` addresses from `run_lo` on, not yet
+    /// in the bitmap.
+    run_lo: u64,
+    run_len: u64,
     references: u64,
 }
 
 impl GranuleSet {
-    const MIN_SLOTS: usize = 1 << 10;
+    const MIN_INDEX: usize = 1 << 6;
 
     fn new() -> Self {
         Self {
-            slots: vec![Slot::default(); Self::MIN_SLOTS],
-            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
-            stamp: 1,
-            unique: Vec::new(),
+            pages: Vec::new(),
+            index: vec![0; Self::MIN_INDEX],
+            shift: 64 - Self::MIN_INDEX.trailing_zeros(),
+            last_key: NO_PAGE,
+            last_slot: 0,
+            run_lo: 0,
+            run_len: 0,
             references: 0,
         }
     }
 
-    /// Fibonacci hashing: sequential addresses scatter across the table.
-    fn home(&self, addr: u64) -> usize {
-        (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    /// Fibonacci hashing: neighbouring pages scatter across the index.
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
     /// Records one reference.
     #[inline]
     fn insert(&mut self, addr: u64) {
         self.references += 1;
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(addr);
+        let offset = addr.wrapping_sub(self.run_lo);
+        if offset < self.run_len {
+            return; // already in the pending run
+        }
+        // The next address extends the run, unless it wrapped to 0.
+        if offset == self.run_len && addr != 0 {
+            self.run_len += 1;
+            return;
+        }
+        self.flush_run();
+        (self.run_lo, self.run_len) = (addr, 1);
+    }
+
+    /// Sets the pending run's bits, a word mask at a time.
+    fn flush_run(&mut self) {
+        if self.run_len == 0 {
+            return;
+        }
+        let (mut lo, hi) = (self.run_lo, self.run_lo + (self.run_len - 1));
+        self.run_len = 0;
         loop {
-            let slot = &mut self.slots[i];
-            if slot.stamp != self.stamp {
-                *slot = Slot { addr, stamp: self.stamp };
-                self.unique.push(addr);
-                if self.unique.len() * 2 > self.slots.len() {
-                    self.grow();
-                }
+            let word_end = lo | 63;
+            let top = word_end.min(hi);
+            let mask = (u64::MAX >> (63 - (top - lo))) << (lo & 63);
+            let slot = self.page_slot(lo / PAGE_WORDS);
+            self.pages[slot].bits[((lo % PAGE_WORDS) / 64) as usize] |= mask;
+            if top == hi {
                 return;
             }
-            if slot.addr == addr {
-                return;
-            }
-            i = (i + 1) & mask;
+            lo = word_end + 1;
         }
     }
 
-    /// Doubles the table and re-inserts this granule's addresses.
-    fn grow(&mut self) {
-        let len = self.slots.len() * 2;
-        self.slots = vec![Slot::default(); len];
+    /// The slot of page `key`, added (all clear) on its first touch.
+    #[inline]
+    fn page_slot(&mut self, key: u64) -> usize {
+        if key == self.last_key {
+            return self.last_slot;
+        }
+        let mask = self.index.len() - 1;
+        let mut i = self.home(key);
+        let slot = loop {
+            match self.index[i] {
+                0 => break self.add_page(key, i),
+                entry if self.pages[entry as usize - 1].key == key => break entry as usize - 1,
+                _ => i = (i + 1) & mask,
+            }
+        };
+        (self.last_key, self.last_slot) = (key, slot);
+        slot
+    }
+
+    /// Adds page `key` at the empty index entry `i`.
+    fn add_page(&mut self, key: u64, i: usize) -> usize {
+        let slot = self.pages.len();
+        if slot == self.pages.capacity() {
+            // The pool keeps its capacity across granules, so it grows
+            // rarely; a quarter at a time keeps its slack small.
+            self.pages.reserve_exact((slot / 4).max(64));
+        }
+        self.pages.push(Page { key, bits: [0; (PAGE_WORDS / 64) as usize] });
+        self.index[i] = u32::try_from(slot + 1).expect("fewer than 2^32 pages per granule");
+        if self.pages.len() * 2 > self.index.len() {
+            self.grow_index();
+        }
+        slot
+    }
+
+    /// Doubles the index and re-enters every page.
+    fn grow_index(&mut self) {
+        let len = self.index.len() * 2;
+        self.index = vec![0; len];
         self.shift = 64 - len.trailing_zeros();
-        self.stamp = 1;
         let mask = len - 1;
-        for k in 0..self.unique.len() {
-            let addr = self.unique[k];
-            let mut i = self.home(addr);
-            while self.slots[i].stamp == self.stamp {
+        for slot in 0..self.pages.len() {
+            let mut i = self.home(self.pages[slot].key);
+            while self.index[i] != 0 {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = Slot { addr, stamp: self.stamp };
+            self.index[i] = slot as u32 + 1;
+        }
+    }
+
+    /// Empties the index of this granule's pages: entry by entry when
+    /// they are few, with one fill otherwise.
+    fn clear_index(&mut self) {
+        if self.pages.len() * 8 > self.index.len() {
+            self.index.fill(0);
+            return;
+        }
+        let mask = self.index.len() - 1;
+        for slot in 0..self.pages.len() {
+            // Every page is still indexed, so its probe finds it even
+            // past entries already cleared.
+            let mut i = self.home(self.pages[slot].key);
+            while self.index[i] as usize != slot + 1 {
+                i = (i + 1) & mask;
+            }
+            self.index[i] = 0;
         }
     }
 
     /// Analyzes the granule collected so far and starts the next one.
+    /// Reports the granule's raw reference count to `mhe-obs`.
     fn finish_granule(&mut self) -> GranuleStats {
-        let stats = analyze_unique(&mut self.unique, self.references);
-        self.unique.clear();
-        self.references = 0;
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // The generation wrapped: slots stamped long ago would look
-            // live again, so empty the table for real once.
-            self.slots.fill(Slot::default());
-            self.stamp = 1;
+        let _obs = mhe_obs::span(mhe_obs::Phase::Model);
+        mhe_obs::add_events(mhe_obs::Phase::Model, self.references);
+        self.flush_run();
+        self.clear_index();
+        self.pages.sort_unstable_by_key(|p| p.key);
+        let (mut unique, mut starts, mut isolated) = (0u64, 0u64, 0u64);
+        // Bit 63 of the word below the current one, as bit 0.
+        let mut carry = 0u64;
+        for (p, page) in self.pages.iter().enumerate() {
+            if p == 0 || self.pages[p - 1].key + 1 != page.key {
+                carry = 0;
+            }
+            let above = match self.pages.get(p + 1) {
+                Some(next) if next.key == page.key + 1 => next.bits[0],
+                _ => 0,
+            };
+            for (w, &x) in page.bits.iter().enumerate() {
+                let next = page.bits.get(w + 1).copied().unwrap_or(above);
+                let left = x << 1 | carry;
+                let right = x >> 1 | next << 63;
+                let start = x & !left;
+                unique += u64::from(x.count_ones());
+                starts += u64::from(start.count_ones());
+                isolated += u64::from((start & !right).count_ones());
+                carry = x >> 63;
+            }
         }
-        stats
-    }
-
-    /// Jumps the generation to `stamp`, so tests can force a wrap.
-    #[cfg(test)]
-    fn with_stamp(mut self, stamp: u32) -> Self {
-        self.stamp = stamp;
-        self
+        self.pages.clear();
+        self.last_key = NO_PAGE;
+        self.references = 0;
+        GranuleStats { unique, isolated, runs: starts - isolated, run_len: unique - isolated }
     }
 }
 
@@ -363,8 +436,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The sort-everything granule analysis the dedup set replaced: the
-    /// reference the modelers must match bit for bit.
+    /// The sort-everything granule analysis: the reference the modelers
+    /// must match bit for bit.
     fn reference_stats(refs: &[u64]) -> GranuleStats {
         let mut addrs = refs.to_vec();
         addrs.sort_unstable();
@@ -476,44 +549,103 @@ mod tests {
         }
 
         #[test]
-        fn dedup_survives_a_generation_wrap(
-            trace in prop::collection::vec(addr(), 0..400),
-            granule in 1usize..40,
-            before_wrap in 0u32..6,
+        fn dedup_runs_across_pages_match_sorting_everything(
+            runs in prop::collection::vec((page_edge(), 1u64..1200, 0u64..3), 0..40),
         ) {
-            // Stale slots from before the wrap must not read as live.
-            let mut m = ITraceModeler {
-                addrs: GranuleSet::new().with_stamp(u32::MAX - before_wrap),
-                ..ITraceModeler::new(granule)
-            };
-            for &a in &trace {
-                m.process(a);
+            // Runs that start near a page edge and may span several
+            // pages, each walked forward, backward or twice.
+            let mut refs = Vec::new();
+            for (lo, len, order) in runs {
+                let run = (0..len).map(|k| lo.saturating_add(k));
+                match order {
+                    0 => refs.extend(run),
+                    1 => refs.extend(run.rev()),
+                    _ => refs.extend(run.clone().chain(run)),
+                }
             }
-            prop_assert_eq!(bits(m.finish()), bits(reference_iparams(&trace, granule)));
+            prop_assert_eq!(dedup_stats(GranuleSet::new(), &refs), reference_stats(&refs));
         }
     }
 
+    /// A few words either side of a page edge, at both ends of the
+    /// address space and in between.
+    fn page_edge() -> impl Strategy<Value = u64> {
+        let page = prop_oneof![
+            Just(0u64),
+            Just(1u64),
+            Just(7u64),
+            Just(1u64 << 40),
+            Just((u64::MAX >> 9) - 3),
+        ];
+        (page, 0u64..3, 0u64..6).prop_map(|(page, k, off): (u64, u64, u64)| {
+            ((page + k) * PAGE_WORDS).wrapping_add(off).wrapping_sub(3)
+        })
+    }
+
     #[test]
-    fn granule_of_one_and_wrap_with_growth() {
+    fn granule_of_one_and_both_ends_of_the_address_space() {
         let trace: Vec<u64> = vec![0, u64::MAX, 0, 7, 7, u64::MAX - 1];
         let mut m = ITraceModeler::new(1);
         trace.iter().for_each(|&a| m.process(a));
         assert_eq!(bits(m.finish()), bits(reference_iparams(&trace, 1)));
-        // Grow the table first (growth restarts the generation), then
-        // wrap the generation with stale slots from the grown table.
-        let granule = |g: u64| -> Vec<u64> { (0..3000).map(|i| (i * 7 + g) % 2500).collect() };
-        let mut set = GranuleSet::new();
-        assert_eq!(dedup_stats(set.clone(), &granule(0)), reference_stats(&granule(0)));
-        granule(0).iter().for_each(|&a| set.insert(a));
-        set.finish_granule();
-        assert!(set.slots.len() > GranuleSet::MIN_SLOTS);
-        let mut set = set.with_stamp(u32::MAX - 1);
-        for g in 1..5 {
-            let refs = granule(g);
-            refs.iter().for_each(|&a| set.insert(a));
-            assert_eq!(set.finish_granule(), reference_stats(&refs), "granule {g}");
+        // u64::MAX and 0 are not neighbours: no run wraps around.
+        let edges = [u64::MAX - 2, u64::MAX - 1, u64::MAX, 0, 1, 3];
+        let g = dedup_stats(GranuleSet::new(), &edges);
+        assert_eq!(g, reference_stats(&edges));
+        assert_eq!((g.unique, g.isolated, g.runs, g.run_len), (6, 1, 2, 5));
+    }
+
+    #[test]
+    fn a_run_crossing_pages_and_granules_is_cut_at_the_granule() {
+        // One long run over three pages, cut by granules of 700: each
+        // granule holds one run, and the bitmap starts clear each time.
+        let trace: Vec<u64> = (PAGE_WORDS - 100..4 * PAGE_WORDS).collect();
+        let mut m = ITraceModeler::new(700);
+        trace.iter().for_each(|&a| m.process(a));
+        assert_eq!(m.granules(), 2);
+        let p = m.finish();
+        assert_eq!(bits(p), bits(reference_iparams(&trace, 700)));
+        assert_eq!((p.u1, p.p1, p.lav), (700.0, 0.0, 700.0));
+    }
+
+    #[test]
+    fn interleaved_inst_and_data_runs_stay_apart() {
+        // Both components stream through the same addresses, interleaved
+        // one by one: each keeps its own run.
+        let mut trace = Vec::new();
+        for i in 0..3000u64 {
+            trace.push(Access::inst(i * 2 % 1500));
+            trace.push(if i % 3 == 0 { Access::store(i / 2) } else { Access::load(i / 2) });
         }
-        assert_eq!(set.stamp, 3, "the generation wrapped once");
+        let got = UTraceModeler::measure(trace.iter().copied(), 1000);
+        let want = reference_uparams(&trace, 1000);
+        assert_eq!(bits(got.inst), bits(want.inst));
+        assert_eq!(bits(got.data), bits(want.data));
+        assert!(want.data.p1 < 0.01, "the data component streams: {:?}", want.data);
+    }
+
+    #[test]
+    fn many_granules_reuse_the_pages_bit_identically() {
+        // 400 granules, each with a different mix of loops, strides and
+        // scattered words, so the pool and index shrink and regrow.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let trace: Vec<u64> = (0..400 * 250u64)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match (i / 250) % 4 {
+                    0 => 4096 + i % 97,
+                    1 => (i % 250) * 3,
+                    2 => x >> (x % 64),
+                    _ => x % 5000,
+                }
+            })
+            .collect();
+        let mut m = ITraceModeler::new(250);
+        trace.iter().for_each(|&a| m.process(a));
+        assert_eq!(m.granules(), 400);
+        assert_eq!(bits(m.finish()), bits(reference_iparams(&trace, 250)));
     }
 
     #[test]

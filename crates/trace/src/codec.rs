@@ -531,15 +531,14 @@ impl<R: Read> TraceReader<R> {
     /// `entry` describes, checks its CRC and decodes it.
     fn read_payload(&mut self, entry: &FrameEntry) -> Result<Vec<Access>> {
         let header = entry.header();
+        // The buffer grows with the bytes actually read, so a header
+        // claiming more than the file holds costs no more than the file.
         self.payload.clear();
-        self.payload.resize(entry.payload_len as usize, 0);
-        if let Err(e) = self.r.read_exact(&mut self.payload) {
-            let e = if e.kind() == ErrorKind::UnexpectedEof {
-                invalid("mtr frame payload truncated")
-            } else {
-                e
-            };
-            return Err(self.poisoned(e));
+        let want = u64::from(entry.payload_len);
+        match (&mut self.r).take(want).read_to_end(&mut self.payload) {
+            Ok(n) if n as u64 == want => {}
+            Ok(_) => return Err(self.poisoned(invalid("mtr frame payload truncated"))),
+            Err(e) => return Err(self.poisoned(e)),
         }
         let mut crc = Crc32::new();
         crc.update(&header[..8]);
@@ -552,7 +551,9 @@ impl<R: Read> TraceReader<R> {
                 entry.crc
             ))));
         }
-        let mut out = Vec::with_capacity(entry.count as usize);
+        // Every access takes at least one payload byte: a forged count
+        // behind a valid CRC reserves no more than the payload.
+        let mut out = Vec::with_capacity((entry.count as usize).min(self.payload.len()));
         let mut last = [0u64; 3];
         let mut pos = 0usize;
         let mut din_bytes = 0u64;

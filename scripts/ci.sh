@@ -43,6 +43,9 @@ cargo test -q --release -p mhe-cache
 echo "==> ParallelSweep's fan-out loop and the core engine, release build (the loop's concurrency tests optimized, as the benchmark runs the loop)"
 cargo test -q --release -p mhe-core
 
+echo "==> AHH modelers, release build (paged-bitmap granule sets vs the sort-everything oracle, bit for bit, optimized as the benchmark runs them)"
+cargo test -q --release -p mhe-model
+
 echo "==> sampling crate, release build (degenerate-exactness and planner proptests optimized, as the benchmark runs them)"
 cargo test -q --release -p mhe-sampling
 

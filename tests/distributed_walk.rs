@@ -403,3 +403,39 @@ fn a_worker_still_building_when_the_sweep_ends_is_told_no_more_work() {
     let summary = run.join().expect("coordinator thread").expect("the sweep completes");
     assert_eq!((summary.workers, summary.shards), (2, 1), "{summary:?}");
 }
+
+/// A worker that dials after `run` returned, while the coordinator still
+/// lives, gets a handshake and `NoMoreWork` and exits clean with no
+/// points. A listener nobody accepts from would leave it waiting out its
+/// reply deadline and failing with `Unavailable`.
+#[test]
+fn a_worker_dialing_after_the_sweep_is_told_no_more_work() {
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { shard_count: 1, auth_token: None, ..FleetConfig::default() };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+    let finisher = std::thread::spawn(move || {
+        let mut finisher = raw_worker(addr);
+        send_worker(&mut finisher, &proto::WorkerFrame::NeedShard);
+        assert!(matches!(read_coord(&mut finisher), proto::CoordFrame::Assign { shard: 0, .. }));
+        send_worker(&mut finisher, &proto::WorkerFrame::ShardDone { shard: 0 });
+        send_worker(&mut finisher, &proto::WorkerFrame::NeedShard);
+        assert!(matches!(read_coord(&mut finisher), proto::CoordFrame::NoMoreWork));
+    });
+    let summary = coordinator.run(None).expect("the sweep completes");
+    finisher.join().expect("finishing worker");
+    assert_eq!((summary.workers, summary.shards), (1, 1), "{summary:?}");
+
+    let start = std::time::Instant::now();
+    let opts = WorkerOptions {
+        reply_timeout: Some(Duration::from_secs(2)),
+        auth_token: None,
+        ..WorkerOptions::default()
+    };
+    let late = run_worker(&addr.to_string(), opts).expect("a late worker exits clean");
+    let waited = start.elapsed();
+    assert_eq!((late.points, late.shards), (0, 0), "{late:?}");
+    assert!(waited < Duration::from_secs(1), "the late worker waited {waited:?}");
+    drop(coordinator);
+}

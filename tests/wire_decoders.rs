@@ -14,7 +14,8 @@ use mhe::spacewalk::service::proto::{
     decode_coord_frame, decode_request, decode_response, decode_worker_frame, handshake, Handshake,
     FEATURE_FRONTIER, HANDSHAKE_LEN,
 };
-use mhe::trace::{Access, FrameEntry, TraceReader, TraceWriter};
+use mhe::trace::codec::{MAGIC, MAX_FRAME_ACCESSES, MAX_FRAME_PAYLOAD, VERSION};
+use mhe::trace::{Access, Crc32, FrameEntry, TraceReader, TraceWriter};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -162,6 +163,41 @@ proptest! {
         }
         let bytes = decode_everything(&payload);
         prop_assert!(bytes < BUDGET, "{payload:02x?} allocated {bytes} bytes");
+    }
+}
+
+/// An `.mtr` file header and one frame: its header claims `count`
+/// accesses in `payload_len` bytes, under a valid CRC of `payload`.
+fn mtr_with_one_frame(count: u32, payload_len: u32, payload: &[u8]) -> Vec<u8> {
+    let mut header = [count.to_le_bytes(), payload_len.to_le_bytes()].concat();
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    crc.update(payload);
+    header.extend(crc.finish().to_le_bytes());
+    [&MAGIC[..], &[VERSION], &header, payload].concat()
+}
+
+#[test]
+fn mtr_frame_claims_fail_without_reserving_what_they_claim() {
+    let cases = [
+        // 17 bytes: a frame header claiming the largest payload, and no
+        // payload at all.
+        ("payload length", mtr_with_one_frame(1, MAX_FRAME_PAYLOAD, &[])),
+        // Four one-byte accesses under a valid CRC, claimed as the
+        // largest frame: the decode runs out of payload.
+        ("access count", mtr_with_one_frame(MAX_FRAME_ACCESSES, 4, &[0; 4])),
+    ];
+    for (what, bytes) in cases {
+        let mut r = TraceReader::new(Cursor::new(&bytes)).expect("a valid file header");
+        let (result, allocated) = allocated_by(|| r.next_frame());
+        let err = result.expect_err(what);
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains("truncated"), "{what}: {err}");
+        assert!(
+            allocated < BUDGET,
+            "{what}: a {}-byte file allocated {allocated} bytes",
+            bytes.len()
+        );
     }
 }
 
