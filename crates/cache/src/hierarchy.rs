@@ -1,17 +1,18 @@
-//! Multi-level memory hierarchy: L1 instruction + L1 data + L2 unified.
+//! Multi-level memory hierarchy geometry: L1 instruction + L1 data + L2
+//! unified.
 //!
 //! The paper requires inclusion between the L1 caches and the unified L2,
 //! which "decouples the behavior of the unified cache from the
 //! data/instruction caches in the sense that the unified cache misses will
 //! not be affected by the presence of the data/instruction caches.
 //! Therefore, the unified cache misses may be obtained independently […] by
-//! simulating the entire address trace." [`Hierarchy`] implements exactly
-//! that evaluation model: the L2 observes the *full* reference stream, and
-//! stall cycles combine per-level miss penalties.
+//! simulating the entire address trace." Each level is therefore
+//! evaluated on its own stream, and this module holds only the design:
+//! [`MemoryDesign`] names the three geometries and checks the inclusion
+//! precondition, and [`Penalties`] prices the misses when a system's stall
+//! cycles combine the levels (`mhe_core::system`).
 
 use crate::config::CacheConfig;
-use crate::sim::{Cache, MissStats};
-use mhe_trace::{Access, AccessKind};
 
 /// Miss penalties in processor cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,163 +53,29 @@ impl MemoryDesign {
     }
 }
 
-/// Simulates an L1I/L1D/L2 system over a joint trace.
-///
-/// # Examples
-///
-/// ```
-/// use mhe_cache::{hierarchy::{Hierarchy, MemoryDesign, Penalties}, CacheConfig};
-/// use mhe_trace::Access;
-/// let design = MemoryDesign {
-///     icache: CacheConfig::from_bytes(1024, 1, 32),
-///     dcache: CacheConfig::from_bytes(1024, 1, 32),
-///     ucache: CacheConfig::from_bytes(16 * 1024, 2, 64),
-/// };
-/// let mut h = Hierarchy::new(design, Penalties::default());
-/// h.run([Access::inst(0), Access::inst(1), Access::load(0x900_0000)]);
-/// assert_eq!(h.icache_stats().accesses, 2);
-/// assert_eq!(h.dcache_stats().accesses, 1);
-/// assert_eq!(h.ucache_stats().accesses, 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Hierarchy {
-    icache: Cache,
-    dcache: Cache,
-    ucache: Cache,
-    penalties: Penalties,
-    stall_cycles: u64,
-}
-
-impl Hierarchy {
-    /// Creates an empty hierarchy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design violates the inclusion precondition.
-    pub fn new(design: MemoryDesign, penalties: Penalties) -> Self {
-        assert!(design.satisfies_inclusion(), "memory design violates inclusion: {design:?}");
-        Self {
-            icache: Cache::new(design.icache),
-            dcache: Cache::new(design.dcache),
-            ucache: Cache::new(design.ucache),
-            penalties,
-            stall_cycles: 0,
-        }
-    }
-
-    /// Processes one reference.
-    pub fn access(&mut self, access: Access) {
-        let l1_hit = match access.kind {
-            AccessKind::Inst => self.icache.access(access.addr),
-            AccessKind::Load | AccessKind::Store => self.dcache.access(access.addr),
-        };
-        // Inclusion decouples L2 behaviour from the L1s: the unified cache
-        // observes the entire stream.
-        let l2_hit = self.ucache.access(access.addr);
-        if !l1_hit {
-            self.stall_cycles += self.penalties.l1_miss;
-            if !l2_hit {
-                self.stall_cycles += self.penalties.l2_miss;
-            }
-        }
-    }
-
-    /// Processes a whole trace.
-    pub fn run(&mut self, trace: impl IntoIterator<Item = Access>) {
-        for a in trace {
-            self.access(a);
-        }
-    }
-
-    /// Accumulated stall cycles from cache misses.
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
-    }
-
-    /// Instruction-cache statistics.
-    pub fn icache_stats(&self) -> MissStats {
-        self.icache.stats()
-    }
-
-    /// Data-cache statistics.
-    pub fn dcache_stats(&self) -> MissStats {
-        self.dcache.stats()
-    }
-
-    /// Unified-cache statistics.
-    pub fn ucache_stats(&self) -> MissStats {
-        self.ucache.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_design() -> MemoryDesign {
-        MemoryDesign {
+    #[test]
+    fn inclusion_check_considers_capacity_and_line_sizes() {
+        let good = MemoryDesign {
             icache: CacheConfig::from_bytes(1024, 1, 32),
             dcache: CacheConfig::from_bytes(1024, 1, 32),
             ucache: CacheConfig::from_bytes(16 * 1024, 2, 64),
-        }
-    }
-
-    #[test]
-    fn references_route_by_kind() {
-        let mut h = Hierarchy::new(small_design(), Penalties::default());
-        h.run([Access::inst(0), Access::load(1000), Access::store(1001), Access::inst(1)]);
-        assert_eq!(h.icache_stats().accesses, 2);
-        assert_eq!(h.dcache_stats().accesses, 2);
-        assert_eq!(h.ucache_stats().accesses, 4);
-    }
-
-    #[test]
-    fn stall_cycles_reflect_miss_penalties() {
-        let p = Penalties { l1_miss: 10, l2_miss: 50 };
-        let mut h = Hierarchy::new(small_design(), p);
-        // One cold access: L1 miss + L2 miss.
-        h.access(Access::inst(0));
-        assert_eq!(h.stall_cycles(), 60);
-        // Same line again: all hits.
-        h.access(Access::inst(1));
-        assert_eq!(h.stall_cycles(), 60);
-    }
-
-    #[test]
-    fn l1_miss_l2_hit_costs_only_l1_penalty() {
-        let p = Penalties { l1_miss: 10, l2_miss: 50 };
-        let mut h = Hierarchy::new(small_design(), p);
-        h.access(Access::inst(0)); // both miss: 60
-                                   // Evict line 0 from the direct-mapped 1KB L1 (wraps every 256
-                                   // words) with addresses that map to *different* L2 sets, so the
-                                   // 16KB L2 retains it.
-        for i in 1..4u64 {
-            h.access(Access::inst(i * 256));
-        }
-        let before = h.stall_cycles();
-        h.access(Access::inst(0)); // L1 conflict miss, L2 hit
-        assert_eq!(h.stall_cycles() - before, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "inclusion")]
-    fn inclusion_violation_rejected() {
-        let bad = MemoryDesign {
+        };
+        assert!(good.satisfies_inclusion());
+        let small_l2 = MemoryDesign {
             icache: CacheConfig::from_bytes(16 * 1024, 2, 32),
-            dcache: CacheConfig::from_bytes(1024, 1, 32),
             ucache: CacheConfig::from_bytes(8 * 1024, 2, 64),
+            ..good
         };
-        let _ = Hierarchy::new(bad, Penalties::default());
-    }
-
-    #[test]
-    fn inclusion_check_considers_line_sizes() {
-        let bad = MemoryDesign {
+        assert!(!small_l2.satisfies_inclusion());
+        let short_l2_lines = MemoryDesign {
             icache: CacheConfig::from_bytes(1024, 1, 64),
-            dcache: CacheConfig::from_bytes(1024, 1, 32),
             ucache: CacheConfig::from_bytes(16 * 1024, 2, 32),
+            ..good
         };
-        assert!(!bad.satisfies_inclusion());
-        assert!(small_design().satisfies_inclusion());
+        assert!(!short_l2_lines.satisfies_inclusion());
     }
 }

@@ -1,6 +1,6 @@
-//! Cache simulation substrate: direct, single-pass, and hierarchical.
+//! Cache simulation substrate: direct and single-pass.
 //!
-//! Four engines reproduce the paper's memory-simulation toolchain:
+//! Two engines reproduce the paper's memory-simulation toolchain:
 //!
 //! * [`sim::Cache`] — a plain set-associative simulator (the oracle),
 //!   generic over the replacement [`Policy`];
@@ -8,12 +8,10 @@
 //!   sharing a line size and policy in one pass over the trace (flat LRU
 //!   stacks, bounded FIFO rings whose memory does not grow with the
 //!   trace's footprint, or a direct fallback grid), each stopping a
-//!   reference at the first set count where its block is its set's last;
-//! * [`histogram::ReuseHistogram`] — Mattson's LRU stack-distance
-//!   histogram: every fully-associative capacity exactly, and
-//!   set-associative grids analytically, from one pass;
-//! * [`hierarchy::Hierarchy`] — an inclusion-respecting L1I/L1D/L2 system
-//!   with a stall-cycle model.
+//!   reference at the first set count where its block is its set's last.
+//!
+//! [`hierarchy::MemoryDesign`] names a whole L1I/L1D/L2 geometry and
+//! [`hierarchy::Penalties`] its miss penalties.
 //!
 //! All addresses are 4-byte-word addresses; line sizes are powers of two.
 //!
@@ -31,19 +29,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod classify;
 pub mod config;
 pub mod hierarchy;
-pub mod histogram;
 pub mod policy;
 pub mod sim;
 pub mod single_pass;
-pub mod write;
 
-pub use classify::{classify_misses, MissBreakdown};
 pub use config::CacheConfig;
-pub use hierarchy::{Hierarchy, MemoryDesign, Penalties};
-pub use histogram::ReuseHistogram;
+pub use hierarchy::{MemoryDesign, Penalties};
 pub use policy::{Policy, ReplacementPolicy, SetEngine};
 pub use sim::{simulate, Cache, MissStats};
 pub use single_pass::SinglePassSim;
@@ -55,7 +48,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SinglePassSim>();
     assert_send_sync::<Cache>();
-    assert_send_sync::<Hierarchy>();
     assert_send_sync::<CacheConfig>();
     assert_send_sync::<MissStats>();
     assert_send_sync::<Policy>();

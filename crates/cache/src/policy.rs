@@ -2,10 +2,9 @@
 //!
 //! A [`Policy`] names *which* line a set evicts on a miss; a
 //! [`ReplacementPolicy`] engine is the stateful per-set machine that
-//! answers lookups and picks victims. Every simulator in this crate —
-//! the direct oracle [`crate::sim::Cache`], the write-aware
-//! [`crate::write::WriteCache`], and the fallback path of
-//! [`crate::single_pass::SinglePassSim`] — drives the *same* engines via
+//! answers lookups and picks victims. Both simulators in this crate —
+//! the direct oracle [`crate::sim::Cache`] and the fallback path of
+//! [`crate::single_pass::SinglePassSim`] — drive the *same* engines via
 //! [`Policy::new_set`], so a policy cannot mean different things in
 //! different simulators.
 //!
@@ -128,8 +127,7 @@ impl FromStr for Policy {
 /// The per-set state machine behind one cache set.
 ///
 /// `lookup` answers a reference (updating recency state on a hit);
-/// `insert` admits a missed block and returns the evicted one, which is
-/// how write-back simulation learns about dirty victims.
+/// `insert` admits a missed block and returns the evicted one.
 pub trait ReplacementPolicy {
     /// References `block`; returns whether it was resident. A hit may
     /// update replacement state (LRU recency, PLRU direction bits).

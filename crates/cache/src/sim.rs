@@ -1,10 +1,10 @@
 //! Direct set-associative cache simulation under any replacement policy.
 //!
 //! [`Cache`] is the plain, one-configuration-at-a-time simulator: it serves
-//! as the correctness oracle for the single-pass simulator and as the
-//! building block of the multi-level hierarchy. The replacement policy is
-//! taken from [`CacheConfig::policy`]; each set runs its own
-//! [`crate::policy::SetEngine`].
+//! as the correctness oracle for the single-pass simulator and simulates
+//! the ground-truth traces the dilation model is validated against. The
+//! replacement policy is taken from [`CacheConfig::policy`]; each set runs
+//! its own [`crate::policy::SetEngine`].
 
 use crate::config::CacheConfig;
 use crate::policy::{ReplacementPolicy, SetEngine};

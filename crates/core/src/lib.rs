@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod accel;
 pub mod auth;
 pub mod bank;
 pub mod cancel;
@@ -63,7 +62,6 @@ pub mod parallel;
 pub mod system;
 pub mod ucache;
 
-pub use accel::{accelerated_cycles, Accelerator, KernelMap};
 pub use bank::{FeatureKey, ReferenceBank};
 pub use cancel::CancelToken;
 pub use dilation::{text_dilation, DilationDistribution};

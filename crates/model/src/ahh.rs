@@ -9,8 +9,7 @@
 //! * `P(L, a)` — the probability that `a` lines map to one set (binomial),
 //! * `Coll(S, A, L)` — expected collisions per granule ([`collisions`]),
 //!   computed by the paper's primary closed form with an automatic
-//!   switch to the stable monotone tail series when cancellation bites,
-//! * miss scaling between two configurations (Eq. 4.7, [`scale_misses`]).
+//!   switch to the stable monotone tail series when cancellation bites.
 
 use crate::math::ln_binom_pmf;
 use crate::params::TraceParams;
@@ -147,50 +146,6 @@ pub fn collisions_tail(u: f64, sets: u32, assoc: u32) -> f64 {
         a += 1.0;
     }
     acc
-}
-
-/// Eq. 4.7: scales measured misses from one configuration to another via
-/// the collision ratio: `m(C2) = Coll(C2)/Coll(C1) · m(C1)`.
-///
-/// Returns 0 when the base configuration has (modeled) zero collisions.
-pub fn scale_misses(m_base: f64, coll_base: f64, coll_target: f64) -> f64 {
-    if coll_base <= 0.0 {
-        0.0
-    } else {
-        m_base * coll_target / coll_base
-    }
-}
-
-/// Projects measured misses from one cache configuration to another using
-/// the AHH model end-to-end (Eq. 4.7 with modeled `u(L)` on both sides):
-/// `m(C2) = Coll(C2) / Coll(C1) · m(C1)`.
-///
-/// This is the model's classic standalone use — estimate a whole family of
-/// caches from one simulation run — independent of dilation.
-///
-/// # Examples
-///
-/// ```
-/// use mhe_model::{ahh::{project_misses, UniqueLineModel}, params::TraceParams};
-/// let p = TraceParams { u1: 4000.0, p1: 0.1, lav: 10.0 };
-/// // Measured 10_000 misses on a 64-set direct-mapped cache; project a
-/// // 4x larger 2-way cache:
-/// let projected = project_misses(&p, (64, 1, 8.0), 10_000.0, (128, 2, 8.0),
-///                                UniqueLineModel::RunBased);
-/// assert!(projected < 10_000.0);
-/// ```
-pub fn project_misses(
-    params: &TraceParams,
-    measured: (u32, u32, f64),
-    measured_misses: f64,
-    target: (u32, u32, f64),
-    model: UniqueLineModel,
-) -> f64 {
-    let (s1, a1, l1) = measured;
-    let (s2, a2, l2) = target;
-    let coll1 = collisions(unique_lines(params, l1, model), s1, a1);
-    let coll2 = collisions(unique_lines(params, l2, model), s2, a2);
-    scale_misses(measured_misses, coll1, coll2)
 }
 
 /// Lemma 2: given `f` linear in `g`, and two known points
@@ -336,12 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_misses_is_proportional() {
-        assert_eq!(scale_misses(1000.0, 50.0, 100.0), 2000.0);
-        assert_eq!(scale_misses(1000.0, 0.0, 100.0), 0.0);
-    }
-
-    #[test]
     fn interpolation_hits_endpoints_and_midpoint() {
         // f = 3g + 7.
         let g1 = 2.0;
@@ -356,26 +305,6 @@ mod tests {
     fn interpolation_degenerate_basis_returns_mean() {
         let v = interpolate_linear_in(4.0, 5.0, 8.0, 5.0, 5.0);
         assert!((v - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn projection_is_identity_on_same_config() {
-        let p = params();
-        let m = project_misses(&p, (64, 2, 8.0), 5000.0, (64, 2, 8.0), UniqueLineModel::RunBased);
-        assert!((m - 5000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn projection_orders_cache_improvements() {
-        let p = params();
-        let base =
-            project_misses(&p, (64, 1, 8.0), 5000.0, (64, 1, 8.0), UniqueLineModel::RunBased);
-        let more_sets =
-            project_misses(&p, (64, 1, 8.0), 5000.0, (128, 1, 8.0), UniqueLineModel::RunBased);
-        let more_ways =
-            project_misses(&p, (64, 1, 8.0), 5000.0, (64, 2, 8.0), UniqueLineModel::RunBased);
-        assert!(more_sets < base);
-        assert!(more_ways < base);
     }
 
     #[test]

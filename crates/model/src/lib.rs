@@ -9,8 +9,8 @@
 //!   the instruction/data split of unified traces;
 //! * [`ahh`] — derived quantities `p2`, `u(L)`, `P(L, a)`, collisions
 //!   `Coll(S, A, L)` (with the paper's numerically stable fallback series),
-//!   miss-rate scaling between configurations, and the Lemma-2 linear
-//!   interpolation used to evaluate infeasible line sizes;
+//!   and the Lemma-2 linear interpolation used to evaluate infeasible line
+//!   sizes;
 //! * [`math`] — log-gamma / log-binomial machinery.
 //!
 //! # Quick start
@@ -35,5 +35,5 @@ pub mod ahh;
 pub mod math;
 pub mod params;
 
-pub use ahh::{collisions, scale_misses, unique_lines, UniqueLineModel};
+pub use ahh::{collisions, unique_lines, UniqueLineModel};
 pub use params::{ITraceModeler, TraceParams, UTraceModeler, UnifiedParams, I_GRANULE, U_GRANULE};

@@ -14,7 +14,7 @@
 //! are word addresses, matching the rest of the crate.
 
 use crate::access::{Access, AccessKind};
-use std::io::{BufRead, BufWriter, Lines, Write};
+use std::io::{BufRead, BufWriter, Read, Write};
 
 /// Writes an access stream in `din` format.
 ///
@@ -76,17 +76,23 @@ impl<W: Write> Write for CountingWriter<'_, W> {
     }
 }
 
+/// Longest `din` line the reader accepts, newline excluded. A valid line
+/// is a label, whitespace and at most 16 hex digits; the cap only bounds
+/// what a file without newlines can make the reader buffer.
+const MAX_DIN_LINE_BYTES: usize = 4096;
+
 /// Streaming iterator over a `din`-format trace.
 ///
 /// Created by [`read_din_iter`] (or [`read_din_iter_named`] to attach a
 /// source path); yields one access per non-blank line in constant memory,
 /// so arbitrarily long capture files can be replayed without materialising
-/// them. A malformed line yields an
+/// them. A malformed line, or one longer than 4 KiB, yields an
 /// [`std::io::ErrorKind::InvalidData`] error naming its position (and the
 /// source, when one was given), after which the iterator fuses.
 #[derive(Debug)]
 pub struct DinLines<R: BufRead> {
-    lines: Lines<R>,
+    reader: R,
+    line: Vec<u8>,
     source: Option<String>,
     line_no: usize,
     poisoned: bool,
@@ -110,59 +116,87 @@ impl<R: BufRead> Iterator for DinLines<R> {
             return None;
         }
         loop {
-            let line = match self.lines.next()? {
-                Ok(line) => line,
+            match self.read_line() {
+                Ok(true) => {}
+                Ok(false) => return None,
                 Err(e) => {
                     self.poisoned = true;
-                    let e = match &self.source {
-                        Some(path) => std::io::Error::new(e.kind(), format!("{path}: {e}")),
-                        None => e,
-                    };
                     return Some(Err(e));
                 }
+            }
+            let text = match std::str::from_utf8(&self.line) {
+                Ok(text) => text.trim(),
+                Err(_) => return Some(Err(self.fail("not UTF-8"))),
             };
-            self.line_no += 1;
-            self.bytes += line.len() as u64 + 1;
-            let text = line.trim();
             if text.is_empty() {
                 continue;
             }
-            match parse_din_line(text, self.line_no, self.source.as_deref()) {
-                Ok(a) => {
-                    self.parsed += 1;
-                    return Some(Ok(a));
-                }
-                Err(e) => {
-                    self.poisoned = true;
-                    return Some(Err(e));
-                }
+            if let Some(a) = parse_din_line(text) {
+                self.parsed += 1;
+                return Some(Ok(a));
             }
+            let text = format!("{text:?}");
+            return Some(Err(self.fail(&text)));
         }
     }
 }
 
-fn parse_din_line(text: &str, line_no: usize, source: Option<&str>) -> std::io::Result<Access> {
-    let bad = || {
-        let place = match source {
-            Some(path) => format!("{path}:{line_no}"),
-            None => format!("line {line_no}"),
+impl<R: BufRead> DinLines<R> {
+    /// Reads the next line into `line`, without its line ending; `false` at
+    /// the end of the input. Reads at most one byte past
+    /// [`MAX_DIN_LINE_BYTES`], so a file without newlines costs the cap,
+    /// not its size.
+    fn read_line(&mut self) -> std::io::Result<bool> {
+        self.line.clear();
+        let cap = MAX_DIN_LINE_BYTES as u64 + 1;
+        if let Err(e) = (&mut self.reader).take(cap).read_until(b'\n', &mut self.line) {
+            return Err(match &self.source {
+                Some(path) => std::io::Error::new(e.kind(), format!("{path}: {e}")),
+                None => e,
+            });
+        }
+        if self.line.is_empty() {
+            return Ok(false);
+        }
+        self.line_no += 1;
+        if self.line.last() == Some(&b'\n') {
+            self.line.pop();
+            if self.line.last() == Some(&b'\r') {
+                self.line.pop();
+            }
+        } else if self.line.len() > MAX_DIN_LINE_BYTES {
+            return Err(self.fail(&format!("line longer than {MAX_DIN_LINE_BYTES} bytes")));
+        }
+        self.bytes += self.line.len() as u64 + 1;
+        Ok(true)
+    }
+
+    /// Poisons the reader and returns the `InvalidData` error for the
+    /// current line.
+    fn fail(&mut self, what: &str) -> std::io::Error {
+        self.poisoned = true;
+        let place = match &self.source {
+            Some(path) => format!("{path}:{}", self.line_no),
+            None => format!("line {}", self.line_no),
         };
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("malformed din {place}: {text:?}"),
+            format!("malformed din {place}: {what}"),
         )
-    };
+    }
+}
+
+/// Parses one trimmed, non-blank `din` line; `None` if it is malformed.
+fn parse_din_line(text: &str) -> Option<Access> {
     let mut parts = text.split_whitespace();
-    let label = parts.next().ok_or_else(bad)?;
-    let addr_text = parts.next().ok_or_else(bad)?;
-    let addr = u64::from_str_radix(addr_text, 16).map_err(|_| bad())?;
-    let kind = match label {
+    let kind = match parts.next()? {
         "0" => AccessKind::Load,
         "1" => AccessKind::Store,
         "2" => AccessKind::Inst,
-        _ => return Err(bad()),
+        _ => return None,
     };
-    Ok(Access { addr, kind })
+    let addr = u64::from_str_radix(parts.next()?, 16).ok()?;
+    Some(Access { addr, kind })
 }
 
 /// Streams a `din`-format trace without materialising it.
@@ -177,7 +211,15 @@ fn parse_din_line(text: &str, line_no: usize, source: Option<&str>) -> std::io::
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub fn read_din_iter<R: BufRead>(r: R) -> DinLines<R> {
-    DinLines { lines: r.lines(), source: None, line_no: 0, poisoned: false, parsed: 0, bytes: 0 }
+    DinLines {
+        reader: r,
+        line: Vec::new(),
+        source: None,
+        line_no: 0,
+        poisoned: false,
+        parsed: 0,
+        bytes: 0,
+    }
 }
 
 /// Like [`read_din_iter`], but attaches a source name (typically the file
@@ -195,14 +237,9 @@ pub fn read_din_iter<R: BufRead>(r: R) -> DinLines<R> {
 /// assert!(err.to_string().contains("run/app.din:1"));
 /// ```
 pub fn read_din_iter_named<R: BufRead>(r: R, source: impl Into<String>) -> DinLines<R> {
-    DinLines {
-        lines: r.lines(),
-        source: Some(source.into()),
-        line_no: 0,
-        poisoned: false,
-        parsed: 0,
-        bytes: 0,
-    }
+    let mut lines = read_din_iter(r);
+    lines.source = Some(source.into());
+    lines
 }
 
 /// Reads a `din`-format trace written by [`write_din`] (or any dinero
@@ -312,5 +349,32 @@ mod tests {
     fn iter_rejects_unknown_labels_and_bad_hex() {
         assert!(read_din_iter("7 10\n".as_bytes()).next().unwrap().is_err());
         assert!(read_din_iter("0 zz\n".as_bytes()).next().unwrap().is_err());
+    }
+
+    #[test]
+    fn lines_up_to_the_cap_parse_and_longer_ones_fail_naming_their_position() {
+        let at_cap = format!("2 40{}", " ".repeat(MAX_DIN_LINE_BYTES - 4));
+        let text = format!("0 10\n{at_cap}\n{at_cap} \n2 20\n");
+        let mut it = read_din_iter_named(text.as_bytes(), "long.din");
+        assert_eq!(it.next().unwrap().unwrap(), Access::load(0x10));
+        assert_eq!(it.next().unwrap().unwrap(), Access::inst(0x40));
+        let err = it.next().unwrap().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("long.din:3"), "{err}");
+        assert!(it.next().is_none(), "iterator must fuse after an error");
+    }
+
+    #[test]
+    fn crlf_endings_and_a_last_line_without_newline_parse() {
+        let items: Vec<Access> =
+            read_din_iter("0 10\r\n2 20".as_bytes()).collect::<Result<_, _>>().unwrap();
+        assert_eq!(items, vec![Access::load(0x10), Access::inst(0x20)]);
+    }
+
+    #[test]
+    fn invalid_utf8_is_invalid_data() {
+        let err = read_din(&b"0 10\n2 4\xff\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 2"), "{err}");
     }
 }

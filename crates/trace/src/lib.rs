@@ -45,4 +45,3 @@ pub use codec::{CodecStats, FrameEntry, TraceReader, TraceWriter};
 pub use dilate::DilatedTraceGenerator;
 pub use gen::TraceGenerator;
 pub use integrity::{crc32, Crc32, Crc32Reader, Crc32Writer};
-pub use stats::TraceStats;

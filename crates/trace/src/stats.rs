@@ -1,66 +1,8 @@
-//! Summary statistics over address traces.
+//! Sizes of address traces in the `din` text format: the baseline the
+//! binary codec's compression ratio and the evaluator's replay metrics
+//! count trace volume in.
 
-use crate::access::{Access, AccessKind};
-use std::collections::HashSet;
-
-/// Counts and footprint of a trace (or trace prefix).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceStats {
-    /// Instruction references.
-    pub inst: u64,
-    /// Load references.
-    pub loads: u64,
-    /// Store references.
-    pub stores: u64,
-    /// Distinct word addresses touched.
-    pub unique_words: u64,
-    /// Distinct instruction word addresses touched.
-    pub unique_inst_words: u64,
-}
-
-impl TraceStats {
-    /// Collects statistics from an access stream.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mhe_trace::{access::Access, stats::TraceStats};
-    /// let trace = [Access::inst(1), Access::inst(1), Access::load(9)];
-    /// let s = TraceStats::collect(trace);
-    /// assert_eq!(s.inst, 2);
-    /// assert_eq!(s.loads, 1);
-    /// assert_eq!(s.unique_words, 2);
-    /// ```
-    pub fn collect(trace: impl IntoIterator<Item = Access>) -> Self {
-        let mut stats = TraceStats::default();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut seen_inst: HashSet<u64> = HashSet::new();
-        for a in trace {
-            match a.kind {
-                AccessKind::Inst => {
-                    stats.inst += 1;
-                    seen_inst.insert(a.addr);
-                }
-                AccessKind::Load => stats.loads += 1,
-                AccessKind::Store => stats.stores += 1,
-            }
-            seen.insert(a.addr);
-        }
-        stats.unique_words = seen.len() as u64;
-        stats.unique_inst_words = seen_inst.len() as u64;
-        stats
-    }
-
-    /// Total references.
-    pub fn total(&self) -> u64 {
-        self.inst + self.loads + self.stores
-    }
-
-    /// Data references.
-    pub fn data(&self) -> u64 {
-        self.loads + self.stores
-    }
-}
+use crate::access::Access;
 
 /// Bytes one access occupies as a `din` text line
 /// (`<label> <hex address>\n`).
@@ -90,23 +32,6 @@ pub fn din_text_bytes(trace: impl IntoIterator<Item = Access>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::TraceGenerator;
-    use mhe_vliw::{compile::Compiled, mdes::ProcessorKind};
-    use mhe_workload::Benchmark;
-
-    #[test]
-    fn totals_add_up() {
-        let s = TraceStats::collect([
-            Access::inst(1),
-            Access::load(2),
-            Access::store(3),
-            Access::store(3),
-        ]);
-        assert_eq!(s.total(), 4);
-        assert_eq!(s.data(), 3);
-        assert_eq!(s.unique_words, 3);
-        assert_eq!(s.unique_inst_words, 1);
-    }
 
     #[test]
     fn din_sizes_match_rendered_text() {
@@ -120,21 +45,5 @@ mod tests {
         let mut buf = Vec::new();
         crate::io::write_din(&mut buf, trace).unwrap();
         assert_eq!(din_text_bytes(trace), buf.len() as u64);
-    }
-
-    #[test]
-    fn empty_trace_is_all_zero() {
-        let s = TraceStats::collect(std::iter::empty());
-        assert_eq!(s, TraceStats::default());
-    }
-
-    #[test]
-    fn real_trace_footprint_is_bounded_by_text_plus_data() {
-        let p = Benchmark::Unepic.generate();
-        let c = Compiled::build(&p, &ProcessorKind::P1111.mdes(), None);
-        let s = TraceStats::collect(TraceGenerator::new(&p, &c, 1).take(100_000));
-        assert!(s.unique_inst_words <= c.binary.text_words);
-        assert!(s.unique_words >= s.unique_inst_words);
-        assert!(s.total() == 100_000);
     }
 }

@@ -37,7 +37,6 @@ pub mod format;
 pub mod link;
 pub mod mdes;
 pub mod sched;
-pub mod stats;
 
 pub use compile::{text_dilation, Compiled};
 pub use mdes::{Mdes, ProcessorKind};

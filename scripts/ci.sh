@@ -19,8 +19,8 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> miss_anatomy example (cargo test compiles examples but never runs them)"
-cargo run --release -q --example miss_anatomy > /dev/null
+echo "==> quickstart example (cargo test compiles examples but never runs them)"
+cargo run --release -q --example quickstart > /dev/null
 
 echo "==> costs (reads all_results() of a for_configs simulator: asking for an uncovered point panics)"
 MHE_EVENTS=20000 cargo run --release -q -p mhe-bench --bin costs > /dev/null

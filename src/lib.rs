@@ -11,7 +11,7 @@
 //! | [`workload`] | `mhe-workload` | program IR, synthetic benchmarks, execution engine |
 //! | [`vliw`] | `mhe-vliw` | machine descriptions, scheduler, instruction formats, assembler, linker |
 //! | [`trace`] | `mhe-trace` | address-trace generation, dilated traces |
-//! | [`cache`] | `mhe-cache` | direct / single-pass / hierarchical cache simulation |
+//! | [`cache`] | `mhe-cache` | direct and single-pass cache simulation, memory-design geometry |
 //! | [`model`] | `mhe-model` | trace parameters, the AHH analytic cache model |
 //! | [`core`] | `mhe-core` | **the dilation model** and hierarchical evaluation |
 //! | [`sampling`] | `mhe-sampling` | interval sampling: signatures, clustering, sampled simulation |

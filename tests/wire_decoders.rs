@@ -7,19 +7,25 @@
 //! hold. The `.mtr` seek path (a sampled replay's second pass) reads a
 //! file that may have changed since its frames were indexed; a stale
 //! entry, a truncation or a flipped bit must come back as `InvalidData`
-//! and poison the reader. A counting global allocator measures what each
-//! decode allocates on the calling thread.
+//! and poison the reader. The `.din` reader, the MHEC evaluation database
+//! and the checkpoint read files the same way: any bytes give a value or
+//! a structured error, within the same budget. A counting global
+//! allocator measures what each decode allocates on the calling thread.
 
+use mhe::cache::{CacheConfig, Policy};
 use mhe::spacewalk::service::proto::{
     decode_coord_frame, decode_request, decode_response, decode_worker_frame, handshake, Handshake,
     FEATURE_FRONTIER, HANDSHAKE_LEN,
 };
+use mhe::spacewalk::{CacheDesign, Checkpointer, EvaluationCache, MetricKey};
 use mhe::trace::codec::{MAGIC, MAX_FRAME_ACCESSES, MAX_FRAME_PAYLOAD, VERSION};
+use mhe::trace::io::read_din_iter_named;
 use mhe::trace::{Access, Crc32, FrameEntry, TraceReader, TraceWriter};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Cursor, ErrorKind};
+use std::sync::Arc;
 
 mod common;
 
@@ -281,4 +287,59 @@ fn mtr_seek_rejects_every_bit_flip_of_a_recorded_frame() {
             assert_seek_rejected(&flipped, &entry, &index[1], &format!("bit {bit}"));
         }
     }
+}
+
+#[test]
+fn din_line_without_a_newline_fails_without_buffering_the_file() {
+    let bytes = vec![b'2'; 4 << 20];
+    let mut lines = read_din_iter_named(bytes.as_slice(), "capture.din");
+    let (first, allocated) = allocated_by(|| lines.next());
+    let err = first.expect("one item").expect_err("a 4 MiB line must not parse");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("capture.din:1"), "{err}");
+    assert!(allocated < BUDGET, "a 4 MiB line allocated {allocated} bytes");
+    assert!(lines.next().is_none(), "a failed reader yields nothing more");
+}
+
+/// Every prefix and every single-bit flip of a saved evaluation database
+/// loads to `Ok` or to an `InvalidData`/`UnexpectedEof` error, within the
+/// budget. `Checkpointer::load` reads its file through
+/// `EvaluationCache::load`, so this one case covers both the MHEC
+/// database and the checkpoint.
+#[test]
+fn every_prefix_and_bit_flip_of_a_database_loads_or_fails_within_budget() {
+    let app: Arc<str> = Arc::from("unepic");
+    let base = CacheConfig::new(64, 2, 8);
+    let db = EvaluationCache::new();
+    db.insert(MetricKey::icache(&app, CacheDesign::single_ported(base), 1.5), 1234.0);
+    let fifo = CacheDesign::single_ported(base.with_policy(Policy::Fifo));
+    db.insert(MetricKey::dcache(&app, fifo), 56.5);
+    db.insert(MetricKey::proc_cycles(&app, "6332"), 9.0e6);
+    let dir = std::env::temp_dir().join(format!("mhe_wire_db_{}", std::process::id()));
+    let ckpt = Checkpointer::new(&dir).unwrap();
+    ckpt.save(&db).unwrap();
+    let saved = std::fs::read(ckpt.cache_path()).unwrap();
+    let load = |bytes: &[u8], what: &str| {
+        std::fs::write(ckpt.cache_path(), bytes).unwrap();
+        let (result, allocated) = allocated_by(|| ckpt.load());
+        if let Err(err) = result {
+            let kind = err.kind();
+            assert!(
+                matches!(kind, ErrorKind::InvalidData | ErrorKind::UnexpectedEof),
+                "{what}: {kind:?}: {err}"
+            );
+        }
+        assert!(allocated < BUDGET, "{what}: allocated {allocated} bytes");
+    };
+    for len in 0..saved.len() {
+        load(&saved[..len], &format!("prefix {len}"));
+    }
+    for bit in 0..saved.len() * 8 {
+        let mut flipped = saved.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        load(&flipped, &format!("bit {bit}"));
+    }
+    load(&saved, "the saved file");
+    assert_eq!(ckpt.load().unwrap().entries(), db.entries());
+    std::fs::remove_dir_all(&dir).ok();
 }
