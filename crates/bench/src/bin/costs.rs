@@ -7,7 +7,9 @@
 //! substrate: wall-clock for (a) the naive scheme scaled from measured
 //! per-pass costs, (b) the paper's scheme, on an actual design space.
 //! The reference trace is generated once and timed on its own, so the
-//! direct and single-pass timings are simulation only.
+//! direct and single-pass timings are simulation only. The end-to-end
+//! build then lists one line per single-pass simulation it ran, so the
+//! grid-simulation time can be read per family.
 
 use mhe_cache::{Cache, SinglePassSim};
 use mhe_core::evaluator::{EvalConfig, ReferenceEvaluation};
@@ -101,6 +103,22 @@ fn main() {
         &ucaches,
     );
     let build_cost = t3.elapsed();
+    println!("\nsingle-pass simulations of that reference evaluation, one per family:");
+    println!(
+        "  {:<11} {:>4} {:<6} {:>7} {:>10} {:>10}",
+        "stream", "line", "policy", "configs", "addresses", "wall"
+    );
+    for p in &eval.metrics().passes {
+        println!(
+            "  {:<11} {:>4} {:<6} {:>7} {:>10} {:>9.3}s",
+            format!("{:?}", p.stream),
+            p.line_words,
+            p.policy.to_string(),
+            p.configs,
+            p.addresses,
+            p.wall.as_secs_f64()
+        );
+    }
     let t4 = Instant::now();
     let mut estimates = 0usize;
     for proc in &space.processors {

@@ -127,16 +127,15 @@ impl FromStr for Policy {
 /// The per-set state machine behind one cache set.
 ///
 /// `lookup` answers a reference (updating recency state on a hit);
-/// `insert` admits a missed block and returns the evicted one.
+/// `insert` admits a missed block, evicting a victim from a full set.
 pub trait ReplacementPolicy {
     /// References `block`; returns whether it was resident. A hit may
     /// update replacement state (LRU recency, PLRU direction bits).
     fn lookup(&mut self, block: u64) -> bool;
 
     /// Inserts `block` after a miss, evicting a victim if the set is
-    /// full; returns the victim. Callers must only insert blocks that
-    /// just missed.
-    fn insert(&mut self, block: u64) -> Option<u64>;
+    /// full. Callers must only insert blocks that just missed.
+    fn insert(&mut self, block: u64);
 
     /// Residency probe that never perturbs replacement state.
     fn contains(&self, block: u64) -> bool;
@@ -173,10 +172,11 @@ impl ReplacementPolicy for LruSet {
         }
     }
 
-    fn insert(&mut self, block: u64) -> Option<u64> {
-        let evicted = if self.ways.len() == self.cap { self.ways.pop() } else { None };
+    fn insert(&mut self, block: u64) {
+        if self.ways.len() == self.cap {
+            self.ways.pop();
+        }
         self.ways.insert(0, block);
-        evicted
     }
 
     fn contains(&self, block: u64) -> bool {
@@ -211,10 +211,11 @@ impl ReplacementPolicy for FifoSet {
         self.ways.contains(&block)
     }
 
-    fn insert(&mut self, block: u64) -> Option<u64> {
-        let evicted = if self.ways.len() == self.cap { self.ways.pop_front() } else { None };
+    fn insert(&mut self, block: u64) {
+        if self.ways.len() == self.cap {
+            self.ways.pop_front();
+        }
         self.ways.push_back(block);
-        evicted
     }
 
     fn contains(&self, block: u64) -> bool {
@@ -304,18 +305,16 @@ impl ReplacementPolicy for PlruSet {
         }
     }
 
-    fn insert(&mut self, block: u64) -> Option<u64> {
-        if self.ways.len() < self.cap {
-            let way = self.ways.len();
+    fn insert(&mut self, block: u64) {
+        let way = if self.ways.len() < self.cap {
             self.ways.push(block);
-            self.touch(way);
-            None
+            self.ways.len() - 1
         } else {
             let way = self.victim();
-            let evicted = std::mem::replace(&mut self.ways[way], block);
-            self.touch(way);
-            Some(evicted)
-        }
+            self.ways[way] = block;
+            way
+        };
+        self.touch(way);
     }
 
     fn contains(&self, block: u64) -> bool {
@@ -377,15 +376,14 @@ impl ReplacementPolicy for RandomSet {
         self.ways.contains(&block)
     }
 
-    fn insert(&mut self, block: u64) -> Option<u64> {
+    fn insert(&mut self, block: u64) {
         if self.ways.len() < self.cap {
             self.ways.push(block);
-            None
         } else {
             // Draw only on evictions so hit-heavy traces don't desync
             // the stream between otherwise-identical runs.
             let way = (splitmix64(&mut self.state) % self.cap as u64) as usize;
-            Some(std::mem::replace(&mut self.ways[way], block))
+            self.ways[way] = block;
         }
     }
 
@@ -430,7 +428,7 @@ impl ReplacementPolicy for SetEngine {
         }
     }
 
-    fn insert(&mut self, block: u64) -> Option<u64> {
+    fn insert(&mut self, block: u64) {
         match self {
             SetEngine::Lru(s) => s.insert(block),
             SetEngine::Fifo(s) => s.insert(block),
@@ -527,12 +525,15 @@ mod tests {
         // protected); accessing way 0 then inserting must not evict 0.
         let mut e = Policy::PlruTree.new_set(4, 0);
         for b in 0..4u64 {
-            assert!(e.insert(b).is_none());
+            e.insert(b);
         }
         assert!(e.lookup(0));
-        let evicted = e.insert(99).expect("full set evicts");
-        assert_ne!(evicted, 0, "PLRU must not evict the just-touched way");
-        assert!(e.contains(0) && e.contains(99));
+        e.insert(99);
+        assert!(e.contains(0), "PLRU must not evict the just-touched way");
+        assert!(e.contains(99));
+        let gone = (1..4u64).filter(|&b| !e.contains(b)).count();
+        assert_eq!(gone, 1, "a full set evicts exactly one old resident");
+        assert_eq!(e.resident(), 4);
     }
 
     #[test]
@@ -579,14 +580,16 @@ mod tests {
     }
 
     #[test]
-    fn insert_reports_victim_for_every_policy() {
+    fn insert_evicts_exactly_one_resident_for_every_policy() {
         for p in Policy::all() {
             let mut e = p.new_set(2, 0);
-            assert_eq!(e.insert(1), None);
-            assert_eq!(e.insert(2), None);
-            let v = e.insert(3).unwrap_or_else(|| panic!("{p}: full set must evict"));
-            assert!(v == 1 || v == 2, "{p}: victim {v} must be a resident block");
-            assert!(!e.contains(v), "{p}: victim must be gone");
+            e.insert(1);
+            e.insert(2);
+            assert!(e.contains(1) && e.contains(2), "{p}: a set with room evicts nothing");
+            e.insert(3);
+            assert!(e.contains(3), "{p}");
+            let gone = [1u64, 2].iter().filter(|&&b| !e.contains(b)).count();
+            assert_eq!(gone, 1, "{p}: a full set evicts exactly one old resident");
             assert_eq!(e.resident(), 2);
         }
     }

@@ -11,10 +11,19 @@
 //! * **LRU** — Mattson stack inclusion: within a set, a reference at stack
 //!   depth `p` hits every cache of associativity `> p`, so one truncated
 //!   stack per set covers the whole associativity axis. The stacks of one
-//!   set count live in one flat `sets × depth` table, `depth` the largest
-//!   associativity covered at that set count: a hit rotates the prefix
-//!   down to its depth, a miss shifts the row and stores the block at the
-//!   top.
+//!   set count live in one flat `sets × D` table, and every table of the
+//!   simulator has the same depth `D`: the largest covered associativity,
+//!   rounded up to a power of two. A deeper stack only adds information,
+//!   and a cache of associativity `A` still sums the hits at depths
+//!   below `A`, so counts stay exact. Every call that feeds references
+//!   ([`SinglePassSim::run`] and its kin) picks the kernel once, by `D`,
+//!   not per table visit. For `D ∈ {1, 2, 4, 8}` it is const-generic
+//!   and, past the set-refinement stop below, free of data-dependent
+//!   branches: it compares all `D` ways of the row, masked by the set's
+//!   fill count, takes the first match as the hit depth (`D` on a miss),
+//!   moves the ways above it down one by selects, stores the block on
+//!   top and counts a miss in a spare depth-`D` slot. Deeper stacks keep
+//!   a scan that stops at the hit.
 //! * **FIFO** — bounded insertion rings, in the spirit of DEW (Haque et
 //!   al.): FIFO has no stack inclusion, but hits never reorder the queue,
 //!   so each covered `(set, assoc)` cache is simulated by a ring of
@@ -105,28 +114,24 @@ enum Engine {
     Direct(Vec<DirectTable>),
 }
 
-/// One set count's state in an engine.
-trait Table {
-    /// Feeds `block` to the table, whose covered associativities are
-    /// `assocs`, unless the block is its set's last block. Returns whether
-    /// it was; the table is then unchanged.
-    fn access(&mut self, block: u64, assocs: &[u32]) -> bool;
-}
-
 /// Feeds each block to `tables` from the smallest set count up, stopping
-/// at the first table where it is its set's last block. Returns the
-/// number of blocks fed.
-fn refine<T: Table>(
+/// at the first table where `access` reports it is its set's last block
+/// (the table is then unchanged). Returns the number of blocks fed.
+///
+/// `access` is the table kernel, passed as a function so that each engine,
+/// and each fixed LRU depth, compiles into its own copy of the loop.
+fn refine<T>(
     tables: &mut [T],
     assocs: &[Vec<u32>],
     stops: &mut [u64],
     blocks: impl Iterator<Item = u64>,
+    mut access: impl FnMut(&mut T, u64, &[u32]) -> bool,
 ) -> u64 {
     let mut fed = 0;
     for block in blocks {
         fed += 1;
         for ((table, assocs), stops) in tables.iter_mut().zip(assocs).zip(stops.iter_mut()) {
-            if table.access(block, assocs) {
+            if access(table, block, assocs) {
                 *stops += 1;
                 break;
             }
@@ -139,7 +144,8 @@ fn refine<T: Table>(
 struct StackTable {
     /// `sets - 1`: the set index of a block is `block & mask`.
     mask: u64,
-    /// Ways per stack: the largest covered associativity.
+    /// Ways per stack: the family's largest covered associativity,
+    /// rounded up to a power of two, the same in every table.
     depth: usize,
     /// Per-set LRU stacks, row-major `[set][depth]`, MRU first; only the
     /// first `fill[set]` ways are valid.
@@ -149,31 +155,66 @@ struct StackTable {
     /// `hits_at_depth[d]` = hits at stack depth `d`, so a cache with
     /// associativity `A` hits `sum(hits_at_depth[..A])` plus the stops.
     /// Depth 0 is the set's last block, so those hits are stops and
-    /// `hits_at_depth[0]` stays 0.
+    /// `hits_at_depth[0]` stays 0. A spare last slot, at depth `depth`,
+    /// counts the misses of the fixed-depth kernel, so that it counts a
+    /// hit and a miss with one increment.
     hits_at_depth: Vec<u64>,
 }
 
 impl StackTable {
-    fn new(sets: u32, depth: u32) -> Self {
-        let depth = depth as usize;
+    fn new(sets: u32, depth: usize) -> Self {
         Self {
             mask: u64::from(sets) - 1,
             depth,
             ways: vec![0; sets as usize * depth],
             fill: vec![0; sets as usize],
-            hits_at_depth: vec![0; depth],
+            hits_at_depth: vec![0; depth + 1],
         }
     }
-}
 
-impl Table for StackTable {
+    /// The kernel for a stack of exactly `D` ways: after the MRU check
+    /// (the set-refinement stop), no branch depends on the data. The hit
+    /// depth comes from comparing all `D` ways, masked by the fill count
+    /// (`D` on a miss); the ways above it move down one by selects, and
+    /// the block goes on top.
     #[inline]
-    fn access(&mut self, block: u64, _assocs: &[u32]) -> bool {
+    fn access_fixed<const D: usize>(&mut self, block: u64, _assocs: &[u32]) -> bool {
+        let si = (block & self.mask) as usize;
+        let row: &mut [u64; D] =
+            (&mut self.ways[si * D..][..D]).try_into().expect("a row is D ways");
+        let len = self.fill[si] as usize;
+        // The MRU way holds the set's last block.
+        if len > 0 && row[0] == block {
+            return true;
+        }
+        let mut matches = 0u32;
+        for (i, &way) in row.iter().enumerate() {
+            matches |= u32::from(way == block) << i;
+        }
+        // Bit `D` stands for "not found": a miss shifts the whole row.
+        let valid = (1u32 << len) - 1;
+        let pos = ((matches & valid) | (1 << D)).trailing_zeros() as usize;
+        self.hits_at_depth[pos] += 1;
+        let old = *row;
+        for i in 1..D {
+            row[i] = if i <= pos { old[i - 1] } else { old[i] };
+        }
+        row[0] = block;
+        self.fill[si] = (len + usize::from(pos == D)).min(D) as u32;
+        false
+    }
+
+    /// The kernel for stacks deeper than 8 ways, with the depth read at
+    /// run time. It stays a scan with an early exit: a compare-and-select
+    /// row does all of its ways' work on every reference, which pays at
+    /// up to 8 ways but grows with the depth, while no grid of the
+    /// paper's spaces asks for more than 8 ways.
+    #[inline]
+    fn access_deep(&mut self, block: u64, _assocs: &[u32]) -> bool {
         let depth = self.depth;
         let si = (block & self.mask) as usize;
         let fill = &mut self.fill[si];
         let len = *fill as usize;
-        // The MRU way holds the set's last block.
         if len > 0 && self.ways[si * depth] == block {
             return true;
         }
@@ -230,7 +271,7 @@ impl RingTable {
     }
 }
 
-impl Table for RingTable {
+impl RingTable {
     #[inline]
     fn access(&mut self, block: u64, assocs: &[u32]) -> bool {
         let si = (block & self.mask) as usize;
@@ -305,7 +346,7 @@ impl DirectTable {
     }
 }
 
-impl Table for DirectTable {
+impl DirectTable {
     #[inline]
     fn access(&mut self, block: u64, _assocs: &[u32]) -> bool {
         let si = (block & self.mask) as usize;
@@ -404,7 +445,8 @@ impl SinglePassSim {
         let tables = set_counts.iter().zip(&assocs);
         let engine = match policy {
             Policy::Lru => {
-                Engine::Stack(tables.map(|(&s, a)| StackTable::new(s, a[a.len() - 1])).collect())
+                let depth = (max_assoc as usize).next_power_of_two();
+                Engine::Stack(tables.map(|(&s, _)| StackTable::new(s, depth)).collect())
             }
             Policy::Fifo => Engine::Rings(tables.map(|(&s, a)| RingTable::new(s, a)).collect()),
             Policy::PlruTree | Policy::Random(_) => {
@@ -457,10 +499,18 @@ impl SinglePassSim {
         let shift = self.line_words.trailing_zeros();
         let blocks = addrs.into_iter().map(|a| a >> shift);
         let (assocs, stops) = (&self.assocs, &mut self.stops);
+        // The engine, and for LRU the stack depth, is chosen here, once
+        // per call: each arm compiles its own copy of the loop.
         let fed = match &mut self.engine {
-            Engine::Stack(tables) => refine(tables, assocs, stops, blocks),
-            Engine::Rings(tables) => refine(tables, assocs, stops, blocks),
-            Engine::Direct(tables) => refine(tables, assocs, stops, blocks),
+            Engine::Stack(tables) => match tables[0].depth {
+                1 => refine(tables, assocs, stops, blocks, StackTable::access_fixed::<1>),
+                2 => refine(tables, assocs, stops, blocks, StackTable::access_fixed::<2>),
+                4 => refine(tables, assocs, stops, blocks, StackTable::access_fixed::<4>),
+                8 => refine(tables, assocs, stops, blocks, StackTable::access_fixed::<8>),
+                _ => refine(tables, assocs, stops, blocks, StackTable::access_deep),
+            },
+            Engine::Rings(tables) => refine(tables, assocs, stops, blocks, RingTable::access),
+            Engine::Direct(tables) => refine(tables, assocs, stops, blocks, DirectTable::access),
         };
         self.accesses += fed;
         fed

@@ -1,6 +1,7 @@
 //! Property tests: the single-pass simulator is exactly equivalent to
 //! direct simulation under every policy, over the whole address range and on
-//! full and sparse grids, and LRU inclusion properties hold.
+//! full and sparse grids at any stack depth, and LRU inclusion properties
+//! hold.
 
 use mhe_cache::{simulate, CacheConfig, Policy, SinglePassSim};
 use mhe_trace::{Access, StreamKind};
@@ -150,6 +151,44 @@ proptest! {
                         "{} S={} A={} L={} chunk={}", policy, sets, assoc, line, chunk
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn stacks_rounded_up_or_deeper_than_eight_ways_equal_direct(
+        trace in edge_case_trace_strategy(),
+        line_pow in 0u32..4,
+        // The largest asked associativity: a non-power-of-two the LRU
+        // stacks round up (3 to 4, 5-7 to 8), 8 itself, or 9-32, the
+        // stacks deeper than the fixed-depth kernels.
+        top in prop_oneof![(0usize..5).prop_map(|i| [3u32, 5, 6, 7, 8][i]), 9u32..33],
+        // More (set count index, assoc) points, each assoc folded into
+        // 1..=top.
+        picks in prop::collection::vec((0usize..4, 1u32..33), 0..8),
+    ) {
+        let line = 1u32 << line_pow;
+        let set_counts = [1u32, 4, 16, 64];
+        // The smallest set count asks for the deepest stack and the
+        // largest for a direct-mapped cache, so one table's stacks are far
+        // deeper than any of its asked associativities.
+        let mut asked: BTreeSet<(u32, u32)> = BTreeSet::from([(1, top), (64, 1)]);
+        asked.extend(picks.iter().map(|&(si, a)| (set_counts[si], 1 + (a - 1) % top)));
+        for policy in Policy::all() {
+            let configs: Vec<CacheConfig> = asked
+                .iter()
+                .map(|&(sets, assoc)| CacheConfig::new(sets, assoc, line).with_policy(policy))
+                .collect();
+            let mut sp = SinglePassSim::for_configs(&configs);
+            sp.run(trace.iter().copied());
+            prop_assert_eq!(sp.max_assoc(), top);
+            for cfg in &configs {
+                let direct = simulate(*cfg, trace.iter().copied());
+                prop_assert_eq!(
+                    sp.misses(cfg.sets, cfg.assoc),
+                    direct.misses,
+                    "{} S={} A={} L={} top={}", policy, cfg.sets, cfg.assoc, line, top
+                );
             }
         }
     }

@@ -355,8 +355,54 @@ enum StreamTask {
     Plan { planner: Box<SamplePlanner>, wall: Duration },
 }
 
+/// The addresses of one pass A chunk's instruction and data streams,
+/// split once per chunk so that no simulator filters every access. One
+/// value serves a whole measurement: [`ChunkStreams::split`] refills a
+/// single buffer of one chunk's length, instruction addresses first.
+struct ChunkStreams {
+    addrs: Vec<u64>,
+    /// Instruction addresses at the front of `addrs`.
+    insts: usize,
+}
+
+impl ChunkStreams {
+    fn with_capacity(accesses: usize) -> Self {
+        Self { addrs: Vec::with_capacity(accesses), insts: 0 }
+    }
+
+    fn split(&mut self, chunk: &[Access]) {
+        // Instruction addresses fill the buffer from the front and data
+        // addresses from the back. Every access is written at both ends,
+        // and only the end that matches its kind advances, so no branch
+        // depends on the kind: a write the other end does not keep lands
+        // in the unfilled middle. The data part, filled backwards, is then
+        // turned around into trace order.
+        self.addrs.resize(chunk.len(), 0);
+        let (mut front, mut back) = (0, chunk.len());
+        for a in chunk {
+            let inst = StreamKind::Instruction.admits(a.kind);
+            self.addrs[front] = a.addr;
+            self.addrs[back - 1] = a.addr;
+            front += usize::from(inst);
+            back -= usize::from(!inst);
+        }
+        self.addrs[front..].reverse();
+        self.insts = front;
+    }
+
+    fn inst(&self) -> &[u64] {
+        &self.addrs[..self.insts]
+    }
+
+    fn data(&self) -> &[u64] {
+        &self.addrs[self.insts..]
+    }
+}
+
 impl StreamTask {
-    fn feed(&mut self, chunk: &[Access]) {
+    /// Feeds `chunk`; `streams` holds its split when the task list has a
+    /// simulator (see [`measure`]).
+    fn feed(&mut self, chunk: &[Access], streams: &ChunkStreams) {
         let start = Instant::now();
         match self {
             StreamTask::IModel { modeler, wall } => {
@@ -374,7 +420,11 @@ impl StreamTask {
                 *wall += start.elapsed();
             }
             StreamTask::Sim { kind, sim, wall, .. } => {
-                sim.run_stream(*kind, chunk.iter().copied());
+                match kind {
+                    StreamKind::Instruction => sim.run(streams.inst().iter().copied()),
+                    StreamKind::Data => sim.run(streams.data().iter().copied()),
+                    StreamKind::Unified => sim.run(chunk.iter().map(|a| a.addr)),
+                }
                 *wall += start.elapsed();
             }
             StreamTask::Plan { planner, wall } => {
@@ -477,6 +527,7 @@ fn run_sampled_task(
     let pass = PassMetrics {
         stream: kind,
         line_words: line,
+        policy: configs[0].policy,
         configs: configs.len(),
         addresses: sim.sim_accesses(),
         wall: start.elapsed(),
@@ -585,6 +636,13 @@ fn measure(
     source: &mut dyn TwoPass,
 ) -> io::Result<StreamOutcome> {
     let families = families(config, icaches, dcaches, ucaches);
+    // Only simulators read the split, and only the exact route runs them
+    // in pass A. The buffer is allocated here, before the simulators'
+    // tables, and freed after the last chunk: allocated at the first chunk
+    // and freed at the end, it stayed resident as a hole in the heap
+    // (`fleet-2`'s peak RSS +7%, against +3% this way).
+    let split = config.sampling.is_none();
+    let mut streams = ChunkStreams::with_capacity(if split { config.chunk_accesses } else { 0 });
     let mut tasks = vec![
         StreamTask::IModel { modeler: ITraceModeler::new(config.i_granule), wall: Duration::ZERO },
         StreamTask::UModel { modeler: UTraceModeler::new(config.u_granule), wall: Duration::ZERO },
@@ -623,14 +681,19 @@ fn measure(
         trace_len += chunk.len() as u64;
         chunks += 1;
         let sim_start = Instant::now();
+        if split {
+            streams.split(&chunk);
+        }
         sweep
             .try_for_each_mut_in(Some(mhe_obs::Phase::Simulate), &mut tasks, |t| {
-                t.feed(&chunk);
+                t.feed(&chunk, &streams);
                 Ok(())
             })
             .map_err(|e| io::Error::other(e.error.to_string()))?;
         sim_wall += sim_start.elapsed();
     }
+
+    drop(streams);
 
     // --- Finish every task, in task order (so metrics are deterministic
     // too). ---
@@ -657,6 +720,7 @@ fn measure(
                 let pass = PassMetrics {
                     stream: kind,
                     line_words: sim.line_words(),
+                    policy: sim.policy(),
                     configs: configs.len(),
                     addresses: sim.accesses(),
                     wall,
@@ -1186,6 +1250,7 @@ pub fn dilated_misses(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhe_trace::AccessKind;
     use mhe_vliw::mdes::ProcessorKind;
     use mhe_workload::Benchmark;
 
@@ -1481,6 +1546,27 @@ mod tests {
         );
         let ok = EvalConfig::builder().sampling(SamplingConfig::default()).build().unwrap();
         assert_eq!(ok.sampling, Some(SamplingConfig::default()));
+    }
+
+    #[test]
+    fn chunk_split_keeps_each_stream_in_trace_order() {
+        let chunk = [
+            Access::load(10),
+            Access::inst(1),
+            Access::inst(2),
+            Access::store(11),
+            Access::load(12),
+            Access::inst(3),
+        ];
+        let mut streams = ChunkStreams::with_capacity(2);
+        for part in [&chunk[..], &chunk[..1], &chunk[1..3], &chunk[..]] {
+            streams.split(part);
+            let want = |keep: fn(&Access) -> bool| -> Vec<u64> {
+                part.iter().filter(|a| keep(a)).map(|a| a.addr).collect()
+            };
+            assert_eq!(streams.inst(), want(|a| a.kind == AccessKind::Inst));
+            assert_eq!(streams.data(), want(|a| a.kind != AccessKind::Inst));
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! one schema so every surface (bench bins, the spacewalker CLI, this
 //! evaluator) reports the same way.
 
+use mhe_cache::Policy;
 use mhe_obs::{PhaseStats, RunReport};
 use mhe_trace::StreamKind;
 use std::time::Duration;
@@ -22,6 +23,9 @@ pub struct PassMetrics {
     pub stream: StreamKind,
     /// The pass's common line size in words.
     pub line_words: u32,
+    /// The pass's common replacement policy, which tells apart two passes
+    /// over one stream at one line size.
+    pub policy: Policy,
     /// Number of cache configurations covered by the pass.
     pub configs: usize,
     /// Addresses simulated.
@@ -333,6 +337,7 @@ mod tests {
         PassMetrics {
             stream,
             line_words: line,
+            policy: Policy::Lru,
             configs,
             addresses: addrs,
             wall: Duration::from_millis(ms),

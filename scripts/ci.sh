@@ -40,6 +40,9 @@ timeout 300 cargo test -q --release -p mhe --test policy_differential
 echo "==> single-pass engines vs the direct oracle, release build (overflow checks off, as the benchmark runs them)"
 cargo test -q --release -p mhe-cache
 
+echo "==> frontier goldens and pipeline, release build (the single-pass kernels optimized, overflow checks off, as the benchmark runs them)"
+cargo test -q --release -p mhe --test golden --test pipeline
+
 echo "==> ParallelSweep's fan-out loop and the core engine, release build (the loop's concurrency tests optimized, as the benchmark runs the loop)"
 cargo test -q --release -p mhe-core
 
