@@ -978,18 +978,6 @@ impl ReferenceEvaluation {
         &self.config
     }
 
-    /// Overrides the worker-thread count used by downstream parallel
-    /// consumers (walkers, sweeps) without rebuilding the evaluation.
-    /// `0` restores the automatic `MHE_THREADS`/parallelism default.
-    ///
-    /// Thread count is normally a construction-time concern — set it with
-    /// [`EvalConfig::builder`]'s `.threads(n)` — so this explicit
-    /// override exists only for benchmarks that sweep thread counts over
-    /// one already-simulated evaluation.
-    pub fn override_worker_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
-    }
-
     /// The application program.
     pub fn program(&self) -> &Program {
         &self.program

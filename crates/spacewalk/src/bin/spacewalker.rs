@@ -50,11 +50,11 @@
 
 use mhe_core::evaluator::{EvalConfig, ReferenceEvaluation};
 use mhe_core::{EXIT_BAD_CONFIG, EXIT_CORRUPT_INPUT, EXIT_SERVER_UNAVAILABLE, EXIT_WORKER_FAILURE};
-use mhe_spacewalk::cache_db::{EvaluationCache, MetricKey};
+use mhe_spacewalk::cache_db::EvaluationCache;
 use mhe_spacewalk::ckpt::Checkpointer;
 use mhe_spacewalk::cli::{self, Args, Command};
 use mhe_spacewalk::fleet::{run_worker, Coordinator, FleetConfig, FleetJob, WorkerOptions};
-use mhe_spacewalk::heuristic::walk_heuristic;
+use mhe_spacewalk::heuristic::prewarm_icache;
 use mhe_spacewalk::service::proto::{FrontierReport, FrontierRequest};
 use mhe_spacewalk::spec::Spec;
 use mhe_spacewalk::{render_frontier, report_from, walker, Client};
@@ -211,17 +211,9 @@ fn walk(args: &Args) -> Result<(), CliError> {
         // Demonstrate the pruning on the instruction-cache walk at each
         // processor's dilation. The heuristic shares the system cache, so
         // every design it touches pre-warms the full walk below.
-        let app: Arc<str> = Arc::from(eval.program().name.as_str());
-        for proc in &spec.space.processors {
-            let d = eval.dilation_of(proc);
-            let r = walk_heuristic(
-                &spec.space.icache,
-                &db,
-                eval.config().worker_threads(),
-                |design| MetricKey::icache(&app, design, d),
-                |design| eval.estimate_icache_misses(design.config, d),
-            )
-            .map_err(|e| (e.exit_code(), format!("heuristic I$ walk @ {}: {e}", proc.name)))?;
+        let results = prewarm_icache(&eval, &spec.space, &db)
+            .map_err(|(proc, e)| (e.exit_code(), format!("heuristic I$ walk @ {proc}: {e}")))?;
+        for (proc, r) in spec.space.processors.iter().zip(results) {
             eprintln!(
                 "heuristic I$ walk @ {}: evaluated {}/{} designs, frontier {}",
                 proc.name,

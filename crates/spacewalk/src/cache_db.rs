@@ -145,15 +145,15 @@ const VERSION: u8 = 3;
 
 /// Sharded, concurrent memoization table for design metrics.
 ///
-/// All operations take `&self`: walkers running on a [`ParallelSweep`]
-/// share one cache without cloning or locking the whole table. Lookups
+/// All operations take `&self`: concurrent walks (the daemon's request
+/// threads, the target sweep of a system walk, a fleet coordinator's
+/// connection handlers) share one cache without cloning or locking the
+/// whole table. Lookups
 /// lock only the shard owning the key; computations run *outside* any
 /// lock, so a slow evaluation never blocks unrelated designs. If two
 /// threads race to compute the same key, the first insert wins and both
 /// observe the same value (evaluations are deterministic, so the loser's
 /// result is identical anyway).
-///
-/// [`ParallelSweep`]: mhe_core::ParallelSweep
 #[derive(Debug)]
 pub struct EvaluationCache {
     shards: Vec<Mutex<HashMap<MetricKey, f64>>>,

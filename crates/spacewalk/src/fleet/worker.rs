@@ -338,17 +338,13 @@ fn work_shard(
         .collect();
 
     let _span = mhe_obs::span(mhe_obs::Phase::Fleet);
-    let results = walker::fan_out(eval.config().worker_threads(), items, |item| {
-        evaluate_item(eval, item).map(|value| (item.key.clone(), value))
-    })
-    .map_err(|e| ClientError::Remote {
-        code: e.exit_code(),
-        message: format!("shard {shard}: {e}"),
-    })?;
-
     let mut batch: Vec<(MetricKey, f64)> = Vec::with_capacity(POINT_BATCH);
-    for point in results {
-        batch.push(point);
+    for item in items {
+        let value = evaluate_item(eval, &item).map_err(|e| ClientError::Remote {
+            code: e.exit_code(),
+            message: format!("shard {shard}: {e}"),
+        })?;
+        batch.push((item.key, value));
         outcome.points += 1;
         let dying = opts.die_after_points.is_some_and(|n| outcome.points >= n);
         if batch.len() >= POINT_BATCH || dying {

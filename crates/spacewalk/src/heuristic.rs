@@ -11,20 +11,20 @@
 //! exhaustive walk in practice.
 //!
 //! The walk proceeds in *waves*: every unvisited design in the current
-//! wave is evaluated in one parallel fan-out against the shared
-//! [`EvaluationCache`], then merged into the frontier serially in sorted
-//! wave order. Sorting each wave (designs are `Ord`) makes the exploration
-//! order — and therefore the result and the evaluated count —
-//! deterministic at any thread count.
+//! wave is resolved against the shared [`EvaluationCache`] on the calling
+//! thread and merged into the frontier in sorted wave order. Sorting each
+//! wave (designs are `Ord`) makes the exploration order — and therefore
+//! the result and the evaluated count — deterministic.
 
 use crate::cache_db::{EvaluationCache, MetricKey};
 use crate::cost::{cache_area, CacheDesign};
 use crate::pareto::ParetoSet;
-use crate::space::CacheSpace;
-use crate::walker::fan_out;
-use mhe_cache::CacheConfig;
+use crate::space::{CacheSpace, SystemSpace};
+use crate::walker::{app_of, current_cancel, resolve};
+use mhe_cache::{CacheConfig, Policy};
+use mhe_core::evaluator::ReferenceEvaluation;
 use mhe_core::MheError;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Result of a heuristic walk: the frontier plus exploration statistics.
 #[derive(Debug, Clone)]
@@ -43,51 +43,50 @@ pub struct HeuristicResult {
 /// computes it on a miss (e.g. estimated misses at a dilation). Designs
 /// are explored outward from the cheapest ones; a neighbour is enqueued
 /// only when the current design earned a place on the frontier, which is
-/// what prunes the space. Each wave fans out over `threads` workers.
+/// what prunes the space. The scoped cancel token (see
+/// [`crate::walker::with_walk_cancel`]) is checked before each design.
 ///
 /// # Errors
 ///
-/// Propagates the first `evaluate` error in wave order.
+/// Propagates the first `evaluate` error in wave order, or
+/// [`MheError::Cancelled`].
 pub fn walk_heuristic(
     space: &CacheSpace,
     db: &EvaluationCache,
-    threads: usize,
-    key: impl Fn(CacheDesign) -> MetricKey + Sync,
-    evaluate: impl Fn(CacheDesign) -> Result<f64, MheError> + Sync,
+    key: impl Fn(CacheDesign) -> MetricKey,
+    evaluate: impl Fn(CacheDesign) -> Result<f64, MheError>,
 ) -> Result<HeuristicResult, MheError> {
     let all = space.enumerate();
     let space_size = all.len();
     let universe: HashSet<CacheDesign> = all.iter().copied().collect();
 
-    // Seeds: the cheapest design for each line size (line size changes
-    // miss behaviour non-monotonically, so every line size gets a start).
-    let mut seeds: Vec<CacheDesign> = Vec::new();
-    for &line in &space.line_bytes {
-        if let Some(d) = all
-            .iter()
-            .filter(|d| d.config.line_bytes() == line)
-            .min_by(|a, b| cache_area(a).total_cmp(&cache_area(b)))
-        {
-            seeds.push(*d);
+    // Seeds: the cheapest design for each (line size, policy). Line size
+    // changes miss behaviour non-monotonically, and no move changes the
+    // policy, so every pair gets a start.
+    let mut cheapest: BTreeMap<(u32, Policy), CacheDesign> = BTreeMap::new();
+    for d in &all {
+        let best = cheapest.entry((d.config.line_bytes(), d.config.policy)).or_insert(*d);
+        if cache_area(d).total_cmp(&cache_area(best)).is_lt() {
+            *best = *d;
         }
     }
-    seeds.sort_unstable();
-    seeds.dedup();
+    let mut wave: Vec<CacheDesign> = cheapest.into_values().collect();
+    wave.sort_unstable();
 
+    let _obs = mhe_obs::span(mhe_obs::Phase::Walk);
+    let cancel = current_cancel();
     let mut pareto = ParetoSet::new();
     let mut visited: HashSet<CacheDesign> = HashSet::new();
-    let mut wave: Vec<CacheDesign> = seeds;
     let mut evaluated = 0usize;
     while !wave.is_empty() {
         wave.retain(|d| visited.insert(*d));
         mhe_obs::count(mhe_obs::Counter::WalkWaves, 1);
         mhe_obs::count(mhe_obs::Counter::WalkWaveDesigns, wave.len() as u64);
-        let results = fan_out(threads, wave, |design| {
-            db.get_or_try_insert_with(key(*design), || evaluate(*design)).map(|t| (*design, t))
-        })?;
-        evaluated += results.len();
+        mhe_obs::add_events(mhe_obs::Phase::Walk, wave.len() as u64);
         let mut next: Vec<CacheDesign> = Vec::new();
-        for (design, time) in results {
+        for design in wave {
+            let time = resolve(db, cancel.as_ref(), key(design), || evaluate(design))?;
+            evaluated += 1;
             if pareto.insert(design, cache_area(&design), time) {
                 next.extend(
                     neighbours(design)
@@ -102,6 +101,36 @@ pub fn walk_heuristic(
         wave = next;
     }
     Ok(HeuristicResult { pareto, evaluated, space_size })
+}
+
+/// The heuristic pre-warm of a system walk: one [`walk_heuristic`] over
+/// the I$ space at each processor's dilation, sharing `db`, so every
+/// design it touches is a cache hit in the full walk that follows.
+/// Results come back in processor order.
+///
+/// # Errors
+///
+/// The first failed walk, with the name of its processor.
+pub fn prewarm_icache(
+    eval: &ReferenceEvaluation,
+    space: &SystemSpace,
+    db: &EvaluationCache,
+) -> Result<Vec<HeuristicResult>, (String, MheError)> {
+    let app = app_of(eval);
+    space
+        .processors
+        .iter()
+        .map(|proc| {
+            let d = eval.dilation_of(proc);
+            walk_heuristic(
+                &space.icache,
+                db,
+                |design| MetricKey::icache(&app, design, d),
+                |design| eval.estimate_icache_misses(design.config, d),
+            )
+            .map_err(|e| (proc.name.clone(), e))
+        })
+        .collect()
 }
 
 /// Single-parameter moves from a design. Geometry moves preserve the
@@ -134,9 +163,7 @@ fn neighbours(d: CacheDesign) -> Vec<CacheDesign> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::SystemSpace;
     use crate::walker::{prepare_evaluation, walk_icache};
-    use mhe_cache::Policy;
     use mhe_core::evaluator::EvalConfig;
     use mhe_vliw::ProcessorKind;
     use mhe_workload::Benchmark;
@@ -165,7 +192,6 @@ mod tests {
         let r = walk_heuristic(
             &space(),
             &db,
-            1,
             |d| synthetic_key(&app, d),
             |d| Ok(1e9 / (d.config.size_bytes() as f64).powf(0.8)),
         )
@@ -175,47 +201,20 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_is_deterministic_across_thread_counts() {
-        let app: Arc<str> = Arc::from("synthetic");
-        let run = |threads: usize| {
-            let db = EvaluationCache::new();
-            walk_heuristic(
-                &space(),
-                &db,
-                threads,
-                |d| synthetic_key(&app, d),
-                |d| Ok(1e9 / (d.config.size_bytes() as f64).powf(0.8)),
-            )
-            .unwrap()
-        };
-        let (a, b, c) = (run(1), run(2), run(8));
-        assert_eq!(a.evaluated, b.evaluated);
-        assert_eq!(a.evaluated, c.evaluated);
-        let bits = |r: &HeuristicResult| -> Vec<(CacheDesign, u64, u64)> {
-            r.pareto
-                .points()
-                .iter()
-                .map(|p| (p.design, p.cost.to_bits(), p.time.to_bits()))
-                .collect()
-        };
-        assert_eq!(bits(&a), bits(&b));
-        assert_eq!(bits(&a), bits(&c));
-    }
-
-    #[test]
     fn heuristic_propagates_errors() {
         let db = EvaluationCache::new();
         let app: Arc<str> = Arc::from("err");
         let bad = MheError::MissingReference { speculation: false, predication: false };
-        let r = walk_heuristic(&space(), &db, 2, |d| synthetic_key(&app, d), |_| Err(bad.clone()));
+        let r = walk_heuristic(&space(), &db, |d| synthetic_key(&app, d), |_| Err(bad.clone()));
         assert_eq!(r.unwrap_err(), bad);
     }
 
     #[test]
     fn heuristic_matches_exhaustive_frontier_on_real_estimates() {
+        let both = CacheSpace { policies: vec![Policy::Lru, Policy::Fifo], ..space() };
         let system = SystemSpace {
             processors: vec![ProcessorKind::P1111.mdes()],
-            icache: space(),
+            icache: both.clone(),
             dcache: CacheSpace {
                 sizes_bytes: vec![1024],
                 assocs: vec![1],
@@ -238,30 +237,44 @@ mod tests {
             &system,
         );
         let d = 1.8;
-        let db1 = EvaluationCache::new();
-        let exhaustive = walk_icache(&eval, &system.icache, d, &db1).unwrap();
-        let db2 = EvaluationCache::new();
         let app: Arc<str> = Arc::from(eval.program().name.as_str());
-        let heuristic = walk_heuristic(
-            &system.icache,
-            &db2,
-            eval.config().worker_threads(),
-            |design| MetricKey::icache(&app, design, d),
-            |design| eval.estimate_icache_misses(design.config, d),
-        )
-        .unwrap();
-        // The heuristic must recover every exhaustive frontier point (same
-        // cost/time pairs).
-        let mut ex: Vec<(u64, u64)> =
-            exhaustive.points().iter().map(|p| (p.cost.to_bits(), p.time.to_bits())).collect();
-        let mut he: Vec<(u64, u64)> = heuristic
-            .pareto
-            .points()
-            .iter()
-            .map(|p| (p.cost.to_bits(), p.time.to_bits()))
-            .collect();
-        ex.sort_unstable();
-        he.sort_unstable();
-        assert_eq!(ex, he, "heuristic missed frontier points");
+        let reversed = CacheSpace { policies: vec![Policy::Fifo, Policy::Lru], ..space() };
+        for icache in [space(), both, reversed] {
+            let db1 = EvaluationCache::new();
+            let exhaustive = walk_icache(&eval, &icache, d, &db1).unwrap();
+            let db2 = EvaluationCache::new();
+            let explored = std::cell::RefCell::new(HashSet::new());
+            let heuristic = walk_heuristic(
+                &icache,
+                &db2,
+                |design| MetricKey::icache(&app, design, d),
+                |design| {
+                    explored.borrow_mut().insert(design.config.policy);
+                    eval.estimate_icache_misses(design.config, d)
+                },
+            )
+            .unwrap();
+            // Every policy of the space is explored, not just the first.
+            for policy in &icache.policies {
+                assert!(
+                    explored.borrow().contains(policy),
+                    "{:?}: no {policy} design evaluated",
+                    icache.policies
+                );
+            }
+            // The heuristic must recover every exhaustive frontier point
+            // (same cost/time pairs).
+            let mut ex: Vec<(u64, u64)> =
+                exhaustive.points().iter().map(|p| (p.cost.to_bits(), p.time.to_bits())).collect();
+            let mut he: Vec<(u64, u64)> = heuristic
+                .pareto
+                .points()
+                .iter()
+                .map(|p| (p.cost.to_bits(), p.time.to_bits()))
+                .collect();
+            ex.sort_unstable();
+            he.sort_unstable();
+            assert_eq!(ex, he, "{:?}: heuristic missed frontier points", icache.policies);
+        }
     }
 }

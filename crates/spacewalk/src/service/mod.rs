@@ -12,8 +12,9 @@
 //!   then shared by every request that matches it;
 //! * **Caches** — one [`EvaluationCache`] per *metric scope* (benchmark,
 //!   events, sampling). The scope is deliberately coarser than the
-//!   session: [`MetricKey`]s name only the application, so two specs that
-//!   differ merely in space geometry share every overlapping metric — but
+//!   session: [`MetricKey`](crate::cache_db::MetricKey)s name only the
+//!   application, so two specs that differ merely in space geometry
+//!   share every overlapping metric — but
 //!   specs that change the workload or measurement regime get distinct
 //!   caches, because their metric *values* differ for identical keys;
 //! * **Admission** — an [`AdmissionGate`] bounding concurrent evaluations
@@ -35,10 +36,10 @@ pub mod client;
 pub mod proto;
 pub mod server;
 
-use crate::cache_db::{EvaluationCache, MetricKey};
+use crate::cache_db::EvaluationCache;
 use crate::ckpt::Checkpointer;
 use crate::cli;
-use crate::heuristic::walk_heuristic;
+use crate::heuristic::prewarm_icache;
 use crate::pareto::ParetoSet;
 use crate::spec::Spec;
 use crate::walker::{self, SystemPoint};
@@ -395,24 +396,12 @@ impl EvalService {
         let eval = &session.eval;
         let db = &session.db;
         if req.heuristic {
-            // Same pre-warm as `spacewalker --heuristic`: neighbourhood
-            // ascent over the I$ space at every processor's dilation,
-            // sharing the scope cache so the full walk below hits.
-            let app: Arc<str> = Arc::from(eval.program().name.as_str());
-            for proc in &spec.space.processors {
-                let d = eval.dilation_of(proc);
-                walk_heuristic(
-                    &spec.space.icache,
-                    db,
-                    eval.config().worker_threads(),
-                    |design| MetricKey::icache(&app, design, d),
-                    |design| eval.estimate_icache_misses(design.config, d),
-                )
-                .map_err(|e| ServiceError {
-                    code: e.exit_code(),
-                    message: format!("heuristic I$ walk @ {}: {e}", proc.name),
-                })?;
-            }
+            // Same pre-warm as `spacewalker walk --heuristic`, sharing the
+            // scope cache so the full walk below hits.
+            prewarm_icache(eval, &spec.space, db).map_err(|(proc, e)| ServiceError {
+                code: e.exit_code(),
+                message: format!("heuristic I$ walk @ {proc}: {e}"),
+            })?;
         }
         let frontier = walker::walk_system(eval, &spec.space, spec.penalties, db).map_err(|e| {
             ServiceError { code: e.exit_code(), message: format!("system walk failed: {e}") }

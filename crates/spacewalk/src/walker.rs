@@ -12,14 +12,14 @@
 //!
 //! # Parallelism and determinism
 //!
-//! The per-processor step of [`walk_system`] — the cold compile of each
-//! target — fans out over a [`ParallelSweep`]; the worker count comes
-//! from the evaluation's [`EvalConfig::worker_threads`]. A cache-space
-//! walk resolves its designs in a plain loop on the calling thread: each
-//! estimate takes about a microsecond, less than a thread spawn. Either
-//! way results are merged into the [`ParetoSet`] serially in enumeration
-//! order, so the frontier is **bit-identical regardless of thread
-//! count** — only the wall clock changes.
+//! Only the per-processor step of [`walk_system`] — the cold compile of
+//! each target — fans out over a [`ParallelSweep`]; the worker count comes
+//! from the evaluation's [`EvalConfig::worker_threads`]. Every design a
+//! walk resolves, exhaustive or heuristic, is resolved in a plain loop on
+//! the calling thread: each estimate takes about a microsecond, less than
+//! a thread spawn. Results are merged into the [`ParetoSet`] serially in
+//! enumeration order, so the frontier is **bit-identical regardless of
+//! thread count** — only the wall clock changes.
 
 use crate::cache_db::{EvaluationCache, MetricKey};
 use crate::ckpt::Checkpointer;
@@ -91,25 +91,25 @@ pub fn prepare_evaluation(
 
 /// The application key for an evaluation's program, shared by every metric
 /// the walkers derive from it.
-fn app_of(eval: &ReferenceEvaluation) -> Arc<str> {
+pub(crate) fn app_of(eval: &ReferenceEvaluation) -> Arc<str> {
     Arc::from(eval.program().name.as_str())
 }
 
 std::thread_local! {
-    /// The cancel token every sweep built by [`fan_out`] on this thread
-    /// attaches, and every cache-space walk on it checks before each
-    /// design (scoped by [`with_walk_cancel`]). Thread-local rather
-    /// than a parameter so the whole `walk_*` family stays cancellation-
-    /// agnostic: batch runs and fleet workers never set it, while the
-    /// daemon scopes one token around each served request.
+    /// The cancel token [`walk_system`]'s target sweep on this thread
+    /// attaches, and every walk on it checks before each design (scoped
+    /// by [`with_walk_cancel`]). Thread-local rather than a parameter so
+    /// the whole `walk_*` family stays cancellation-agnostic: batch runs
+    /// and fleet workers never set it, while the daemon scopes one token
+    /// around each served request.
     static WALK_CANCEL: std::cell::RefCell<Option<CancelToken>> =
         const { std::cell::RefCell::new(None) };
 }
 
-/// Runs `f` with `cancel` attached to every `fan_out` sweep and
-/// cache-space walk this thread runs, restoring the previous token
-/// (usually none) afterwards — panic-safe via an RAII guard, since the
-/// service catches request panics and reuses the thread.
+/// Runs `f` with `cancel` attached to every target sweep and design walk
+/// this thread runs, restoring the previous token (usually none)
+/// afterwards — panic-safe via an RAII guard, since the service catches
+/// request panics and reuses the thread.
 pub fn with_walk_cancel<R>(cancel: CancelToken, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<CancelToken>);
     impl Drop for Restore {
@@ -122,59 +122,30 @@ pub fn with_walk_cancel<R>(cancel: CancelToken, f: impl FnOnce() -> R) -> R {
 }
 
 /// The token scoped onto this thread by [`with_walk_cancel`], if any.
-fn current_cancel() -> Option<CancelToken> {
+pub(crate) fn current_cancel() -> Option<CancelToken> {
     WALK_CANCEL.with(|c| c.borrow().clone())
 }
 
-/// Fans `items` out over `threads` workers in contiguous chunks, returning
-/// results in input order.
-///
-/// Per-design evaluations are microseconds; chunking amortizes the
-/// per-job dispatch so the sweep wins even on small spaces. `threads * 4`
-/// chunks keeps the tail balanced without losing order — the flatten
-/// concatenates chunk results exactly as enumerated.
-///
-/// Workers are panic-isolated: a panicking evaluation surfaces as
-/// [`MheError::WorkerFailed`] (after any configured retries) instead of
-/// aborting the process, and the first failure in enumeration order wins.
-pub(crate) fn fan_out<T: Send + Sync, R: Send>(
-    threads: usize,
-    items: Vec<T>,
-    f: impl Fn(&T) -> Result<R, MheError> + Sync,
-) -> Result<Vec<R>, MheError> {
-    let threads = threads.max(1);
-    mhe_obs::add_events(mhe_obs::Phase::Walk, items.len() as u64);
-    let mut sweep = ParallelSweep::with_threads(threads).with_label("walk");
-    if let Some(cancel) = current_cancel() {
-        sweep = sweep.with_cancel(cancel);
+/// Resolves one design's metric through the shared cache: checks the
+/// scoped cancel token (see [`with_walk_cancel`]), then looks the key up
+/// and computes it on a miss. Every walk that resolves designs one by
+/// one — the cache-space walks and the heuristic's waves — goes through
+/// here, so a cancelled request stops before its next design.
+pub(crate) fn resolve(
+    db: &EvaluationCache,
+    cancel: Option<&CancelToken>,
+    key: MetricKey,
+    metric: impl FnOnce() -> Result<f64, MheError>,
+) -> Result<f64, MheError> {
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return Err(MheError::Cancelled);
     }
-    if threads == 1 || items.len() <= 1 {
-        return sweep.try_map_in(Some(mhe_obs::Phase::Walk), &items, f).map_err(MheError::from);
-    }
-    let chunk_len = items.len().div_ceil(threads * 4).max(1);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(items.len().div_ceil(chunk_len));
-    let mut items = items.into_iter();
-    loop {
-        let chunk: Vec<T> = items.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    Ok(sweep
-        .try_map_in(Some(mhe_obs::Phase::Walk), &chunks, |chunk| {
-            chunk.iter().map(&f).collect::<Result<Vec<R>, MheError>>()
-        })
-        .map_err(MheError::from)?
-        .into_iter()
-        .flatten()
-        .collect())
+    db.get_or_try_insert_with(key, metric)
 }
 
 /// Walks one cache space: resolves each enumerated design's metric
 /// through the shared cache, in order, on the calling thread, and merges
-/// it into the frontier. The scoped cancel token (see
-/// [`with_walk_cancel`]) is checked before each design.
+/// it into the frontier.
 fn walk_cache_space(
     space: &CacheSpace,
     db: &EvaluationCache,
@@ -187,10 +158,7 @@ fn walk_cache_space(
     let cancel = current_cancel();
     let mut pareto = ParetoSet::new();
     for design in designs {
-        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Err(MheError::Cancelled);
-        }
-        let time = db.get_or_try_insert_with(key(design), || metric(design))?;
+        let time = resolve(db, cancel.as_ref(), key(design), || metric(design))?;
         pareto.insert(design, cache_area(&design), time);
     }
     Ok(pareto)
@@ -296,9 +264,11 @@ pub fn walk_memory(
 ///
 /// The per-processor facts — text dilation and compute cycles, read from
 /// the evaluation's target memo ([`ReferenceEvaluation::target_facts`]) —
-/// fan out over a [`ParallelSweep`]: on a cold evaluation that compiles
-/// each target once, in parallel; on a warm one it only looks them up.
-/// Each processor's memory walk then runs on the calling thread. Frontier
+/// fan out over a [`ParallelSweep`], the one sweep a walk builds: on a
+/// cold evaluation that compiles each target once, in parallel; on a warm
+/// one it only looks them up. The sweep carries the scoped cancel token
+/// and is a fault-injection site ([`ParallelSweep::try_map_in`]). Each
+/// processor's memory walk then runs on the calling thread. Frontier
 /// merges happen serially in processor order, so the result is
 /// bit-identical at any thread count.
 ///
@@ -335,8 +305,12 @@ pub fn walk_system_with(
     checkpoint: Option<&Checkpointer>,
 ) -> Result<ParetoSet<SystemPoint>, MheError> {
     let app = app_of(eval);
-    let procs: Vec<&Mdes> = space.processors.iter().collect();
-    let prepared = fan_out(eval.config().worker_threads(), procs, |proc| {
+    mhe_obs::add_events(mhe_obs::Phase::Walk, space.processors.len() as u64);
+    let mut sweep = ParallelSweep::with_threads(eval.config().worker_threads()).with_label("walk");
+    if let Some(cancel) = current_cancel() {
+        sweep = sweep.with_cancel(cancel);
+    }
+    let prepared = sweep.try_map_in(Some(mhe_obs::Phase::Walk), &space.processors, |proc| {
         let target = eval.target_facts(proc);
         let cycles = db
             .get_or_insert_with(MetricKey::proc_cycles(&app, &proc.name), || target.cycles as f64);
@@ -432,26 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn walks_are_deterministic_across_thread_counts() {
-        let space = small_space();
-        let mut eval = eval_for(&space);
-        let mut frontiers = Vec::new();
-        for threads in [1, 2, 8] {
-            eval.override_worker_threads(threads);
-            let db = EvaluationCache::new();
-            let p = walk_icache(&eval, &space.icache, 1.5, &db).unwrap();
-            let bits: Vec<(CacheDesign, u64, u64)> = p
-                .points()
-                .iter()
-                .map(|pt| (pt.design, pt.cost.to_bits(), pt.time.to_bits()))
-                .collect();
-            frontiers.push(bits);
-        }
-        assert_eq!(frontiers[0], frontiers[1]);
-        assert_eq!(frontiers[0], frontiers[2]);
-    }
-
-    #[test]
     fn missing_simulation_is_an_error_not_a_panic() {
         let space = small_space();
         let eval = eval_for(&space);
@@ -507,6 +461,27 @@ mod tests {
         // The scope restored: the same thread walks normally afterwards.
         assert!(walk_icache(&eval, &space.icache, 1.5, &db).is_ok());
         assert!(db.stats().1 > 0);
+    }
+
+    #[test]
+    fn scoped_cancel_aborts_a_heuristic_walk() {
+        let space = small_space();
+        let eval = eval_for(&space);
+        let db = EvaluationCache::new();
+        let app = app_of(&eval);
+        let token = CancelToken::new();
+        token.cancel();
+        let err = with_walk_cancel(token, || {
+            crate::heuristic::walk_heuristic(
+                &space.icache,
+                &db,
+                |design| MetricKey::icache(&app, design, 1.5),
+                |design| eval.estimate_icache_misses(design.config, 1.5),
+            )
+        })
+        .expect_err("pre-cancelled heuristic walk must abort");
+        assert!(matches!(err, MheError::Cancelled), "{err}");
+        assert_eq!(db.stats().1, 0, "a pre-cancelled heuristic walk computed metrics");
     }
 
     #[test]

@@ -144,6 +144,11 @@ diff -u "$WORK/batch.txt" "$WORK/faulted.txt" || {
     echo "daemon_smoke: frontier under injected panic + retry differs from batch" >&2
     exit 1
 }
+grep -q "injected fault: worker panic in task 0" "$WORK/server.log" || {
+    echo "daemon_smoke: the injected panic never fired (no retry was exercised)" >&2
+    cat "$WORK/server.log" >&2
+    exit 1
+}
 
 echo "==> SIGTERM graceful drain (faulted daemon)"
 stop_daemon

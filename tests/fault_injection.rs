@@ -63,14 +63,12 @@ fn small_space() -> SystemSpace {
 }
 
 fn tiny_eval(space: &SystemSpace, threads: usize) -> ReferenceEvaluation {
-    let mut eval = prepare_evaluation(
+    prepare_evaluation(
         Benchmark::Unepic.generate(),
         &ProcessorKind::P1111.mdes(),
-        EvalConfig { events: 20_000, ..EvalConfig::default() },
+        EvalConfig { events: 20_000, threads, ..EvalConfig::default() },
         space,
-    );
-    eval.override_worker_threads(threads);
-    eval
+    )
 }
 
 /// Decodes `bytes` through a [`FaultyReader`] armed with `plan`, mapping

@@ -74,7 +74,6 @@ fn run(threads: usize) -> RunBits {
     let heuristic = walk_heuristic(
         &space.icache,
         &hdb,
-        threads,
         |d| MetricKey::icache(&app, d, 1.5),
         |d| eval.estimate_icache_misses(d.config, 1.5),
     )

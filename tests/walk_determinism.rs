@@ -1,9 +1,10 @@
-//! Determinism of the parallel walkers: `walk_system` must produce
-//! bit-identical Pareto frontiers at 1, 2 and 8 worker threads, with both
-//! a cold and a warm evaluation cache. The walkers fan per-design
-//! evaluation out over worker threads but merge serially in enumeration
-//! order, so thread count may only change the wall clock — never the
-//! frontier.
+//! Determinism of the walkers: `walk_system` must produce bit-identical
+//! Pareto frontiers at 1, 2 and 8 worker threads, with both a cold and a
+//! warm evaluation cache. Each thread count gets its own evaluation, so
+//! every cold walk compiles its targets in the walk's one parallel sweep;
+//! the designs themselves are resolved on the calling thread and merged
+//! in enumeration order, so thread count may only change the wall clock —
+//! never the frontier.
 
 use mhe::prelude::*;
 use mhe::spacewalk::walker;
@@ -68,33 +69,34 @@ fn frontier_bits(
 #[test]
 fn walk_system_is_bit_identical_across_thread_counts() {
     let space = space();
-    let mut eval = walker::prepare_evaluation(
-        Benchmark::Unepic.generate(),
-        &ProcessorKind::P1111.mdes(),
-        EvalConfig::builder().events(40_000).build().expect("valid config"),
-        &space,
-    );
+    let eval_at = |threads: usize| {
+        walker::prepare_evaluation(
+            Benchmark::Unepic.generate(),
+            &ProcessorKind::P1111.mdes(),
+            EvalConfig::builder().events(40_000).threads(threads).build().expect("valid config"),
+            &space,
+        )
+    };
+    let evals: Vec<(usize, ReferenceEvaluation)> =
+        [1usize, 2, 8].into_iter().map(|threads| (threads, eval_at(threads))).collect();
 
     // Cold cache at every thread count: each run computes everything.
     let mut cold = Vec::new();
-    for threads in [1usize, 2, 8] {
-        eval.override_worker_threads(threads);
+    for (threads, eval) in &evals {
         let db = EvaluationCache::new();
-        cold.push((threads, frontier_bits(&eval, &space, &db)));
+        cold.push((threads, frontier_bits(eval, &space, &db)));
     }
     for (threads, bits) in &cold[1..] {
         assert_eq!(&cold[0].1, bits, "cold-cache frontier differs between 1 and {threads} threads");
     }
 
     // Warm cache: seed with a 1-thread walk, then re-walk at each count.
-    eval.override_worker_threads(1);
     let warm_db = EvaluationCache::new();
-    let seed_bits = frontier_bits(&eval, &space, &warm_db);
+    let seed_bits = frontier_bits(&evals[0].1, &space, &warm_db);
     assert_eq!(seed_bits, cold[0].1, "warm seed differs from cold walk");
-    for threads in [1usize, 2, 8] {
-        eval.override_worker_threads(threads);
+    for (threads, eval) in &evals {
         let (_, computes_before) = warm_db.stats();
-        let bits = frontier_bits(&eval, &space, &warm_db);
+        let bits = frontier_bits(eval, &space, &warm_db);
         let (_, computes_after) = warm_db.stats();
         assert_eq!(bits, cold[0].1, "warm-cache frontier differs at {threads} threads");
         assert_eq!(
