@@ -16,6 +16,12 @@
 //! by an ordinary serial walk over the merged cache. Worker count,
 //! attach order, steals, and duplicate deliveries can change wall-clock
 //! and counters, never bytes.
+//!
+//! Nothing here polls. An acceptor thread blocks in `accept` for the
+//! coordinator's life, and the brokering loop sleeps on the parked
+//! requests' condvar until a settled change or the next lease or stall
+//! deadline. Shutting the listener down wakes the acceptor and frees the
+//! port at once, so neither a halt nor a drop joins or dials anything.
 
 use super::plan::shard_of;
 use crate::cache_db::EvaluationCache;
@@ -31,13 +37,12 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::Thread;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// Connection read timeout doubling as the handlers' stop-poll period.
 const HANDLER_POLL: Duration = Duration::from_millis(100);
 /// How often a parked worker is told to keep waiting.
@@ -117,6 +122,8 @@ struct State {
     points: u64,
     last_progress: Instant,
     abort: Option<String>,
+    /// Why the acceptor stopped, when the listener failed on its own.
+    accept_error: Option<String>,
 }
 
 #[derive(Debug)]
@@ -125,23 +132,15 @@ struct Shared {
     cfg: FleetConfig,
     db: Arc<EvaluationCache>,
     state: Mutex<State>,
-    /// Wakes parked `NeedShard` requests whenever a shard is reclaimed,
-    /// completed or aborted, or the coordinator halts.
+    /// Wakes parked `NeedShard` requests and the brokering loop on every
+    /// change that can end their wait.
     wake: Condvar,
     halt: AtomicBool,
-    /// Set when the [`Coordinator`] is dropped: the late-dial acceptor
-    /// and its handlers stop.
+    /// Set when the listener is shut down (a failed `run`, or the
+    /// [`Coordinator`]'s drop): handlers and parked requests stop.
     closed: AtomicBool,
-}
-
-/// What a parked `NeedShard` request is answered with.
-enum Offer {
-    Assign(u32),
-    Finished,
-    Abort(String),
-    Halted,
-    /// Nothing to offer for a whole [`WAIT_PERIOD`].
-    Wait,
+    /// The acceptor's connection handlers; `run` joins its sweep's.
+    handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -161,29 +160,36 @@ impl Shared {
         });
     }
 
-    /// Leases the next free shard to `worker`, parking until one frees
-    /// up, the sweep ends, or a whole [`WAIT_PERIOD`] passes.
-    fn next_offer(&self, worker: u32) -> Offer {
+    /// The answer to `worker`'s `NeedShard`, parking until a shard frees
+    /// up (an `Assign` leasing it; the caller fills the prefill), the
+    /// sweep ends, or a whole [`WAIT_PERIOD`] passes (`Wait`). `None`
+    /// once the coordinator halts or closes.
+    fn next_offer(&self, worker: u32) -> Option<CoordFrame> {
         let deadline = Instant::now() + WAIT_PERIOD;
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut s = self.lock();
         loop {
-            if self.halted() {
-                return Offer::Halted;
+            if self.halted() || self.closed() {
+                return None;
             }
             if let Some(message) = s.abort.clone() {
-                return Offer::Abort(message);
+                return Some(CoordFrame::Abort { message });
             }
             if let Some(shard) = s.pending.pop_front() {
                 s.leases.insert(shard, Lease { worker, renewed: Instant::now() });
                 mhe_obs::count(mhe_obs::Counter::ShardLease, 1);
-                return Offer::Assign(shard);
+                if s.leases.len() == 1 {
+                    // With no lease out, the brokering loop sleeps until
+                    // the stall deadline; this lease expires sooner.
+                    self.wake.notify_all();
+                }
+                return Some(CoordFrame::Assign { shard, prefill: Vec::new() });
             }
             if s.done.len() == self.cfg.shard_count as usize {
-                return Offer::Finished;
+                return Some(CoordFrame::NoMoreWork);
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Offer::Wait;
+                return Some(CoordFrame::Wait);
             }
             s = self.wake.wait_timeout(s, left).unwrap_or_else(PoisonError::into_inner).0;
         }
@@ -214,13 +220,14 @@ impl Shared {
     }
 
     fn locked<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
-        match self.state.lock() {
-            Ok(mut s) => f(&mut s),
-            // A poisoned lock means a handler panicked mid-update; the
-            // bookkeeping is still consistent (every update is a single
-            // guarded section), so keep going rather than deadlock.
-            Err(poisoned) => f(&mut poisoned.into_inner()),
-        }
+        f(&mut self.lock())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // A poisoned lock means a handler panicked mid-update; the
+        // bookkeeping is still consistent (every update is a single
+        // guarded section), so keep going rather than deadlock.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -242,35 +249,28 @@ impl HaltHandle {
         // next check, so none sleeps through it.
         self.shared.settle(|_| true);
     }
-
-    /// Whether a halt was requested.
-    pub fn is_halted(&self) -> bool {
-        self.shared.halted()
-    }
 }
 
 /// A bound fleet coordinator, ready to [`Coordinator::run`].
 ///
 /// After a finished sweep it keeps answering: every worker that dials
 /// while the value lives gets a handshake and `NoMoreWork`. Dropping it
-/// stops that; the listener closes as the answering thread exits.
+/// shuts the listener down, which ends the acceptor and frees the port.
 #[derive(Debug)]
 pub struct Coordinator {
     listener: TcpListener,
     shared: Arc<Shared>,
-    /// The thread answering dials after a finished sweep.
-    late: Mutex<Option<Thread>>,
 }
 
 impl Coordinator {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and prepares the shard
-    /// partition. `db` is the merge target — preloading it (from `--db`
-    /// or a checkpoint) turns already-known points into prefills that no
-    /// worker recomputes.
+    /// Binds `addr` (e.g. `127.0.0.1:0`), starts the acceptor and
+    /// prepares the shard partition. `db` is the merge target —
+    /// preloading it (from `--db` or a checkpoint) turns already-known
+    /// points into prefills that no worker recomputes.
     ///
     /// # Errors
     ///
-    /// Propagates bind / socket-configuration failures.
+    /// Propagates bind and socket-clone failures.
     pub fn bind(
         addr: impl ToSocketAddrs,
         job: FleetJob,
@@ -278,7 +278,6 @@ impl Coordinator {
         db: Arc<EvaluationCache>,
     ) -> io::Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let state = State {
             pending: (0..cfg.shard_count).collect(),
             leases: HashMap::new(),
@@ -289,6 +288,7 @@ impl Coordinator {
             points: 0,
             last_progress: Instant::now(),
             abort: None,
+            accept_error: None,
         };
         let shared = Arc::new(Shared {
             job,
@@ -298,8 +298,13 @@ impl Coordinator {
             wake: Condvar::new(),
             halt: AtomicBool::new(false),
             closed: AtomicBool::new(false),
+            handlers: Mutex::new(Vec::new()),
         });
-        Ok(Coordinator { listener, shared, late: Mutex::new(None) })
+        // Detached: shutting the listener down ends it, so neither a halt
+        // nor the drop waits for it.
+        let (accepting, acceptor) = (listener.try_clone()?, Arc::clone(&shared));
+        std::thread::spawn(move || accept_workers(&accepting, &acceptor));
+        Ok(Coordinator { listener, shared })
     }
 
     /// The actually-bound address (resolves ephemeral ports).
@@ -322,88 +327,34 @@ impl Coordinator {
     ///
     /// When `checkpoint` is given, the merged cache is persisted after
     /// every newly completed shard — only from this thread, so saves
-    /// never race.
+    /// never race. Unless the sweep finished, the listener is shut down
+    /// before this returns, so a standby can rebind the port at once.
     ///
     /// # Errors
     ///
     /// [`MheError::WorkerFailed`] when the sweep stalls past
-    /// [`FleetConfig::stall_timeout`] or a checkpoint write fails.
+    /// [`FleetConfig::stall_timeout`], is halted, or a checkpoint write
+    /// or the listener fails.
     pub fn run(&self, checkpoint: Option<&Checkpointer>) -> Result<FleetSummary, MheError> {
         let _span = mhe_obs::span(mhe_obs::Phase::Fleet);
-        let mut handlers = Vec::new();
-        let mut admit = |stream| {
-            reap_finished(&mut handlers);
-            let shared = Arc::clone(&self.shared);
-            // Per-worker failures end that worker only.
-            handlers.push(std::thread::spawn(move || {
-                let _ = serve_worker(stream, &shared);
-            }));
-        };
         let save = || match checkpoint {
             Some(ckpt) => ckpt
                 .save(&self.shared.db)
                 .map_err(|e| MheError::worker_failed("fleet checkpoint save", e.to_string())),
             None => Ok(()),
         };
-        let mut saved_done = 0usize;
-        let result = loop {
-            // Reclaim leases whose worker stopped renewing without the
-            // TCP layer noticing (hung process, half-open link).
-            let cutoff = self.shared.cfg.lease_timeout;
-            self.shared.reclaim(|lease| lease.renewed.elapsed() > cutoff);
-            let (done, stalled) = self.shared.locked(|s| {
-                (s.done.len(), s.last_progress.elapsed() > self.shared.cfg.stall_timeout)
-            });
-            if let Some(message) = self.shared.aborted() {
-                break Err(MheError::worker_failed("fleet", message));
-            }
-            if done == self.shared.cfg.shard_count as usize {
-                break Ok(());
-            }
-            if self.shared.halted() {
-                // Handoff: stop brokering and report the unfinished
-                // sweep. Handlers observe the halt and close every
-                // worker connection *without* an Abort — silence makes
-                // workers redial; the checkpoint is written after they
-                // drain (below), so it carries every merged point.
-                break Err(MheError::worker_failed(
-                    "coordinator",
-                    format!(
-                        "halted for handoff with {done} of {} shards done",
-                        self.shared.cfg.shard_count
-                    ),
-                ));
-            }
-            if stalled {
-                let message = format!(
-                    "no progress for {:?} with {} of {} shards done",
-                    self.shared.cfg.stall_timeout, done, self.shared.cfg.shard_count
-                );
-                self.shared.settle(|s| {
-                    s.abort = Some(message.clone());
-                    true
-                });
-                break Err(MheError::worker_failed("fleet", message));
-            }
-            if done > saved_done {
-                save()?;
-                saved_done = done;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => admit(stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => break Err(MheError::worker_failed("fleet accept", e.to_string())),
-            }
-        };
-        // Final checkpoint of the fully-merged cache, then let every
-        // handler observe the terminal state and unwind.
-        if result.is_ok() {
-            save()?;
-            self.answer_late_dials();
+        // The final checkpoint holds the fully-merged cache.
+        let result = self.broker(save).and_then(|()| save());
+        if result.is_err() {
+            self.close();
+            // Parked requests see the close now, not at their next `Wait`.
+            self.shared.settle(|_| true);
         }
+        // Every handler admitted so far observes the terminal state and
+        // unwinds; later dials are the acceptor's alone.
+        let handlers = std::mem::take(
+            &mut *self.shared.handlers.lock().unwrap_or_else(PoisonError::into_inner),
+        );
         for h in handlers {
             let _ = h.join();
         }
@@ -423,54 +374,122 @@ impl Coordinator {
         }))
     }
 
-    /// Starts the thread that serves every dial after a finished sweep,
-    /// until the coordinator is dropped. Each late worker (one still in
-    /// the accept backlog, or one that dials later) gets a handshake and
-    /// `NoMoreWork`, instead of waiting out its reply deadline on a
-    /// listener nobody accepts from.
-    fn answer_late_dials(&self) {
-        let mut late = self.late.lock().unwrap_or_else(PoisonError::into_inner);
-        if late.is_some() {
-            return;
+    /// Brokers the sweep until it ends, checking whenever a handler
+    /// settles a change or the next lease or stall deadline passes
+    /// (points and heartbeats only push those later).
+    fn broker(&self, save: impl Fn() -> Result<(), MheError>) -> Result<(), MheError> {
+        let shared = &*self.shared;
+        let (shards, lease_timeout, stall_timeout) =
+            (shared.cfg.shard_count as usize, shared.cfg.lease_timeout, shared.cfg.stall_timeout);
+        let mut saved_done = 0usize;
+        loop {
+            // What is left of a timeout running since `since`, counted in
+            // durations so that no timeout, however long, overflows.
+            let now = Instant::now();
+            let left = |since: Instant, timeout: Duration| {
+                timeout.saturating_sub(now.duration_since(since))
+            };
+            // Reclaim leases whose worker stopped renewing without the
+            // TCP layer noticing (hung process, half-open link).
+            shared.reclaim(|lease| left(lease.renewed, lease_timeout).is_zero());
+            let mut s = shared.lock();
+            let done = s.done.len();
+            if let Some(message) = s.abort.clone() {
+                return Err(MheError::worker_failed("fleet", message));
+            }
+            if done == shards {
+                return Ok(());
+            }
+            if shared.halted() {
+                // Handoff: stop brokering and report the unfinished
+                // sweep. Handlers observe the halt and close every
+                // worker connection *without* an Abort — silence makes
+                // workers redial; the checkpoint is written after they
+                // drain, so it carries every merged point.
+                return Err(MheError::worker_failed(
+                    "coordinator",
+                    format!("halted for handoff with {done} of {shards} shards done"),
+                ));
+            }
+            if left(s.last_progress, stall_timeout).is_zero() {
+                let message = format!(
+                    "no progress for {stall_timeout:?} with {done} of {shards} shards done"
+                );
+                s.abort = Some(message.clone());
+                shared.wake.notify_all();
+                return Err(MheError::worker_failed("fleet", message));
+            }
+            if done > saved_done {
+                // Off the lock, so handlers keep merging meanwhile.
+                drop(s);
+                save()?;
+                saved_done = done;
+                continue;
+            }
+            if let Some(error) = s.accept_error.clone() {
+                return Err(MheError::worker_failed("fleet accept", error));
+            }
+            // Sleep until the earliest lease or stall deadline.
+            let wait = s
+                .leases
+                .values()
+                .map(|lease| left(lease.renewed, lease_timeout))
+                .fold(left(s.last_progress, stall_timeout), Duration::min);
+            drop(shared.wake.wait_timeout(s, wait));
         }
-        let Ok(listener) = self.listener.try_clone() else { return };
-        let shared = Arc::clone(&self.shared);
-        // Detached: the drop unparks it and it exits on its own. Joining
-        // it there would make every drop wait for a thread wake-up,
-        // 0.2-0.6 ms measured on a 2-core VM, about 5% of a fleet round.
-        let thread = std::thread::spawn(move || {
-            let mut handlers = Vec::new();
-            while !shared.closed() {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        reap_finished(&mut handlers);
-                        let shared = Arc::clone(&shared);
-                        handlers.push(std::thread::spawn(move || {
-                            let _ = serve_worker(stream, &shared);
-                        }));
-                    }
-                    // Parked, not asleep: the drop unparks this thread,
-                    // so the listener does not outlive it by a poll.
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::park_timeout(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-            for h in handlers {
-                let _ = h.join();
-            }
-        });
-        *late = Some(thread.thread().clone());
+    }
+
+    /// Ends the handlers and shuts the listener down: the acceptor's
+    /// blocked `accept` fails at once, and the port is free to rebind
+    /// although the acceptor still holds its clone of the socket.
+    fn close(&self) {
+        self.shared.closed.store(true, Ordering::SeqCst);
+        extern "C" {
+            fn shutdown(fd: i32, how: i32) -> i32;
+        }
+        const SHUT_RD: i32 = 0;
+        // SAFETY: `shutdown` is the libc call std already links and takes
+        // no pointers; the descriptor is the listener's own, open while
+        // `self` lives. Its only failure, a socket already shut down, is
+        // harmless.
+        unsafe {
+            shutdown(self.listener.as_raw_fd(), SHUT_RD);
+        }
     }
 }
 
 impl Drop for Coordinator {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.late.get_mut().unwrap_or_else(PoisonError::into_inner) {
-            thread.unpark();
+        self.close();
+    }
+}
+
+/// The acceptor: serves every dial on its own handler thread until the
+/// listener is shut down, so a worker dialing after the sweep hears
+/// `NoMoreWork` instead of waiting out its reply deadline. Any other
+/// accept failure ends the sweep.
+fn accept_workers(listener: &TcpListener, shared: &Arc<Shared>) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                let mut handlers = shared.handlers.lock().unwrap_or_else(PoisonError::into_inner);
+                reap_finished(&mut handlers);
+                let shared = Arc::clone(shared);
+                // Per-worker failures end that worker only.
+                handlers.push(std::thread::spawn(move || {
+                    let _ = serve_worker(stream, &shared);
+                }));
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                if !shared.closed() {
+                    shared.settle(|s| {
+                        s.accept_error = Some(e.to_string());
+                        true
+                    });
+                }
+                return;
+            }
         }
     }
 }
@@ -499,7 +518,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // The handshake reply gets its own patience: a worker admitted after
     // the sweep must still complete it (so it can be told NoMoreWork),
     // while a port scanner that never answers cannot pin the handler —
-    // only an abort, the coordinator's drop or the deadline stops the
+    // only an abort, the listener's shutdown or the deadline stops the
     // wait.
     let hs_deadline = Instant::now();
     let hs_stop = || {
@@ -668,30 +687,19 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
 /// halted).
 fn offer_shard(stream: &mut TcpStream, shared: &Shared, worker: u32) -> io::Result<bool> {
     loop {
-        match shared.next_offer(worker) {
-            Offer::Assign(shard) => {
-                // Everything already merged for this shard rides along,
-                // so a stolen shard resumes instead of restarting.
-                let prefill: Vec<_> = shared
-                    .db
-                    .entries()
-                    .into_iter()
-                    .filter(|(key, _)| shard_of(key, shared.cfg.shard_count) == shard)
-                    .collect();
-                send(stream, &CoordFrame::Assign { shard, prefill })?;
-                return Ok(true);
-            }
-            Offer::Finished => {
-                send(stream, &CoordFrame::NoMoreWork)?;
-                return Ok(false);
-            }
-            Offer::Abort(message) => {
-                send(stream, &CoordFrame::Abort { message })?;
-                return Ok(false);
-            }
-            // Close without a frame; the worker redials the standby.
-            Offer::Halted => return Ok(false),
-            Offer::Wait => send(stream, &CoordFrame::Wait)?,
+        // Halted: close without a frame; the worker redials the standby.
+        let Some(mut frame) = shared.next_offer(worker) else { return Ok(false) };
+        if let CoordFrame::Assign { shard, prefill } = &mut frame {
+            // Everything already merged for this shard rides along, so a
+            // stolen shard resumes instead of restarting.
+            let count = shared.cfg.shard_count;
+            prefill.extend(
+                shared.db.entries().into_iter().filter(|(k, _)| shard_of(k, count) == *shard),
+            );
+        }
+        send(stream, &frame)?;
+        if !matches!(frame, CoordFrame::Wait) {
+            return Ok(matches!(frame, CoordFrame::Assign { .. }));
         }
     }
 }

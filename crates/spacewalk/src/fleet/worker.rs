@@ -324,22 +324,13 @@ fn work_shard(
     outcome: &mut WorkerOutcome,
 ) -> Result<(), ClientError> {
     let known: HashSet<MetricKey> = prefill.into_iter().map(|(key, _)| key).collect();
-    let items: Vec<WorkItem> = by_shard
-        .remove(&shard)
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|item| {
-            let have = known.contains(&item.key);
-            if have {
-                outcome.skipped_prefilled += 1;
-            }
-            !have
-        })
-        .collect();
-
     let _span = mhe_obs::span(mhe_obs::Phase::Fleet);
     let mut batch: Vec<(MetricKey, f64)> = Vec::with_capacity(POINT_BATCH);
-    for item in items {
+    for item in by_shard.remove(&shard).unwrap_or_default() {
+        if known.contains(&item.key) {
+            outcome.skipped_prefilled += 1;
+            continue;
+        }
         let value = evaluate_item(eval, &item).map_err(|e| ClientError::Remote {
             code: e.exit_code(),
             message: format!("shard {shard}: {e}"),

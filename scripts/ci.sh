@@ -92,6 +92,9 @@ cargo test --offline --manifest-path "$BENCHMARK_MANIFEST"
 cargo clippy --offline --manifest-path "$BENCHMARK_MANIFEST" --all-targets -- -D warnings
 cargo run --release --offline --manifest-path "$BENCHMARK_MANIFEST" -- run --seed 1 --smoke
 
+echo "==> mhe-benchmark: traced fleet-2 smoke run (a coordinator drop or acceptor change that leaves more than 2% of a round outside every span fails here)"
+cargo run --release --offline --manifest-path "$BENCHMARK_MANIFEST" -- --workload fleet-2 --seed 1 --seconds 2 --trace 1 --smoke
+
 if [ -n "${TREE_CHECKED:-}" ]; then
     echo "==> tree unchanged by CI (git status --porcelain)"
     TREE_AFTER="$(git status --porcelain)"

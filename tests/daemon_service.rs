@@ -130,10 +130,10 @@ fn injected_panic_is_structured_and_the_session_recovers() {
     let (addr, drain, handle) = start_daemon(ServiceLimits { max_inflight: 1, max_queued: 4 });
     let mut client = Client::builder().addr(addr).connect().expect("connect");
 
-    // Build the session warm first (injection targets the *walk* phase;
-    // a cold first request would spend the fault during the heuristic
-    // prewarm of the same request and still succeed — we want the error
-    // path, deterministically).
+    // Build the session warm first; its answer is the batch bytes the
+    // recovered request must repeat. The armed request then goes straight
+    // to the walk: `walk_system`'s target sweep is the only fault site on
+    // its path, so task 0's panic lands there, deterministically.
     let baseline = client.evaluate(frontier_request(false)).expect("cold walk");
     assert_eq!(render_frontier(&baseline), want_text);
 

@@ -439,3 +439,124 @@ fn a_worker_dialing_after_the_sweep_is_told_no_more_work() {
     assert!(waited < Duration::from_secs(1), "the late worker waited {waited:?}");
     drop(coordinator);
 }
+
+/// A lease whose holder stays connected but goes silent is reclaimed at
+/// its deadline, not at a tick: the brokering loop sleeps until exactly
+/// then, and a parked `NeedShard` takes the shard. A loop that slept on
+/// its condvar with no deadline would never reclaim it.
+#[test]
+fn a_silent_lease_holder_is_stolen_from_at_the_lease_deadline() {
+    let lease_timeout = Duration::from_millis(300);
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg =
+        FleetConfig { shard_count: 1, lease_timeout, auth_token: None, ..FleetConfig::default() };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+    let run = std::thread::spawn(move || coordinator.run(None));
+
+    let mut holder = raw_worker(addr);
+    send_worker(&mut holder, &proto::WorkerFrame::NeedShard);
+    assert!(matches!(read_coord(&mut holder), proto::CoordFrame::Assign { shard: 0, .. }));
+    let leased = std::time::Instant::now();
+
+    let mut parked = raw_worker(addr);
+    send_worker(&mut parked, &proto::WorkerFrame::NeedShard);
+    let stolen = loop {
+        match read_coord(&mut parked) {
+            proto::CoordFrame::Assign { shard: 0, .. } => break leased.elapsed(),
+            proto::CoordFrame::Wait => {}
+            other => panic!("expected the expired shard, got {other:?}"),
+        }
+    };
+    let late = lease_timeout + Duration::from_millis(500);
+    assert!(stolen < late, "the silent holder's shard took {stolen:?} to reassign");
+
+    send_worker(&mut parked, &proto::WorkerFrame::ShardDone { shard: 0 });
+    let summary = run.join().expect("coordinator thread").expect("the sweep completes");
+    assert_eq!((summary.shards, summary.steals), (1, 1), "{summary:?}");
+    drop(holder);
+}
+
+/// A sweep that makes no progress for the stall timeout is abandoned at
+/// that deadline: `run` fails naming the stall, and the silent lease
+/// holder is told why with an `Abort`.
+#[test]
+fn a_sweep_without_progress_aborts_at_the_stall_deadline() {
+    let started = std::time::Instant::now();
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig {
+        shard_count: 1,
+        stall_timeout: Duration::from_millis(300),
+        auth_token: None,
+        ..FleetConfig::default()
+    };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+    let run = std::thread::spawn(move || coordinator.run(None));
+
+    let mut holder = raw_worker(addr);
+    send_worker(&mut holder, &proto::WorkerFrame::NeedShard);
+    assert!(matches!(read_coord(&mut holder), proto::CoordFrame::Assign { shard: 0, .. }));
+
+    let err = run.join().expect("coordinator thread").expect_err("a stalled sweep fails");
+    let waited = started.elapsed();
+    assert!(err.to_string().contains("no progress"), "{err}");
+    assert!(waited < Duration::from_secs(2), "the stall abort took {waited:?}");
+    match read_coord(&mut holder) {
+        proto::CoordFrame::Abort { message } => {
+            assert!(message.contains("no progress"), "{message}")
+        }
+        other => panic!("expected Abort, got {other:?}"),
+    }
+}
+
+/// Both ends of a coordinator's life free its port at once, twenty times
+/// over: a halted `run` returns with the listener shut down, while the
+/// coordinator still lives, and so does the drop after a finished sweep,
+/// although the acceptor may still hold its clone of the socket. A
+/// standby rebinds with no retry either way.
+#[test]
+fn a_halted_or_dropped_coordinator_frees_its_port_at_once() {
+    let job = || FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { shard_count: 1, auth_token: None, ..FleetConfig::default() };
+    let bind = |addr: std::net::SocketAddr| {
+        Coordinator::bind(addr, job(), cfg.clone(), Arc::new(EvaluationCache::new()))
+    };
+    let any_port: std::net::SocketAddr = "127.0.0.1:0".parse().expect("address");
+    for round in 0..20 {
+        let coordinator = bind(any_port).expect("bind coordinator");
+        let addr = coordinator.local_addr().expect("local addr");
+        let halt = coordinator.halt_handle();
+        let halted = std::thread::scope(|scope| {
+            let run = scope.spawn(|| coordinator.run(None));
+            let _worker = raw_worker(addr);
+            halt.halt();
+            run.join().expect("coordinator thread")
+        });
+        assert!(halted.is_err(), "round {round}: a halted sweep is unfinished");
+        let standby =
+            bind(addr).unwrap_or_else(|e| panic!("round {round}: rebind after halt: {e}"));
+        drop((standby, coordinator));
+
+        let coordinator = bind(any_port).expect("bind coordinator");
+        let addr = coordinator.local_addr().expect("local addr");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut finisher = raw_worker(addr);
+                send_worker(&mut finisher, &proto::WorkerFrame::NeedShard);
+                assert!(matches!(
+                    read_coord(&mut finisher),
+                    proto::CoordFrame::Assign { shard: 0, .. }
+                ));
+                send_worker(&mut finisher, &proto::WorkerFrame::ShardDone { shard: 0 });
+                send_worker(&mut finisher, &proto::WorkerFrame::NeedShard);
+                assert!(matches!(read_coord(&mut finisher), proto::CoordFrame::NoMoreWork));
+            });
+            coordinator.run(None).expect("the sweep completes");
+        });
+        drop(coordinator);
+        bind(addr).unwrap_or_else(|e| panic!("round {round}: rebind after drop: {e}"));
+    }
+}
