@@ -9,15 +9,20 @@
 //! The reference trace is generated once and timed on its own, so the
 //! direct and single-pass timings are simulation only. The end-to-end
 //! build then lists one line per single-pass simulation it ran, so the
-//! grid-simulation time can be read per family.
+//! grid-simulation time can be read per family. Last come the two pass-A
+//! layers of a sampled replay, on the joint trace of the same program:
+//! `.mtr` decode and the signature scan.
 
 use mhe_cache::{Cache, SinglePassSim};
 use mhe_core::evaluator::{EvalConfig, ReferenceEvaluation};
+use mhe_core::SamplingConfig;
+use mhe_sampling::plan::SamplePlanner;
 use mhe_spacewalk::space::SystemSpace;
+use mhe_trace::codec::{write_mtr, TraceReader};
 use mhe_trace::{StreamKind, TraceGenerator};
 use mhe_vliw::ProcessorKind;
 use mhe_workload::Benchmark;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     mhe_bench::check_env(env!("CARGO_BIN_NAME"));
@@ -150,4 +155,26 @@ fn main() {
          from hierarchy alone, x10 more from single-pass)",
         naive / ours
     );
+
+    // --- Sampled replay's pass A: decode an `.mtr` capture of the joint
+    // trace frame by frame and scan each frame for signatures, timed
+    // apart. ---
+    let mut mtr = Vec::new();
+    let written =
+        write_mtr(&mut mtr, TraceGenerator::new(&program, &reference, 1).with_event_limit(events))
+            .expect("in-memory .mtr capture");
+    let mut reader = TraceReader::new(mtr.as_slice()).expect(".mtr header");
+    let mut planner = SamplePlanner::new(SamplingConfig::default());
+    let (mut decode_cost, mut feed_cost) = (Duration::ZERO, Duration::ZERO);
+    loop {
+        let t5 = Instant::now();
+        let Some(frame) = reader.next_frame().expect("the capture decodes") else { break };
+        decode_cost += t5.elapsed();
+        let t6 = Instant::now();
+        planner.feed(&frame);
+        feed_cost += t6.elapsed();
+    }
+    println!("\nsampled replay's pass A over the joint trace ({} accesses):", written.accesses);
+    println!("  .mtr decode, TraceReader::next_frame ({} bytes): {decode_cost:?}", written.bytes);
+    println!("  signature scan, SamplePlanner::feed: {feed_cost:?}");
 }

@@ -400,16 +400,18 @@ impl ChunkStreams {
 }
 
 impl StreamTask {
-    /// Feeds `chunk`; `streams` holds its split when the task list has a
-    /// simulator (see [`measure`]).
-    fn feed(&mut self, chunk: &[Access], streams: &ChunkStreams) {
+    /// Feeds `chunk`; `streams` holds its split on the exact route, the
+    /// one whose task list has simulators (see [`measure`]).
+    fn feed(&mut self, chunk: &[Access], streams: Option<&ChunkStreams>) {
         let start = Instant::now();
         match self {
             StreamTask::IModel { modeler, wall } => {
-                for a in chunk {
-                    if StreamKind::Instruction.admits(a.kind) {
-                        modeler.process(a.addr);
-                    }
+                match streams {
+                    Some(streams) => streams.inst().iter().for_each(|&a| modeler.process(a)),
+                    None => chunk
+                        .iter()
+                        .filter(|a| StreamKind::Instruction.admits(a.kind))
+                        .for_each(|a| modeler.process(a.addr)),
                 }
                 *wall += start.elapsed();
             }
@@ -420,6 +422,7 @@ impl StreamTask {
                 *wall += start.elapsed();
             }
             StreamTask::Sim { kind, sim, wall, .. } => {
+                let streams = streams.expect("pass A splits every chunk it simulates");
                 match kind {
                     StreamKind::Instruction => sim.run(streams.inst().iter().copied()),
                     StreamKind::Data => sim.run(streams.data().iter().copied()),
@@ -636,11 +639,12 @@ fn measure(
     source: &mut dyn TwoPass,
 ) -> io::Result<StreamOutcome> {
     let families = families(config, icaches, dcaches, ucaches);
-    // Only simulators read the split, and only the exact route runs them
-    // in pass A. The buffer is allocated here, before the simulators'
-    // tables, and freed after the last chunk: allocated at the first chunk
-    // and freed at the end, it stayed resident as a hole in the heap
-    // (`fleet-2`'s peak RSS +7%, against +3% this way).
+    // Only the exact route splits its chunks: its pass A simulators and
+    // its instruction modeler read the split. The sampled route's modeler
+    // filters each chunk itself. The buffer is allocated here, before the
+    // simulators' tables, and freed after the last chunk: allocated at the
+    // first chunk and freed at the end, it stayed resident as a hole in the
+    // heap (`fleet-2`'s peak RSS +7%, against +3% this way).
     let split = config.sampling.is_none();
     let mut streams = ChunkStreams::with_capacity(if split { config.chunk_accesses } else { 0 });
     let mut tasks = vec![
@@ -686,7 +690,7 @@ fn measure(
         }
         sweep
             .try_for_each_mut_in(Some(mhe_obs::Phase::Simulate), &mut tasks, |t| {
-                t.feed(&chunk, &streams);
+                t.feed(&chunk, split.then_some(&streams));
                 Ok(())
             })
             .map_err(|e| io::Error::other(e.error.to_string()))?;

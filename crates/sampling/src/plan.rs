@@ -169,13 +169,19 @@ impl SamplePlanner {
     }
 
     /// Feeds one chunk of the trace (any chunking yields the same plan).
-    pub fn feed(&mut self, chunk: &[Access]) {
-        for &a in chunk {
-            self.probe.observe(a);
-            self.total += 1;
-            if self.probe.len() as usize == self.config.interval_accesses {
+    ///
+    /// The chunk is walked one interval-sized slice at a time, so the
+    /// per-access loop checks no interval boundary.
+    pub fn feed(&mut self, mut chunk: &[Access]) {
+        while !chunk.is_empty() {
+            let room = self.config.interval_accesses - self.probe.len() as usize;
+            let (slice, rest) = chunk.split_at(room.min(chunk.len()));
+            self.probe.observe_all(slice);
+            self.total += slice.len() as u64;
+            if slice.len() == room {
                 self.close_interval();
             }
+            chunk = rest;
         }
     }
 
@@ -471,6 +477,38 @@ mod tests {
         let chunked = planner.finish();
         let (whole, _) = plan_trace(&t, cfg(1024, 5, 300));
         assert_eq!(chunked, whole);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random chunk cuts give the plan of one `feed`: empty chunks
+        /// (repeated cuts), chunks spanning several intervals (short
+        /// intervals) and a final partial interval (lengths that are no
+        /// multiple of the interval), and one access per chunk.
+        #[test]
+        fn any_chunking_plans_as_one_feed(
+            len in 0u64..5000,
+            interval in 1usize..600,
+            cuts in proptest::collection::vec(0u64..5000, 0..10),
+        ) {
+            let t = phased_trace(len);
+            let config = cfg(interval, 4, 100);
+            let (whole, _) = plan_trace(&t, config);
+
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len) as usize).collect();
+            cuts.extend([0, t.len()]);
+            cuts.sort_unstable();
+            let mut chunked = SamplePlanner::new(config);
+            for pair in cuts.windows(2) {
+                chunked.feed(&t[pair[0]..pair[1]]);
+            }
+            proptest::prop_assert_eq!(chunked.finish(), whole.clone());
+
+            let mut singles = SamplePlanner::new(config);
+            t.chunks(1).for_each(|a| singles.feed(a));
+            proptest::prop_assert_eq!(singles.finish(), whole);
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use mhe_trace::{Access, AccessKind};
 pub const PROBE_LINE_WORDS: u32 = 8;
 
 /// Direct-mapped probe sizes, in lines (powers of two; 512 B..128 KiB).
-/// Ascending: [`SignatureProbe::observe`] relies on it to stop a ladder
-/// at its first hit.
+/// Ascending: [`SignatureProbe::observe`] relies on it to count a
+/// ladder's misses as the depth of its first hit.
 pub const PROBE_LINES: [usize; 5] = [16, 64, 256, 1024, 4096];
 
 const _: () = {
@@ -142,17 +142,50 @@ impl Signature {
     }
 }
 
+/// Filter lines of one ladder: every probe size, end to end.
+const LADDER_LINES: usize = {
+    let mut sum = 0;
+    let mut i = 0;
+    while i < PROBE_LINES.len() {
+        sum += PROBE_LINES[i];
+        i += 1;
+    }
+    sum
+};
+
+/// Start of each probe filter in a ladder's flat tag array.
+const LADDER_OFFSETS: [usize; PROBE_LINES.len()] = {
+    let mut offsets = [0; PROBE_LINES.len()];
+    let mut i = 1;
+    while i < PROBE_LINES.len() {
+        offsets[i] = offsets[i - 1] + PROBE_LINES[i - 1];
+        i += 1;
+    }
+    offsets
+};
+
+/// One ladder's tag arrays, smallest filter first, at [`LADDER_OFFSETS`].
+type Ladder = Box<[u64; LADDER_LINES]>;
+
+/// Accesses per ladder depth (0 = hit in the smallest filter,
+/// `PROBE_LINES.len()` = missed in every filter).
+type DepthHistogram = [u64; PROBE_LINES.len() + 1];
+
 /// Streaming signature computer: observe every access of an interval,
 /// then [`SignatureProbe::finish`] the interval and move to the next.
 ///
 /// Probe tag arrays are allocated once and recycled across intervals.
 #[derive(Debug, Clone)]
 pub struct SignatureProbe {
-    /// Shared (unified) tag arrays, one per probe size.
-    tags: Vec<Vec<u64>>,
-    /// Split tag arrays: `[0]` instruction-only, `[1]` data-only.
-    split_tags: [Vec<Vec<u64>>; 2],
-    counts: ProbeCounts,
+    /// Shared (unified) ladder.
+    unified: Ladder,
+    /// Split ladders: `[0]` instruction-only, `[1]` data-only.
+    split: [Ladder; 2],
+    /// Accesses of the current interval per unified-ladder depth.
+    unified_depths: DepthHistogram,
+    /// Accesses of the current interval per kind `[inst, load, store]`
+    /// and split-ladder depth.
+    split_depths: [DepthHistogram; 3],
     len: u64,
 }
 
@@ -165,11 +198,12 @@ impl Default for SignatureProbe {
 impl SignatureProbe {
     /// Creates a probe with empty filters.
     pub fn new() -> Self {
-        let fresh = || PROBE_LINES.iter().map(|&n| vec![EMPTY; n]).collect::<Vec<_>>();
+        let fresh = || Box::new([EMPTY; LADDER_LINES]);
         Self {
-            tags: fresh(),
-            split_tags: [fresh(), fresh()],
-            counts: ProbeCounts::default(),
+            unified: fresh(),
+            split: [fresh(), fresh()],
+            unified_depths: DepthHistogram::default(),
+            split_depths: [DepthHistogram::default(); 3],
             len: 0,
         }
     }
@@ -180,25 +214,35 @@ impl SignatureProbe {
     /// Each ladder's filters share a line size, are indexed by mask and
     /// are reset together, so a smaller filter's content is always
     /// contained in every larger one (set-refinement inclusion): a hit
-    /// at one size is a hit at all larger sizes. Each ladder is walked
-    /// from the smallest filter and stops at its first hit; the filters
-    /// it skips already hold the block, so the counts are exactly those
-    /// of probing every filter.
+    /// at one size is a hit at all larger sizes, and the filters that
+    /// miss an access are a prefix of the ladder. Only the smallest
+    /// filter is branched on. Past a miss there, the other filters are
+    /// probed and written without a branch, and the misses summed: a
+    /// filter at or past the first hit already holds the block, so
+    /// writing it there changes nothing. The miss count is the access's
+    /// depth; the probe counts accesses per depth, and
+    /// [`SignatureProbe::finish`] turns the histogram into per-size
+    /// miss counts exactly equal to probing every filter.
     #[inline]
     pub fn observe(&mut self, access: Access) {
-        self.len += 1;
-        let kind = match access.kind {
-            AccessKind::Inst => 0,
-            AccessKind::Load => 1,
-            AccessKind::Store => 2,
-        };
-        self.counts.kinds[kind] += 1;
-        let side = usize::from(kind != 0);
-        let block = access.addr / u64::from(PROBE_LINE_WORDS);
-        probe_ladder(&mut self.tags, block, |size| self.counts.probe_misses_unified[size] += 1);
-        probe_ladder(&mut self.split_tags[side], block, |size| {
-            self.counts.probe_misses[size][kind] += 1
-        });
+        self.observe_all(std::slice::from_ref(&access));
+    }
+
+    /// [`SignatureProbe::observe`] for every access of `accesses`, in
+    /// order; the planner calls it once per interval slice.
+    pub fn observe_all(&mut self, accesses: &[Access]) {
+        let Self { unified, split, unified_depths, split_depths, len } = self;
+        *len += accesses.len() as u64;
+        for a in accesses {
+            let kind = match a.kind {
+                AccessKind::Inst => 0,
+                AccessKind::Load => 1,
+                AccessKind::Store => 2,
+            };
+            let block = a.addr / u64::from(PROBE_LINE_WORDS);
+            unified_depths[ladder_depth(unified, block)] += 1;
+            split_depths[kind][ladder_depth(&mut split[usize::from(kind != 0)], block)] += 1;
+        }
     }
 
     /// Accesses observed since the last [`SignatureProbe::finish`].
@@ -214,40 +258,66 @@ impl SignatureProbe {
     /// Closes the current interval: returns its signature and raw
     /// counters, and resets all filters for the next interval.
     pub fn finish(&mut self) -> (Signature, ProbeCounts) {
-        let sig =
-            Signature::from_counts(self.counts.kinds, self.counts.probe_misses_unified, self.len);
-        let counts = self.counts;
-        for tags in self.tags.iter_mut().chain(self.split_tags.iter_mut().flatten()) {
-            tags.fill(EMPTY);
+        // An access of depth d missed filters 0..d: a filter's misses are
+        // the accesses deeper than it.
+        let misses = |depths: &DepthHistogram| {
+            let mut out = [0u64; PROBE_LINES.len()];
+            let mut deeper = 0;
+            for size in (0..PROBE_LINES.len()).rev() {
+                deeper += depths[size + 1];
+                out[size] = deeper;
+            }
+            out
+        };
+        // Each access is in one split histogram: their totals are the kind
+        // counts.
+        let mut counts = ProbeCounts {
+            kinds: self.split_depths.map(|depths| depths.iter().sum()),
+            probe_misses_unified: misses(&self.unified_depths),
+            ..ProbeCounts::default()
+        };
+        for (kind, depths) in self.split_depths.iter().enumerate() {
+            for (size, m) in misses(depths).into_iter().enumerate() {
+                counts.probe_misses[size][kind] = m;
+            }
         }
-        self.counts = ProbeCounts::default();
+        let sig = Signature::from_counts(counts.kinds, counts.probe_misses_unified, self.len);
+        for ladder in std::iter::once(&mut self.unified).chain(&mut self.split) {
+            ladder.fill(EMPTY);
+        }
+        self.unified_depths = DepthHistogram::default();
+        self.split_depths = [DepthHistogram::default(); 3];
         self.len = 0;
         (sig, counts)
     }
 }
 
-/// Looks `block` up in one ladder of direct-mapped filters, smallest
-/// first, installing it and calling `miss(size)` at each filter that
-/// misses; stops at the first hit (see [`SignatureProbe::observe`]).
-#[inline]
-fn probe_ladder(ladder: &mut [Vec<u64>], block: u64, mut miss: impl FnMut(usize)) {
-    for (size, tags) in ladder.iter_mut().enumerate() {
-        // Probe sizes are powers of two: index by mask.
-        let slot = (block & (tags.len() as u64 - 1)) as usize;
-        if tags[slot] == block {
-            return;
-        }
-        tags[slot] = block;
-        miss(size);
+/// Looks `block` up in every filter of one ladder and installs it there;
+/// returns how many filters missed, which is the depth of its first hit
+/// (see [`SignatureProbe::observe`]).
+#[inline(always)]
+fn ladder_depth(ladder: &mut [u64; LADDER_LINES], block: u64) -> usize {
+    // Probe sizes are powers of two: index by mask.
+    let slot =
+        |size: usize| LADDER_OFFSETS[size] + (block & (PROBE_LINES[size] as u64 - 1)) as usize;
+    let first = slot(0);
+    if ladder[first] == block {
+        return 0;
     }
+    ladder[first] = block;
+    let mut depth = 1;
+    for size in 1..PROBE_LINES.len() {
+        let tag = &mut ladder[slot(size)];
+        depth += usize::from(*tag != block);
+        *tag = block;
+    }
+    depth
 }
 
 /// Signature of a whole in-memory interval (convenience for tests).
 pub fn signature_of(interval: &[Access]) -> Signature {
     let mut probe = SignatureProbe::new();
-    for &a in interval {
-        probe.observe(a);
-    }
+    probe.observe_all(interval);
     probe.finish().0
 }
 

@@ -30,7 +30,6 @@ use crate::service::proto::{
     accept_hello, decode_worker_frame, encode_coord_frame, write_frame, CoordFrame, FrameReader,
     JobOffer, Refusal, WorkerFrame, FEATURE_AUTH, FEATURE_FLEET, VERSION,
 };
-use crate::service::server::reap_finished;
 use mhe_cache::Policy;
 use mhe_core::{MheError, SamplingConfig};
 use std::cell::Cell;
@@ -40,7 +39,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Connection read timeout doubling as the handlers' stop-poll period.
@@ -124,6 +122,9 @@ struct State {
     abort: Option<String>,
     /// Why the acceptor stopped, when the listener failed on its own.
     accept_error: Option<String>,
+    /// Handlers past their handshake that have not ended: the ones that
+    /// can merge points, so the ones `run` waits for.
+    serving: usize,
 }
 
 #[derive(Debug)]
@@ -139,8 +140,6 @@ struct Shared {
     /// Set when the listener is shut down (a failed `run`, or the
     /// [`Coordinator`]'s drop): handlers and parked requests stop.
     closed: AtomicBool,
-    /// The acceptor's connection handlers; `run` joins its sweep's.
-    handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -289,6 +288,7 @@ impl Coordinator {
             last_progress: Instant::now(),
             abort: None,
             accept_error: None,
+            serving: 0,
         };
         let shared = Arc::new(Shared {
             job,
@@ -298,7 +298,6 @@ impl Coordinator {
             wake: Condvar::new(),
             halt: AtomicBool::new(false),
             closed: AtomicBool::new(false),
-            handlers: Mutex::new(Vec::new()),
         });
         // Detached: shutting the listener down ends it, so neither a halt
         // nor the drop waits for it.
@@ -350,14 +349,15 @@ impl Coordinator {
             // Parked requests see the close now, not at their next `Wait`.
             self.shared.settle(|_| true);
         }
-        // Every handler admitted so far observes the terminal state and
-        // unwinds; later dials are the acceptor's alone.
-        let handlers = std::mem::take(
-            &mut *self.shared.handlers.lock().unwrap_or_else(PoisonError::into_inner),
-        );
-        for h in handlers {
-            let _ = h.join();
+        // Every handler past its handshake observes the terminal state and
+        // unwinds. One still in its handshake has merged nothing and is not
+        // waited for: it finishes the handshake and hears `NoMoreWork` (or,
+        // after a halt, a close), or it gives up on its own deadline.
+        let mut s = self.shared.lock();
+        while s.serving > 0 {
+            s = self.shared.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
+        drop(s);
         // On a halt, the cache is persisted only now — after every
         // handler finished merging its in-flight points — so the standby
         // resumes from the most complete frontier this node ever held.
@@ -472,13 +472,12 @@ fn accept_workers(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let mut handlers = shared.handlers.lock().unwrap_or_else(PoisonError::into_inner);
-                reap_finished(&mut handlers);
                 let shared = Arc::clone(shared);
-                // Per-worker failures end that worker only.
-                handlers.push(std::thread::spawn(move || {
+                // Per-worker failures end that worker only. Detached: `run`
+                // waits on `State::serving`, not on threads.
+                std::thread::spawn(move || {
                     let _ = serve_worker(stream, &shared);
-                }));
+                });
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -545,7 +544,6 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
         return abort_worker(&mut stream, "peer did not announce fleet support");
     }
 
-    let mut worker_id = None;
     let mut reader = FrameReader::new(stream.try_clone()?);
 
     // Trust gate: a tokened coordinator challenges before offering the
@@ -568,7 +566,11 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             return send(&mut stream, &frame);
         }
     }
-    let outcome = loop {
+    // From here the connection can merge points, so `run` waits for it.
+    // A halted `run` may have stopped waiting already: close at once, so
+    // no point lands after its checkpoint.
+    let Some(mut serving) = Serving::enlist(shared) else { return Ok(()) };
+    loop {
         let payload = match reader.read_frame(&stop)? {
             Some(payload) => payload,
             None => {
@@ -602,7 +604,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     s.next_worker += 1;
                     id
                 });
-                worker_id = Some(id);
+                serving.worker = Some(id);
                 let job = CoordFrame::Job(JobOffer {
                     worker_id: id,
                     spec_text: shared.job.spec_text.clone(),
@@ -615,7 +617,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             }
             WorkerFrame::NeedShard => {
                 building.set(false);
-                let Some(id) = worker_id else {
+                let Some(id) = serving.worker else {
                     break Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "NeedShard before Hello",
@@ -637,7 +639,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                         }
                     }
                     if let Some(lease) = s.leases.get_mut(&shard) {
-                        if Some(lease.worker) == worker_id {
+                        if Some(lease.worker) == serving.worker {
                             lease.renewed = Instant::now();
                         }
                     }
@@ -656,7 +658,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 });
             }
             WorkerFrame::Heartbeat => {
-                if let Some(id) = worker_id {
+                if let Some(id) = serving.worker {
                     shared.locked(|s| {
                         let now = Instant::now();
                         for lease in s.leases.values_mut().filter(|l| l.worker == id) {
@@ -672,13 +674,42 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 ));
             }
         }
-    };
-    // Whatever ends this connection, the worker's leases go back in the
-    // pool immediately — disconnection is the fast steal path.
-    if let Some(id) = worker_id {
-        shared.reclaim(|lease| lease.worker == id);
     }
-    outcome
+}
+
+/// A handler past its handshake, counted in [`State::serving`]. However
+/// the connection ends (a clean close, an error or a panic), dropping it
+/// puts its worker's leases back in the pool at once — disconnection is
+/// the fast steal path — and then counts the handler out.
+struct Serving<'a> {
+    shared: &'a Shared,
+    /// The worker this connection attached, once it sent `Hello`.
+    worker: Option<u32>,
+}
+
+impl<'a> Serving<'a> {
+    /// Counts a handler in, unless the coordinator has halted. Under the
+    /// lock, so either `run`'s wait sees the count or this sees the halt.
+    fn enlist(shared: &'a Shared) -> Option<Self> {
+        shared.locked(|s| {
+            (!shared.halted()).then(|| {
+                s.serving += 1;
+                Serving { shared, worker: None }
+            })
+        })
+    }
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        if let Some(id) = self.worker {
+            self.shared.reclaim(|lease| lease.worker == id);
+        }
+        self.shared.settle(|s| {
+            s.serving -= 1;
+            s.serving == 0
+        });
+    }
 }
 
 /// Parks a `NeedShard` request until a shard frees up (sending a `Wait`

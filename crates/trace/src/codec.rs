@@ -143,13 +143,11 @@ fn opcode(kind: AccessKind) -> u8 {
     }
 }
 
+/// The kind of each valid opcode.
+const KINDS: [AccessKind; 3] = [AccessKind::Load, AccessKind::Store, AccessKind::Inst];
+
 fn kind_of(op: u8) -> Option<AccessKind> {
-    match op {
-        0 => Some(AccessKind::Load),
-        1 => Some(AccessKind::Store),
-        2 => Some(AccessKind::Inst),
-        _ => None,
-    }
+    KINDS.get(usize::from(op)).copied()
 }
 
 fn zigzag(d: i64) -> u64 {
@@ -209,6 +207,40 @@ fn decode_access(payload: &[u8], pos: &mut usize, last: &mut [u64; 3]) -> Result
     let addr = last[op as usize].wrapping_add(unzigzag(v) as u64);
     last[op as usize] = addr;
     Ok(Access { addr, kind })
+}
+
+/// Decodes a whole frame payload of `count` accesses; returns them with
+/// their `din` text size. Bytes left over after the last access are an
+/// error.
+fn decode_frame(payload: &[u8], count: u32) -> Result<(Vec<Access>, u64)> {
+    // Every access takes at least one payload byte: a forged count
+    // behind a valid CRC reserves no more than the payload.
+    let mut out = Vec::with_capacity((count as usize).min(payload.len()));
+    let mut last = [0u64; 3];
+    let mut pos = 0usize;
+    let mut din_bytes = 0u64;
+    for _ in 0..count {
+        let a = match payload.get(pos) {
+            // One byte with no continuation flag and a valid opcode (bit
+            // 7 clear, opcode bits not 3), inline: most accesses are short
+            // deltas.
+            Some(&first) if first < 0x60 => {
+                let op = usize::from(first >> 5);
+                let addr = last[op].wrapping_add(unzigzag(u64::from(first & 0x1F)) as u64);
+                last[op] = addr;
+                pos += 1;
+                Access { addr, kind: KINDS[op] }
+            }
+            _ => decode_access(payload, &mut pos, &mut last)?,
+        };
+        din_bytes += din_line_bytes(a);
+        out.push(a);
+    }
+    if pos != payload.len() {
+        let trailing = payload.len() - pos;
+        return Err(invalid(format!("mtr frame has {trailing} trailing payload bytes")));
+    }
+    Ok((out, din_bytes))
 }
 
 /// Streaming `.mtr` encoder with bounded memory (one frame buffered).
@@ -551,27 +583,10 @@ impl<R: Read> TraceReader<R> {
                 entry.crc
             ))));
         }
-        // Every access takes at least one payload byte: a forged count
-        // behind a valid CRC reserves no more than the payload.
-        let mut out = Vec::with_capacity((entry.count as usize).min(self.payload.len()));
-        let mut last = [0u64; 3];
-        let mut pos = 0usize;
-        let mut din_bytes = 0u64;
-        for _ in 0..entry.count {
-            match decode_access(&self.payload, &mut pos, &mut last) {
-                Ok(a) => {
-                    din_bytes += din_line_bytes(a);
-                    out.push(a);
-                }
-                Err(e) => return Err(self.poisoned(e)),
-            }
-        }
-        if pos != self.payload.len() {
-            let trailing = self.payload.len() - pos;
-            return Err(
-                self.poisoned(invalid(format!("mtr frame has {trailing} trailing payload bytes")))
-            );
-        }
+        let (out, din_bytes) = match decode_frame(&self.payload, entry.count) {
+            Ok(decoded) => decoded,
+            Err(e) => return Err(self.poisoned(e)),
+        };
         let frame_bytes = FRAME_HEADER as u64 + u64::from(entry.payload_len);
         self.pos = entry.offset + frame_bytes;
         self.stats.bytes += frame_bytes;
@@ -894,6 +909,46 @@ mod tests {
         let err = read_mtr(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("kind"), "{err}");
+    }
+
+    /// Every one-byte access, as a one-access frame, decodes to what the
+    /// general decoder gives, or fails with its error (opcode 3): the
+    /// inline one-byte path is only a shortcut.
+    #[test]
+    fn every_one_byte_access_decodes_as_the_general_decoder_does() {
+        for byte in 0x00..=0x7Fu8 {
+            let got = read_mtr(framed(1, &[byte]).as_slice());
+            match decode_access(&[byte], &mut 0, &mut [0; 3]) {
+                Ok(a) => assert_eq!(got.unwrap(), vec![a], "byte {byte:#04x}"),
+                Err(want) => {
+                    let err = got.unwrap_err();
+                    assert_eq!(err.kind(), want.kind(), "byte {byte:#04x}");
+                    assert_eq!(err.to_string(), want.to_string(), "byte {byte:#04x}");
+                }
+            }
+        }
+    }
+
+    /// Deltas on both sides of the one-byte limit round-trip for every
+    /// kind: zigzag 30 and 31 (deltas 15 and -16) take one byte, 32 and
+    /// 33 (16 and -17) two.
+    #[test]
+    fn deltas_across_the_one_byte_boundary_round_trip() {
+        let addrs = [16, 0, 15, 15u64.wrapping_sub(17)];
+        let kinds: [fn(u64) -> Access; 3] = [Access::inst, Access::load, Access::store];
+        for make in kinds {
+            let trace: Vec<Access> = addrs.iter().map(|&a| make(a)).collect();
+            let mut buf = Vec::new();
+            let stats = write_mtr(&mut buf, trace.iter().copied()).unwrap();
+            // Header, frame header, 2 + 1 + 1 + 2 payload bytes, end marker.
+            assert_eq!(stats.bytes, 5 + 12 + 6 + 12, "{:?}", trace[0].kind);
+            assert_eq!(read_mtr(buf.as_slice()).unwrap(), trace);
+        }
+        // Interleaved, each kind keeps its own last address.
+        let trace: Vec<Access> = addrs.iter().flat_map(|&a| kinds.map(|make| make(a))).collect();
+        let mut buf = Vec::new();
+        write_mtr(&mut buf, trace.iter().copied()).unwrap();
+        assert_eq!(read_mtr(buf.as_slice()).unwrap(), trace);
     }
 
     #[test]

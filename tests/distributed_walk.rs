@@ -560,3 +560,77 @@ fn a_halted_or_dropped_coordinator_frees_its_port_at_once() {
         bind(addr).unwrap_or_else(|e| panic!("round {round}: rebind after drop: {e}"));
     }
 }
+
+/// A dialer that connects and says nothing does not hold up a finished
+/// sweep: `run` does not wait for a handler still in its handshake,
+/// which would sit out the handshake's 10 s deadline. The same dialer,
+/// finishing its handshake after the sweep, hears `NoMoreWork`.
+#[test]
+fn a_silent_dialer_does_not_delay_a_finished_run() {
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { shard_count: 1, auth_token: None, ..FleetConfig::default() };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+
+    // Its handler runs once the coordinator's announcement arrives.
+    let mut silent = std::net::TcpStream::connect(addr).expect("tcp connect");
+    silent.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut hello = [0u8; proto::HANDSHAKE_LEN];
+    silent.read_exact(&mut hello).expect("coordinator announcement");
+
+    let (summary, waited) = std::thread::scope(|scope| {
+        let run = scope.spawn(|| coordinator.run(None));
+        let mut finisher = raw_worker(addr);
+        send_worker(&mut finisher, &proto::WorkerFrame::NeedShard);
+        assert!(matches!(read_coord(&mut finisher), proto::CoordFrame::Assign { shard: 0, .. }));
+        send_worker(&mut finisher, &proto::WorkerFrame::ShardDone { shard: 0 });
+        let done = std::time::Instant::now();
+        let summary = run.join().expect("coordinator thread").expect("the sweep completes");
+        (summary, done.elapsed())
+    });
+    assert_eq!((summary.workers, summary.shards), (1, 1), "{summary:?}");
+    assert!(waited < Duration::from_secs(2), "run returned {waited:?} after the last ShardDone");
+
+    let late = proto::Handshake { version: proto::VERSION, features: proto::FEATURE_FLEET };
+    silent.write_all(&late.encode()).expect("late announcement");
+    send_worker(&mut silent, &proto::WorkerFrame::Hello);
+    assert!(matches!(read_coord(&mut silent), proto::CoordFrame::NoMoreWork));
+}
+
+/// A lease holder whose connection fails mid-conversation (here a frame
+/// that does not decode) loses its lease at once, as one that closes
+/// cleanly does: a parked `NeedShard` gets the shard without waiting out
+/// the 15 s lease deadline.
+#[test]
+fn a_malformed_frame_frees_its_senders_lease_at_once() {
+    let job = FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { shard_count: 1, auth_token: None, ..FleetConfig::default() };
+    let db = Arc::new(EvaluationCache::new());
+    let coordinator = Coordinator::bind("127.0.0.1:0", job, cfg, db).expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr");
+    let run = std::thread::spawn(move || coordinator.run(None));
+
+    let mut holder = raw_worker(addr);
+    send_worker(&mut holder, &proto::WorkerFrame::NeedShard);
+    assert!(matches!(read_coord(&mut holder), proto::CoordFrame::Assign { shard: 0, .. }));
+    let mut parked = raw_worker(addr);
+    send_worker(&mut parked, &proto::WorkerFrame::NeedShard);
+    // Let the coordinator park the request behind the held lease.
+    std::thread::sleep(Duration::from_millis(150));
+    let failed = std::time::Instant::now();
+    proto::write_frame(&mut holder, &[0xEE, 0xEE, 0xEE]).expect("undecodable frame");
+    loop {
+        match read_coord(&mut parked) {
+            proto::CoordFrame::Assign { shard: 0, .. } => break,
+            proto::CoordFrame::Wait => {}
+            other => panic!("expected the freed shard, got {other:?}"),
+        }
+    }
+    let waited = failed.elapsed();
+    assert!(waited < Duration::from_millis(500), "the freed shard took {waited:?} to reassign");
+
+    send_worker(&mut parked, &proto::WorkerFrame::ShardDone { shard: 0 });
+    let summary = run.join().expect("coordinator thread").expect("the sweep completes");
+    assert_eq!((summary.shards, summary.steals), (1, 1), "{summary:?}");
+}
