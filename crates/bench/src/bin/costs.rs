@@ -9,13 +9,17 @@
 //! The reference trace is generated once and timed on its own, so the
 //! direct and single-pass timings are simulation only. The end-to-end
 //! build then lists one line per single-pass simulation it ran, so the
-//! grid-simulation time can be read per family. Last come the two pass-A
+//! grid-simulation time can be read per family. Last come the pass-A
 //! layers of a sampled replay, on the joint trace of the same program:
-//! `.mtr` decode and the signature scan.
+//! `.mtr` decode, the signature scan, and the AHH modelers, timed both as
+//! the per-reference `ITraceModeler` + `UTraceModeler` pair and as the
+//! joint `TraceModeler` pass; the run panics if the two disagree on any
+//! parameter bit.
 
 use mhe_cache::{Cache, SinglePassSim};
 use mhe_core::evaluator::{EvalConfig, ReferenceEvaluation};
 use mhe_core::SamplingConfig;
+use mhe_model::{ITraceModeler, TraceModeler, UTraceModeler};
 use mhe_sampling::plan::SamplePlanner;
 use mhe_spacewalk::space::SystemSpace;
 use mhe_trace::codec::{write_mtr, TraceReader};
@@ -157,15 +161,20 @@ fn main() {
     );
 
     // --- Sampled replay's pass A: decode an `.mtr` capture of the joint
-    // trace frame by frame and scan each frame for signatures, timed
-    // apart. ---
+    // trace frame by frame, scan each frame for signatures and model it
+    // both ways, each timed apart. ---
     let mut mtr = Vec::new();
     let written =
         write_mtr(&mut mtr, TraceGenerator::new(&program, &reference, 1).with_event_limit(events))
             .expect("in-memory .mtr capture");
     let mut reader = TraceReader::new(mtr.as_slice()).expect(".mtr header");
     let mut planner = SamplePlanner::new(SamplingConfig::default());
+    let granules = EvalConfig::default();
+    let mut imodel = ITraceModeler::new(granules.i_granule);
+    let mut umodel = UTraceModeler::new(granules.u_granule);
+    let mut joint = TraceModeler::new(granules.i_granule, granules.u_granule);
     let (mut decode_cost, mut feed_cost) = (Duration::ZERO, Duration::ZERO);
+    let (mut pair_cost, mut joint_cost) = (Duration::ZERO, Duration::ZERO);
     loop {
         let t5 = Instant::now();
         let Some(frame) = reader.next_frame().expect("the capture decodes") else { break };
@@ -173,8 +182,31 @@ fn main() {
         let t6 = Instant::now();
         planner.feed(&frame);
         feed_cost += t6.elapsed();
+        let t7 = Instant::now();
+        for &a in &frame {
+            if StreamKind::Instruction.admits(a.kind) {
+                imodel.process(a.addr);
+            }
+            umodel.process(a);
+        }
+        pair_cost += t7.elapsed();
+        let t8 = Instant::now();
+        joint.feed(&frame);
+        joint_cost += t8.elapsed();
     }
+    let t7 = Instant::now();
+    let pair = (imodel.finish(), umodel.finish());
+    pair_cost += t7.elapsed();
+    let t8 = Instant::now();
+    let joint = joint.finish();
+    joint_cost += t8.elapsed();
+    assert_eq!(joint, pair, "the joint modeler pass must equal the per-reference pair");
     println!("\nsampled replay's pass A over the joint trace ({} accesses):", written.accesses);
     println!("  .mtr decode, TraceReader::next_frame ({} bytes): {decode_cost:?}", written.bytes);
     println!("  signature scan, SamplePlanner::feed: {feed_cost:?}");
+    println!("  AHH modelers, per-reference ITraceModeler + UTraceModeler: {pair_cost:?}");
+    println!(
+        "  AHH modelers, joint TraceModeler::feed (same parameters): {joint_cost:?} ({:.2}x)",
+        pair_cost.as_secs_f64() / joint_cost.as_secs_f64().max(1e-12)
+    );
 }

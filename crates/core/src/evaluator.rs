@@ -46,7 +46,7 @@ use crate::ucache::estimate_ucache_misses;
 use mhe_cache::{Cache, CacheConfig, Policy, SinglePassSim};
 use mhe_model::ahh::UniqueLineModel;
 use mhe_model::params::{TraceParams, UnifiedParams, I_GRANULE, U_GRANULE};
-use mhe_model::{ITraceModeler, UTraceModeler};
+use mhe_model::TraceModeler;
 use mhe_sampling::{
     RepWindow, SamplePlan, SamplePlanner, SampledSim, SamplingConfig, WindowExtractor,
 };
@@ -347,18 +347,22 @@ const _: () = {
 };
 
 /// One stateful unit of the measurement fan-out, fed one trace chunk at a
-/// time across many [`ParallelSweep::try_for_each_mut_in`] rounds.
+/// time across many [`ParallelSweep::try_for_each_mut_in`] rounds: the
+/// joint AHH modeler pass, one single-pass simulator per family, or the
+/// sampling planner. The modeler and the planner read the raw chunk, the
+/// simulators its [`ChunkStreams`] split.
 enum StreamTask {
-    IModel { modeler: ITraceModeler, wall: Duration },
-    UModel { modeler: UTraceModeler, wall: Duration },
+    Model { modeler: Box<TraceModeler>, wall: Duration },
     Sim { kind: StreamKind, sim: SinglePassSim, configs: Vec<CacheConfig>, wall: Duration },
     Plan { planner: Box<SamplePlanner>, wall: Duration },
 }
 
 /// The addresses of one pass A chunk's instruction and data streams,
-/// split once per chunk so that no simulator filters every access. One
-/// value serves a whole measurement: [`ChunkStreams::split`] refills a
-/// single buffer of one chunk's length, instruction addresses first.
+/// split once per chunk so that no simulator filters every access. Only
+/// the exact route's simulators read it; the modelers and the planner
+/// read the chunk itself. One value serves a whole measurement:
+/// [`ChunkStreams::split`] refills a single buffer of one chunk's length,
+/// instruction addresses first.
 struct ChunkStreams {
     addrs: Vec<u64>,
     /// Instruction addresses at the front of `addrs`.
@@ -405,20 +409,8 @@ impl StreamTask {
     fn feed(&mut self, chunk: &[Access], streams: Option<&ChunkStreams>) {
         let start = Instant::now();
         match self {
-            StreamTask::IModel { modeler, wall } => {
-                match streams {
-                    Some(streams) => streams.inst().iter().for_each(|&a| modeler.process(a)),
-                    None => chunk
-                        .iter()
-                        .filter(|a| StreamKind::Instruction.admits(a.kind))
-                        .for_each(|a| modeler.process(a.addr)),
-                }
-                *wall += start.elapsed();
-            }
-            StreamTask::UModel { modeler, wall } => {
-                for &a in chunk {
-                    modeler.process(a);
-                }
+            StreamTask::Model { modeler, wall } => {
+                modeler.feed(chunk);
                 *wall += start.elapsed();
             }
             StreamTask::Sim { kind, sim, wall, .. } => {
@@ -619,11 +611,13 @@ fn din_chunk(
 /// every route shares.
 ///
 /// Pass A streams the whole trace once, chunk by chunk, through stateful
-/// tasks on the worker pool: the exact AHH modelers, plus either one
-/// [`SinglePassSim`] per family (exact route) or the sampling planner
-/// (sampled route, when [`EvalConfig::sampling`] is set). Every task sees
-/// the whole stream in order and is deterministic, so the outcome is
-/// bit-identical for any chunk size and worker count.
+/// tasks on the worker pool: one [`TraceModeler`] (both exact AHH
+/// modelers in one pass over the raw chunk), plus either one
+/// [`SinglePassSim`] per family, reading the chunk's [`ChunkStreams`]
+/// split (exact route), or the sampling planner (sampled route, when
+/// [`EvalConfig::sampling`] is set). Every task sees the whole stream in
+/// order and is deterministic, so the outcome is bit-identical for any
+/// chunk size and worker count.
 ///
 /// The sampled route then runs pass B ([`TwoPass::fill`]): it copies out
 /// each representative's warm-up and body, bounded by `clusters ×
@@ -639,18 +633,18 @@ fn measure(
     source: &mut dyn TwoPass,
 ) -> io::Result<StreamOutcome> {
     let families = families(config, icaches, dcaches, ucaches);
-    // Only the exact route splits its chunks: its pass A simulators and
-    // its instruction modeler read the split. The sampled route's modeler
-    // filters each chunk itself. The buffer is allocated here, before the
-    // simulators' tables, and freed after the last chunk: allocated at the
-    // first chunk and freed at the end, it stayed resident as a hole in the
-    // heap (`fleet-2`'s peak RSS +7%, against +3% this way).
+    // Only the exact route splits its chunks: its pass A simulators read
+    // the split. The modelers and the sampled route's planner read the
+    // chunk itself. The buffer is allocated here, before the simulators'
+    // tables, and freed after the last chunk: allocated at the first chunk
+    // and freed at the end, it stayed resident as a hole in the heap
+    // (`fleet-2`'s peak RSS +7%, against +3% this way).
     let split = config.sampling.is_none();
     let mut streams = ChunkStreams::with_capacity(if split { config.chunk_accesses } else { 0 });
-    let mut tasks = vec![
-        StreamTask::IModel { modeler: ITraceModeler::new(config.i_granule), wall: Duration::ZERO },
-        StreamTask::UModel { modeler: UTraceModeler::new(config.u_granule), wall: Duration::ZERO },
-    ];
+    let mut tasks = vec![StreamTask::Model {
+        modeler: Box::new(TraceModeler::new(config.i_granule, config.u_granule)),
+        wall: Duration::ZERO,
+    }];
     match config.sampling {
         Some(sampling) => tasks.push(StreamTask::Plan {
             planner: Box::new(SamplePlanner::new(sampling)),
@@ -701,19 +695,14 @@ fn measure(
 
     // --- Finish every task, in task order (so metrics are deterministic
     // too). ---
-    let mut iparams = None;
-    let mut uparams = None;
+    let mut params = None;
     let mut plan = None;
     let mut model_wall = Duration::ZERO;
     let mut grids = Grids::default();
     for task in tasks {
         match task {
-            StreamTask::IModel { modeler, wall } => {
-                iparams = Some(modeler.finish());
-                model_wall += wall;
-            }
-            StreamTask::UModel { modeler, wall } => {
-                uparams = Some(modeler.finish());
+            StreamTask::Model { modeler, wall } => {
+                params = Some(modeler.finish());
                 model_wall += wall;
             }
             StreamTask::Plan { planner, wall } => {
@@ -766,10 +755,11 @@ fn measure(
             error_bound: plan.error_bound(),
         });
     }
+    let (iparams, uparams) = params.expect("modeler task ran");
     Ok(StreamOutcome {
         threads: sweep.threads(),
-        iparams: iparams.expect("instruction modeler task ran"),
-        uparams: uparams.expect("unified modeler task ran"),
+        iparams,
+        uparams,
         grids,
         trace_len,
         chunks,

@@ -36,4 +36,6 @@ pub mod math;
 pub mod params;
 
 pub use ahh::{collisions, unique_lines, UniqueLineModel};
-pub use params::{ITraceModeler, TraceParams, UTraceModeler, UnifiedParams, I_GRANULE, U_GRANULE};
+pub use params::{
+    ITraceModeler, TraceModeler, TraceParams, UTraceModeler, UnifiedParams, I_GRANULE, U_GRANULE,
+};

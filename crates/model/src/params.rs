@@ -10,9 +10,10 @@
 //!
 //! [`ITraceModeler`] processes a single-component trace;
 //! [`UTraceModeler`] separates the instruction and data components of a
-//! unified trace (only the instruction component dilates). Default granule
-//! sizes follow the paper: 10,000 references for the instruction trace and
-//! 200,000 for the unified trace.
+//! unified trace (only the instruction component dilates);
+//! [`TraceModeler`] runs both over a unified trace in one pass. Default
+//! granule sizes follow the paper: 10,000 references for the instruction
+//! trace and 200,000 for the unified trace.
 
 use mhe_trace::{Access, AccessKind};
 
@@ -95,11 +96,13 @@ struct Page {
 ///
 /// A paged bitmap: each bit is one word address. The pages a granule
 /// touches sit in `pages`, found through an open-addressing `index` of
-/// page keys with a last-page shortcut. Consecutive addresses gather in
-/// a pending run and are set a word mask at a time. At the end of a
-/// granule only the touched pages are sorted, and the run statistics
-/// come from the bits: a set bit starts a run when its left neighbour
-/// is clear, and is isolated when its right neighbour is clear too.
+/// page keys with a last-page shortcut. References arrive as runs of
+/// consecutive addresses (one reference is a run of one); runs that
+/// touch or overlap gather in a pending run, which is set a word mask
+/// at a time. At the end of a granule only the touched pages are
+/// sorted, and the run statistics come from the bits: a set bit starts
+/// a run when its left neighbour is clear, and is isolated when its
+/// right neighbour is clear too.
 /// The pages are then dropped from the pool, whose capacity is kept.
 #[derive(Debug, Clone)]
 struct GranuleSet {
@@ -139,21 +142,30 @@ impl GranuleSet {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Records one reference.
+    /// Records `len` references to the consecutive addresses `lo`,
+    /// `lo + 1`, … `lo + len - 1`, which must not wrap past `u64::MAX`.
+    /// One reference is a run of one.
     #[inline]
-    fn insert(&mut self, addr: u64) {
-        self.references += 1;
-        let offset = addr.wrapping_sub(self.run_lo);
+    fn insert_run(&mut self, lo: u64, len: u64) {
+        debug_assert!(len > 0 && lo.checked_add(len - 1).is_some(), "run {lo} + {len} wraps");
+        self.references += len;
+        let offset = lo.wrapping_sub(self.run_lo);
         if offset < self.run_len {
-            return; // already in the pending run
+            // Starts inside the pending run: only its tail may be new.
+            // A repeat writes nothing, so the next reference's load of
+            // `run_len` does not wait on a store.
+            if offset + len > self.run_len {
+                self.run_len = offset + len;
+            }
+            return;
         }
-        // The next address extends the run, unless it wrapped to 0.
-        if offset == self.run_len && addr != 0 {
-            self.run_len += 1;
+        // Starts right after the pending run, unless that wrapped to 0.
+        if offset == self.run_len && lo != 0 {
+            self.run_len += len;
             return;
         }
         self.flush_run();
-        (self.run_lo, self.run_len) = (addr, 1);
+        (self.run_lo, self.run_len) = (lo, len);
     }
 
     /// Sets the pending run's bits, a word mask at a time.
@@ -341,12 +353,24 @@ impl ITraceModeler {
 
     /// Processes one reference.
     pub fn process(&mut self, addr: u64) {
-        self.addrs.insert(addr);
-        self.seen += 1;
+        self.process_run(addr, 1);
+    }
+
+    /// Processes a run of `len` references to `lo`, `lo + 1`, …, which
+    /// must fit in what is left of the granule ([`Self::room`]).
+    #[inline]
+    fn process_run(&mut self, lo: u64, len: usize) {
+        self.addrs.insert_run(lo, len as u64);
+        self.seen += len;
         if self.seen == self.granule {
             self.accum.add(self.addrs.finish_granule());
             self.seen = 0;
         }
+    }
+
+    /// References left before the current granule ends.
+    fn room(&self) -> usize {
+        self.granule - self.seen
     }
 
     /// Number of complete granules processed so far.
@@ -405,15 +429,29 @@ impl UTraceModeler {
     /// Processes one access.
     pub fn process(&mut self, access: Access) {
         match access.kind {
-            AccessKind::Inst => self.iaddrs.insert(access.addr),
-            AccessKind::Load | AccessKind::Store => self.daddrs.insert(access.addr),
+            AccessKind::Inst => self.iaddrs.insert_run(access.addr, 1),
+            AccessKind::Load | AccessKind::Store => self.daddrs.insert_run(access.addr, 1),
         }
-        self.seen += 1;
+        self.advance(1);
+    }
+
+    /// Counts `n` accesses already inserted, which must fit in what is
+    /// left of the granule ([`Self::room`]), and ends the granule when
+    /// they fill it. Always inlined: left to the compiler, it stayed a
+    /// call in `process`, the per-reference path.
+    #[inline(always)]
+    fn advance(&mut self, n: usize) {
+        self.seen += n;
         if self.seen == self.granule {
             self.iaccum.add(self.iaddrs.finish_granule());
             self.daccum.add(self.daddrs.finish_granule());
             self.seen = 0;
         }
+    }
+
+    /// Accesses left before the current granule ends.
+    fn room(&self) -> usize {
+        self.granule - self.seen
     }
 
     /// Measures a whole access stream.
@@ -428,6 +466,81 @@ impl UTraceModeler {
     /// Finishes, returning both components' parameters.
     pub fn finish(self) -> UnifiedParams {
         UnifiedParams { inst: self.iaccum.finish(), data: self.daccum.finish() }
+    }
+}
+
+/// Both modelers of the paper's `TraceModeler` step in one pass over a
+/// unified trace: an [`ITraceModeler`] over its instruction references
+/// and a [`UTraceModeler`] over all of it.
+///
+/// Each chunk is walked once. Consecutive instruction references to
+/// consecutive addresses gather into a run, cut where either modeler's
+/// granule ends or the address wraps past `u64::MAX`; the run goes into
+/// both instruction granule sets at once, and each data reference into
+/// the unified modeler's data set. A granule set keeps the addresses, not
+/// their order, so the parameters are bit-identical to feeding the two
+/// modelers one reference at a time, for any chunking.
+#[derive(Debug, Clone)]
+pub struct TraceModeler {
+    inst: ITraceModeler,
+    unified: UTraceModeler,
+}
+
+impl TraceModeler {
+    /// Creates the pass with the instruction modeler's granule
+    /// (instruction references) and the unified modeler's (all accesses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either granule is 0.
+    pub fn new(i_granule: usize, u_granule: usize) -> Self {
+        Self { inst: ITraceModeler::new(i_granule), unified: UTraceModeler::new(u_granule) }
+    }
+
+    /// Processes the next accesses of the trace.
+    pub fn feed(&mut self, chunk: &[Access]) {
+        let mut rest = chunk;
+        while !rest.is_empty() {
+            let (part, tail) = rest.split_at(rest.len().min(self.unified.room()));
+            self.feed_within_unified_granule(part);
+            self.unified.advance(part.len());
+            rest = tail;
+        }
+    }
+
+    /// Inserts `part`, which ends at or before the unified granule does.
+    fn feed_within_unified_granule(&mut self, part: &[Access]) {
+        let mut next = 0;
+        while let Some(&Access { addr: lo, kind }) = part.get(next) {
+            next += 1;
+            if kind != AccessKind::Inst {
+                self.unified.daddrs.insert_run(lo, 1);
+                continue;
+            }
+            // The run grows while the next instruction address follows
+            // on without wrapping to 0, up to the instruction granule.
+            let room = self.inst.room();
+            let mut len = 1;
+            while len < room {
+                match part.get(next) {
+                    Some(&Access { addr, kind: AccessKind::Inst })
+                        if addr == lo.wrapping_add(len as u64) && addr != 0 =>
+                    {
+                        len += 1;
+                        next += 1;
+                    }
+                    _ => break,
+                }
+            }
+            self.unified.iaddrs.insert_run(lo, len as u64);
+            self.inst.process_run(lo, len);
+        }
+    }
+
+    /// Finishes, returning the instruction trace's parameters and the
+    /// unified trace's (trailing partial granules discarded).
+    pub fn finish(self) -> (TraceParams, UnifiedParams) {
+        (self.inst.finish(), self.unified.finish())
     }
 }
 
@@ -463,7 +576,7 @@ mod tests {
 
     fn dedup_stats(mut set: GranuleSet, refs: &[u64]) -> GranuleStats {
         for &a in refs {
-            set.insert(a);
+            set.insert_run(a, 1);
         }
         assert_eq!(set.references, refs.len() as u64, "Phase::Model counts raw references");
         set.finish_granule()
@@ -546,6 +659,21 @@ mod tests {
             let want = reference_uparams(&trace, granule);
             prop_assert_eq!(bits(got.inst), bits(want.inst));
             prop_assert_eq!(bits(got.data), bits(want.data));
+        }
+
+        #[test]
+        fn inserted_runs_match_sorting_everything(
+            runs in prop::collection::vec((addr(), 1u64..1200), 0..40),
+        ) {
+            // Each run as one insertion, clipped where it would wrap.
+            let (mut set, mut refs) = (GranuleSet::new(), Vec::new());
+            for (lo, len) in runs {
+                let len = len.min((u64::MAX - lo).saturating_add(1));
+                set.insert_run(lo, len);
+                refs.extend((0..len).map(|k| lo + k));
+            }
+            prop_assert_eq!(set.references, refs.len() as u64);
+            prop_assert_eq!(set.finish_granule(), reference_stats(&refs));
         }
 
         #[test]

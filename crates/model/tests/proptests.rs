@@ -1,11 +1,13 @@
 //! Property tests for the AHH model: monotonicity, the equivalence of the
-//! two collision computations, and interpolation identities.
+//! two collision computations, interpolation identities, and the joint
+//! modeler pass against the two per-reference modelers.
 
 use mhe_model::ahh::{
     collisions, collisions_primary, collisions_tail, interpolate_linear_in, unique_lines,
     UniqueLineModel,
 };
-use mhe_model::params::TraceParams;
+use mhe_model::params::{ITraceModeler, TraceModeler, TraceParams, UTraceModeler};
+use mhe_trace::{Access, AccessKind};
 use proptest::prelude::*;
 
 fn params_strategy() -> impl Strategy<Value = TraceParams> {
@@ -113,5 +115,86 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&p.p1));
         prop_assert!(p.lav >= 1.0);
         prop_assert!(p.p2() <= 1.0);
+    }
+}
+
+/// Addresses with both ends of the address space and neighbours of each
+/// other.
+fn joint_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(u64::MAX),
+        Just(u64::MAX - 40),
+        0u64..64,
+        4000u64..4400,
+        0u64..u64::MAX,
+    ]
+}
+
+/// One piece of a unified trace: a sequential instruction run of `len`
+/// from `lo`, wrapping past `u64::MAX` when it gets there, with a data
+/// access after every `data_every`-th instruction (none when 0), or one
+/// lone data access.
+fn piece() -> impl Strategy<Value = Vec<Access>> {
+    let run =
+        (joint_addr(), 1u64..700, 0u64..4, joint_addr()).prop_map(|(lo, len, data_every, data)| {
+            let mut out = Vec::new();
+            for k in 0..len {
+                out.push(Access::inst(lo.wrapping_add(k)));
+                if data_every > 0 && k % data_every == 0 {
+                    let addr = data.wrapping_add(k);
+                    out.push(if k % 2 == 0 { Access::load(addr) } else { Access::store(addr) });
+                }
+            }
+            out
+        });
+    prop_oneof![run, joint_addr().prop_map(|a| vec![Access::store(a)])]
+}
+
+/// A chunk length: often empty or one access.
+fn chunk_len() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), Just(1usize), 0usize..500]
+}
+
+fn bits(p: TraceParams) -> [u64; 3] {
+    [p.u1.to_bits(), p.p1.to_bits(), p.lav.to_bits()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The joint pass is the two per-reference modelers, bit for bit:
+    /// instruction runs that cross either granule boundary or wrap past
+    /// `u64::MAX`, fed in arbitrary chunks (empty and one-access ones
+    /// included).
+    #[test]
+    fn joint_pass_matches_the_per_reference_modelers(
+        pieces in prop::collection::vec(piece(), 0..12),
+        i_granule in 1usize..400,
+        u_granule in 1usize..1500,
+        cuts in prop::collection::vec(chunk_len(), 0..24),
+    ) {
+        let trace: Vec<Access> = pieces.concat();
+        let mut imodel = ITraceModeler::new(i_granule);
+        let mut umodel = UTraceModeler::new(u_granule);
+        for &a in &trace {
+            if a.kind == AccessKind::Inst {
+                imodel.process(a.addr);
+            }
+            umodel.process(a);
+        }
+        let mut joint = TraceModeler::new(i_granule, u_granule);
+        let mut rest = &trace[..];
+        for cut in cuts {
+            let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+            joint.feed(chunk);
+            rest = tail;
+        }
+        joint.feed(rest);
+        let (iparams, uparams) = joint.finish();
+        let (want_i, want_u) = (imodel.finish(), umodel.finish());
+        prop_assert_eq!(bits(iparams), bits(want_i));
+        prop_assert_eq!(bits(uparams.inst), bits(want_u.inst));
+        prop_assert_eq!(bits(uparams.data), bits(want_u.data));
     }
 }

@@ -35,13 +35,15 @@ use mhe_core::{MheError, SamplingConfig};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Connection read timeout doubling as the handlers' stop-poll period.
+/// Connection read timeout doubling as the handlers' stop-poll period for
+/// an abort or the sweep's end. A halt or a close does not wait for it:
+/// it shuts down the read half of every serving handler's socket.
 const HANDLER_POLL: Duration = Duration::from_millis(100);
 /// How often a parked worker is told to keep waiting.
 const WAIT_PERIOD: Duration = Duration::from_secs(1);
@@ -123,8 +125,25 @@ struct State {
     /// Why the acceptor stopped, when the listener failed on its own.
     accept_error: Option<String>,
     /// Handlers past their handshake that have not ended: the ones that
-    /// can merge points, so the ones `run` waits for.
-    serving: usize,
+    /// can merge points, so the ones `run` waits for. Each is held by a
+    /// clone of its socket, keyed by the clone's own descriptor (unique
+    /// while the clone is open), so that a halt or a close can wake its
+    /// blocked read.
+    serving: HashMap<RawFd, TcpStream>,
+}
+
+impl State {
+    /// Shuts down the read half of every serving handler's socket: a
+    /// blocked read returns end-of-file at once, a read of frames that
+    /// already arrived still gets them, and the handler then sees the
+    /// halt or close at its next frame boundary.
+    fn end_reads(&self) {
+        for socket in self.serving.values() {
+            // Its only failure, a socket the peer already reset, leaves
+            // a read that fails on its own.
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -245,8 +264,13 @@ impl HaltHandle {
     pub fn halt(&self) {
         self.shared.halt.store(true, Ordering::SeqCst);
         // Taking the lock orders the flag before any parked request's
-        // next check, so none sleeps through it.
-        self.shared.settle(|_| true);
+        // next check, so none sleeps through it, and before any later
+        // enlisting, which then refuses; every handler enlisted already
+        // has its read woken.
+        self.shared.settle(|s| {
+            s.end_reads();
+            true
+        });
     }
 }
 
@@ -288,7 +312,7 @@ impl Coordinator {
             last_progress: Instant::now(),
             abort: None,
             accept_error: None,
-            serving: 0,
+            serving: HashMap::new(),
         };
         let shared = Arc::new(Shared {
             job,
@@ -354,7 +378,7 @@ impl Coordinator {
         // waited for: it finishes the handshake and hears `NoMoreWork` (or,
         // after a halt, a close), or it gives up on its own deadline.
         let mut s = self.shared.lock();
-        while s.serving > 0 {
+        while !s.serving.is_empty() {
             s = self.shared.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         drop(s);
@@ -439,11 +463,15 @@ impl Coordinator {
         }
     }
 
-    /// Ends the handlers and shuts the listener down: the acceptor's
-    /// blocked `accept` fails at once, and the port is free to rebind
-    /// although the acceptor still holds its clone of the socket.
+    /// Ends the handlers and shuts the listener down: the handlers' and
+    /// the acceptor's blocked reads and `accept` fail at once, and the
+    /// port is free to rebind although the acceptor still holds its clone
+    /// of the socket.
     fn close(&self) {
         self.shared.closed.store(true, Ordering::SeqCst);
+        // Under the lock, ordered as in `halt`: a handler enlisting after
+        // this sees the flag and wakes its own read.
+        self.shared.locked(|s| s.end_reads());
         extern "C" {
             fn shutdown(fd: i32, how: i32) -> i32;
         }
@@ -569,7 +597,7 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // From here the connection can merge points, so `run` waits for it.
     // A halted `run` may have stopped waiting already: close at once, so
     // no point lands after its checkpoint.
-    let Some(mut serving) = Serving::enlist(shared) else { return Ok(()) };
+    let Some(mut serving) = Serving::enlist(shared, &stream)? else { return Ok(()) };
     loop {
         let payload = match reader.read_frame(&stop)? {
             Some(payload) => payload,
@@ -683,20 +711,29 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
 /// the fast steal path — and then counts the handler out.
 struct Serving<'a> {
     shared: &'a Shared,
+    /// Its key in [`State::serving`].
+    fd: RawFd,
     /// The worker this connection attached, once it sent `Hello`.
     worker: Option<u32>,
 }
 
 impl<'a> Serving<'a> {
     /// Counts a handler in, unless the coordinator has halted. Under the
-    /// lock, so either `run`'s wait sees the count or this sees the halt.
-    fn enlist(shared: &'a Shared) -> Option<Self> {
-        shared.locked(|s| {
+    /// lock, so either `run`'s wait and a halt's or close's wake-up see
+    /// it, or this sees the halt (and refuses) or the close (and wakes
+    /// its own read).
+    fn enlist(shared: &'a Shared, stream: &TcpStream) -> io::Result<Option<Self>> {
+        let socket = stream.try_clone()?;
+        Ok(shared.locked(|s| {
             (!shared.halted()).then(|| {
-                s.serving += 1;
-                Serving { shared, worker: None }
+                let fd = socket.as_raw_fd();
+                s.serving.insert(fd, socket);
+                if shared.closed() {
+                    s.end_reads();
+                }
+                Serving { shared, fd, worker: None }
             })
-        })
+        }))
     }
 }
 
@@ -706,8 +743,8 @@ impl Drop for Serving<'_> {
             self.shared.reclaim(|lease| lease.worker == id);
         }
         self.shared.settle(|s| {
-            s.serving -= 1;
-            s.serving == 0
+            s.serving.remove(&self.fd);
+            s.serving.is_empty()
         });
     }
 }

@@ -22,7 +22,7 @@ cargo test -q --workspace
 echo "==> quickstart example (cargo test compiles examples but never runs them)"
 cargo run --release -q --example quickstart > /dev/null
 
-echo "==> costs (reads all_results() of a for_configs simulator: asking for an uncovered point panics)"
+echo "==> costs (reads all_results() of a for_configs simulator: asking for an uncovered point panics; checks the joint TraceModeler pass against the per-reference ITraceModeler + UTraceModeler pair on a real trace, release build: any differing parameter bit panics)"
 MHE_EVENTS=20000 cargo run --release -q -p mhe-bench --bin costs > /dev/null
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"

@@ -634,3 +634,38 @@ fn a_malformed_frame_frees_its_senders_lease_at_once() {
     let summary = run.join().expect("coordinator thread").expect("the sweep completes");
     assert_eq!((summary.shards, summary.steals), (1, 1), "{summary:?}");
 }
+
+/// A halted `run` returns as soon as its handlers end, not after each
+/// idle handler's blocked read times out: the halt wakes the read of
+/// every serving handler, ten rounds in a row. The idle worker, holding
+/// a lease, hears no `Abort`, only the close that makes it redial.
+#[test]
+fn a_halted_run_does_not_wait_out_an_idle_workers_read() {
+    let job = || FleetJob { spec_text: String::new(), sampling: None, policies: None };
+    let cfg = FleetConfig { shard_count: 2, auth_token: None, ..FleetConfig::default() };
+    for round in 0..10 {
+        let db = Arc::new(EvaluationCache::new());
+        let coordinator =
+            Coordinator::bind("127.0.0.1:0", job(), cfg.clone(), db).expect("bind coordinator");
+        let addr = coordinator.local_addr().expect("local addr");
+        let halt = coordinator.halt_handle();
+        let (halted, waited, mut worker) = std::thread::scope(|scope| {
+            let run = scope.spawn(|| coordinator.run(None));
+            let mut worker = raw_worker(addr);
+            send_worker(&mut worker, &proto::WorkerFrame::NeedShard);
+            assert!(matches!(read_coord(&mut worker), proto::CoordFrame::Assign { .. }));
+            let halted_at = std::time::Instant::now();
+            halt.halt();
+            let halted = run.join().expect("coordinator thread");
+            (halted, halted_at.elapsed(), worker)
+        });
+        assert!(halted.is_err(), "round {round}: a halted sweep is unfinished");
+        assert!(
+            waited < Duration::from_millis(40),
+            "round {round}: the halted run returned {waited:?} after the halt"
+        );
+        let mut rest = Vec::new();
+        worker.read_to_end(&mut rest).expect("a clean close");
+        assert!(rest.is_empty(), "round {round}: the halt sent {} bytes", rest.len());
+    }
+}
